@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .automata import build_forward_dfa, build_reverse_dfa
+from .blob import BlobReader
 from .config import CompileConfig
 from .decompose import UnsupportedRuleError, decompose_rule
 from .parser import PatternError, parse
@@ -110,53 +111,39 @@ class CompiledDatabase:
 
     @staticmethod
     def from_bytes(buf: bytes) -> "CompiledDatabase":
-        if buf[:4] != _MAGIC:
+        r = BlobReader(buf, "rule database")
+        if r.take(4) != _MAGIC:
             raise ValueError("not a rule database")
-        version = buf[4]
+        (version,) = r.unpack("<B")
         if version != _VERSION:
             raise ValueError(f"unsupported database version {version}")
-        pos = 5
 
-        def blob() -> bytes:
-            nonlocal pos
-            (size,) = struct.unpack_from("<Q", buf, pos)
-            start = pos + 8
-            chunk = buf[start : start + size]
-            pos = start + size
-            return chunk
+        config = CompileConfig.from_dict(json.loads(r.blob()))
+        manifest = json.loads(r.blob())
+        bank = FilterBank.from_bytes(r.blob())
+        reverse_stt = CompressedStt.from_bytes(r.blob())
+        forward_stt = CompressedStt.from_bytes(r.blob())
 
-        config = CompileConfig.from_dict(json.loads(blob()))
-        manifest = json.loads(blob())
-        bank = FilterBank.from_bytes(blob())
-        reverse_stt = CompressedStt.from_bytes(blob())
-        forward_stt = CompressedStt.from_bytes(blob())
-
-        (n_splits,) = struct.unpack_from("<I", buf, pos)
-        pos += 4
+        (n_splits,) = r.unpack("<I")
         splits = []
         for sid in range(n_splits):
-            rule_idx, frag_k, has_back = struct.unpack_from("<IIB", buf, pos)
-            pos += 9
+            rule_idx, frag_k, has_back = r.unpack("<IIB")
             splits.append(SplitMeta(sid, rule_idx, frag_k, bool(has_back)))
 
-        (n_rules,) = struct.unpack_from("<I", buf, pos)
-        pos += 4
+        (n_rules,) = r.unpack("<I")
         checks = []
         for _ in range(n_rules):
-            rule_id, n_frag, anchored_end = struct.unpack_from("<IIB", buf, pos)
-            pos += 9
-            (n_gaps,) = struct.unpack_from("<I", buf, pos)
-            pos += 4
+            rule_id, n_frag, anchored_end = r.unpack("<IIB")
+            (n_gaps,) = r.unpack("<I")
             gaps = []
             for _ in range(n_gaps):
-                (size,) = struct.unpack_from("<Q", buf, pos)
-                pos += 8
-                gap, used = gap_from_bytes(buf[pos : pos + size], 0)
-                if used != size:
+                chunk = r.blob()
+                gap, used = gap_from_bytes(chunk, 0)
+                if used != len(chunk):
                     raise ValueError("gap blob length mismatch")
-                pos += size
                 gaps.append(gap)
             checks.append(RuleChecks(rule_id, n_frag, tuple(gaps), bool(anchored_end)))
+        r.finish()
         return CompiledDatabase(
             bank=bank,
             reverse_stt=reverse_stt,
@@ -384,12 +371,15 @@ class ScanReport:
             "bytes": st.bytes,
             "filter_hits": st.filter_hits,
             "filter_hit_ratio": ratio(st.filter_hits, st.bytes),
+            "reverse_threads": st.reverse_threads,
+            "forward_threads": st.forward_threads,
             "adfa_transitions": st.adfa_transitions,
             "adfa_byte_ratio": ratio(st.adfa_transitions, st.bytes),
             "escalated_packets": st.escalated_packets,
             "escalated_ratio": ratio(st.escalated_packets, st.packets),
             "verify_bytes": st.verify_bytes,
             "verify_byte_ratio": ratio(st.verify_bytes, st.bytes),
+            "saturated_records": st.saturated_records,
             "matches": [
                 {"packet": p, "rule": r, "end": e} for p, r, e in self.matches
             ],

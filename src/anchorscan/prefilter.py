@@ -6,9 +6,15 @@ Three units, one per supported key length. Length-2 keys live in an exact
 fingerprint. Lookups cost three loads and never miss a member; non-members
 pass at roughly 2^-k for k fingerprint bits.
 
-Scanning queries the trailing 2-, 4- and 8-byte windows at every offset of a
-packet. The hot path is vectorized over the whole packet; the scalar query
-path is kept bit-identical to it (tests enforce this).
+Each xor unit sits behind two more 2^16-bit bitmaps, its gates: the set of
+first two bytes and the set of last two bytes of its concrete keys. Scanning
+maps every 2-byte window of a packet to one flag byte (the direct unit's bit
+and the four gate bits) with a single gather, reports the direct hits, and
+hashes a 4- or 8-byte window only when its head and tail pairs both pass
+their gates. Every key passes its own gates, so the gates cost no false
+negatives; on clean traffic most packets make no hash call at all. The hot
+path is vectorized over the whole packet; the scalar query path applies the
+same gates and is kept bit-identical to it (tests enforce this).
 """
 from __future__ import annotations
 
@@ -17,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .blob import BlobReader
 from .decompose import FilterKey
 
 _M64 = (1 << 64) - 1
@@ -26,6 +33,14 @@ _CHUNK = 0x1FFFFF  # 21-bit index chunks from one 64-bit hash
 UNIT_DIRECT = 2
 UNIT_XOR4 = 4
 UNIT_XOR8 = 8
+
+# bits of FilterBank.flags; each head bit sits one above its tail bit, so
+# `(flags[head] >> 1) & flags[tail] & _TAILw` tests both gates of a window
+_DIRECT = 0x01
+_TAIL4 = 0x02
+_HEAD4 = 0x04
+_TAIL8 = 0x08
+_HEAD8 = 0x10
 
 
 def splitmix64(x: int) -> int:
@@ -46,18 +61,28 @@ class FilterBuildError(RuntimeError):
     pass
 
 
+def _fp_dtype(fp_bits: int) -> np.dtype:
+    """Narrowest unsigned dtype holding an fp_bits-wide fingerprint."""
+    if not 1 <= fp_bits <= 32:
+        raise ValueError(f"fingerprint width must be 1..32 bits, got {fp_bits}")
+    return np.dtype(np.uint8 if fp_bits <= 8 else np.uint16 if fp_bits <= 16 else np.uint32)
+
+
 # --- exact unit for 2-byte keys ------------------------------------------------
 
 
 class DirectFilterUnit:
     """65536-bit bitmap indexed by the big-endian value of a 2-byte window."""
 
-    def __init__(self, bitmap: np.ndarray | None = None):
-        self.bitmap = bitmap if bitmap is not None else np.zeros(8192, dtype=np.uint8)
+    def __init__(self, bitmap: np.ndarray):
+        self.bitmap = bitmap
 
-    def add(self, key: bytes) -> None:
-        idx = (key[0] << 8) | key[1]
-        self.bitmap[idx >> 3] |= np.uint8(1 << (idx & 7))
+    @staticmethod
+    def of(keys) -> "DirectFilterUnit":
+        """The unit holding every 2-byte string in `keys`."""
+        members = np.zeros(65536, dtype=np.uint8)
+        members[[(k[0] << 8) | k[1] for k in keys]] = 1
+        return DirectFilterUnit(np.packbits(members, bitorder="little"))
 
     def contains(self, window: bytes) -> bool:
         idx = (window[0] << 8) | window[1]
@@ -67,10 +92,9 @@ class DirectFilterUnit:
     def key_count(self) -> int:
         return int(np.unpackbits(self.bitmap).sum())
 
-    def hit_offsets(self, values: np.ndarray) -> np.ndarray:
-        """Boolean hit mask for an array of 2-byte window values."""
-        v = values.astype(np.int64)
-        return ((self.bitmap[v >> 3] >> (v & 7).astype(np.uint8)) & 1).astype(bool)
+    def members(self) -> np.ndarray:
+        """uint8 0/1 per 2-byte window value, indexed like `contains`."""
+        return np.unpackbits(self.bitmap, bitorder="little")
 
     def __eq__(self, other) -> bool:
         return isinstance(other, DirectFilterUnit) and np.array_equal(self.bitmap, other.bitmap)
@@ -83,9 +107,9 @@ class DirectFilterUnit:
 class XorFilterUnit:
     """3-way xor filter over fixed-width byte windows.
 
-    `fingerprints` holds three consecutive blocks of `block_len` slots; a key
-    hashes to one slot per block and is a member iff the three slots xor to
-    its fingerprint.
+    `fingerprints` holds three consecutive blocks of `block_len` slots, each
+    slot in the narrowest dtype that fits `fp_bits`; a key hashes to one slot
+    per block and is a member iff the three slots xor to its fingerprint.
     """
 
     width: int
@@ -93,7 +117,7 @@ class XorFilterUnit:
     seed: int = 0
     block_len: int = 0
     key_count: int = 0
-    fingerprints: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.uint32))
+    fingerprints: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.uint8))
 
     @property
     def is_empty(self) -> bool:
@@ -164,7 +188,7 @@ def build_xor_unit(
         order = _peel(unit, values)
         if order is None:
             continue
-        slots = np.zeros(3 * unit.block_len, dtype=np.uint32)
+        slots = np.zeros(3 * unit.block_len, dtype=_fp_dtype(fp_bits))
         for value, slot in reversed(order):
             i0, i1, i2, fp = unit._mix(value)
             acc = fp
@@ -217,8 +241,24 @@ class FilterBank:
     unit2: DirectFilterUnit
     unit4: XorFilterUnit
     unit8: XorFilterUnit
-    #: concrete key -> split ids that planted it; statistics only, not serialized
-    key_owners: dict[bytes, tuple[int, ...]] | None = None
+    #: gates: first and last two bytes of every concrete 4- and 8-byte key
+    head4: DirectFilterUnit
+    tail4: DirectFilterUnit
+    head8: DirectFilterUnit
+    tail8: DirectFilterUnit
+    #: 2-byte window value -> direct and gate bits; derived, not serialized
+    flags: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.flags = np.zeros(65536, dtype=np.uint8)
+        for bit, pair_set in (
+            (_DIRECT, self.unit2),
+            (_TAIL4, self.tail4),
+            (_HEAD4, self.head4),
+            (_TAIL8, self.tail8),
+            (_HEAD8, self.head8),
+        ):
+            self.flags |= pair_set.members() * np.uint8(bit)
 
     @property
     def key_count(self) -> int:
@@ -228,10 +268,12 @@ class FilterBank:
         if len(window) == 2:
             return self.unit2.contains(window)
         if len(window) == 4:
-            return self.unit4.contains(window)
-        if len(window) == 8:
-            return self.unit8.contains(window)
-        raise ValueError("window must be 2, 4 or 8 bytes")
+            head, tail, unit = self.head4, self.tail4, self.unit4
+        elif len(window) == 8:
+            head, tail, unit = self.head8, self.tail8, self.unit8
+        else:
+            raise ValueError("window must be 2, 4 or 8 bytes")
+        return head.contains(window[:2]) and tail.contains(window[-2:]) and unit.contains(window)
 
     def scan(self, data: bytes) -> tuple[np.ndarray, np.ndarray]:
         """All filter hits over a packet.
@@ -239,30 +281,29 @@ class FilterBank:
         Returns (end_offsets, unit_codes) sorted by end offset, direct unit
         before xor-4 before xor-8 at equal offsets.
         """
-        n = len(data)
-        offs: list[np.ndarray] = []
-        codes: list[np.ndarray] = []
-        if n >= 2:
-            u = np.frombuffer(data, dtype=np.uint8).astype(np.uint64)
-            v2 = (u[:-1] << np.uint64(8)) | u[1:]
-            mask = self.unit2.hit_offsets(v2)
-            hit = np.flatnonzero(mask) + 1
-            offs.append(hit)
-            codes.append(np.full(len(hit), UNIT_DIRECT, dtype=np.uint8))
-            if n >= 4 and not (self.unit4.is_empty and self.unit8.is_empty):
-                v4 = (v2[:-2] << np.uint64(16)) | v2[2:]
-                if not self.unit4.is_empty:
-                    hit = np.flatnonzero(self.unit4.hit_mask(v4)) + 3
-                    offs.append(hit)
-                    codes.append(np.full(len(hit), UNIT_XOR4, dtype=np.uint8))
-                if n >= 8 and not self.unit8.is_empty:
-                    v8 = (v4[:-4] << np.uint64(32)) | v4[4:]
-                    hit = np.flatnonzero(self.unit8.hit_mask(v8)) + 7
-                    offs.append(hit)
-                    codes.append(np.full(len(hit), UNIT_XOR8, dtype=np.uint8))
-        if not offs:
+        if len(data) < 2:
             return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint8)
-        end = np.concatenate(offs).astype(np.int64)
+        u = np.frombuffer(data, dtype=np.uint8).astype(np.uint16)
+        v2 = (u[:-1] << 8) | u[1:]  # v2[i] is the window ending at i + 1
+        flags = self.flags[v2]
+        end = np.flatnonzero(flags & _DIRECT) + 1
+        offs = [end]
+        codes = [np.full(len(end), UNIT_DIRECT, dtype=np.uint8)]
+        for unit, tail_bit, code in ((self.unit4, _TAIL4, UNIT_XOR4), (self.unit8, _TAIL8, UNIT_XOR8)):
+            w = unit.width
+            # window k spans bytes k..k+w-1: head pair v2[k], tail pair v2[k+w-2]
+            starts = np.flatnonzero((flags[: 2 - w] >> 1) & flags[w - 2 :] & tail_bit)
+            if not len(starts):
+                continue
+            values = np.zeros(len(starts), dtype=np.uint64)
+            for off in range(0, w, 2):
+                values = (values << np.uint64(16)) | v2[starts + off]
+            end = starts[unit.hit_mask(values)] + (w - 1)
+            offs.append(end)
+            codes.append(np.full(len(end), code, dtype=np.uint8))
+        if len(offs) == 1:
+            return offs[0], codes[0]
+        end = np.concatenate(offs)
         unit = np.concatenate(codes)
         order = np.lexsort((unit, end))
         return end[order], unit[order]
@@ -273,37 +314,44 @@ class FilterBank:
             and self.unit2 == other.unit2
             and self.unit4 == other.unit4
             and self.unit8 == other.unit8
+            and self.head4 == other.head4
+            and self.tail4 == other.tail4
+            and self.head8 == other.head8
+            and self.tail8 == other.tail8
         )
 
-    # --- serialization: magic, version, fp bits, seeds, slots, bitmap ---
+    # --- serialization: magic, version, fp bits, bitmaps, seeds, slots ---
 
     MAGIC = b"ASFB"
-    VERSION = 1
+    VERSION = 2
 
     def to_bytes(self) -> bytes:
-        out = [self.MAGIC, struct.pack("<HB", self.VERSION, self.unit8.fp_bits)]
-        out.append(self.unit2.bitmap.tobytes())
+        fp_bits = self.unit8.fp_bits
+        out = [self.MAGIC, struct.pack("<HB", self.VERSION, fp_bits)]
+        for pair_set in (self.unit2, self.head4, self.tail4, self.head8, self.tail8):
+            out.append(pair_set.bitmap.tobytes())
+        slot = _fp_dtype(fp_bits).newbyteorder("<")
         for unit in (self.unit4, self.unit8):
             out.append(struct.pack("<BQII", unit.width, unit.seed, unit.key_count, unit.block_len))
-            out.append(unit.fingerprints.astype("<u4").tobytes())
+            out.append(unit.fingerprints.astype(slot).tobytes())
         return b"".join(out)
 
     @staticmethod
     def from_bytes(blob: bytes) -> "FilterBank":
-        if blob[:4] != FilterBank.MAGIC:
+        r = BlobReader(blob, "filter bank")
+        if r.take(4) != FilterBank.MAGIC:
             raise ValueError("not a filter bank blob")
-        version, fp_bits = struct.unpack_from("<HB", blob, 4)
+        version, fp_bits = r.unpack("<HB")
         if version != FilterBank.VERSION:
             raise ValueError(f"unsupported filter bank version {version}")
-        pos = 7
-        bitmap = np.frombuffer(blob, dtype=np.uint8, count=8192, offset=pos).copy()
-        pos += 8192
+        dtype = _fp_dtype(fp_bits)
+        bitmaps = [DirectFilterUnit(r.array("u1", 8192)) for _ in range(5)]
         units = []
-        for _ in range(2):
-            width, seed, key_count, block_len = struct.unpack_from("<BQII", blob, pos)
-            pos += struct.calcsize("<BQII")
-            fingerprints = np.frombuffer(blob, dtype="<u4", count=3 * block_len, offset=pos).copy()
-            pos += 4 * 3 * block_len
+        for expected in (4, 8):
+            width, seed, key_count, block_len = r.unpack("<BQII")
+            if width != expected or (key_count > 0) != (block_len > 0):
+                raise ValueError(f"corrupt xor unit header (width {width}, {key_count} keys, block {block_len})")
+            fingerprints = r.array(dtype.newbyteorder("<"), 3 * block_len).astype(dtype)
             units.append(
                 XorFilterUnit(
                     width=width,
@@ -311,10 +359,12 @@ class FilterBank:
                     seed=seed,
                     block_len=block_len,
                     key_count=key_count,
-                    fingerprints=fingerprints.astype(np.uint32),
+                    fingerprints=fingerprints,
                 )
             )
-        return FilterBank(DirectFilterUnit(bitmap), units[0], units[1])
+        r.finish()
+        unit2, head4, tail4, head8, tail8 = bitmaps
+        return FilterBank(unit2, units[0], units[1], head4, tail4, head8, tail8)
 
 
 def build_filter_bank(
@@ -323,22 +373,20 @@ def build_filter_bank(
     seed: int = 0x5EED,
     attempts: int = 100,
 ) -> FilterBank:
-    """Expand every split's key and plant the strings in the right unit."""
+    """Expand every split's key, plant the strings in the right unit and
+    their first and last two bytes in that unit's gates."""
     by_len: dict[int, set[bytes]] = {2: set(), 4: set(), 8: set()}
-    owners: dict[bytes, set[int]] = {}
-    for split_id, key in keyed_splits:
-        for concrete in key.expand():
-            by_len[key.length].add(concrete)
-            owners.setdefault(concrete, set()).add(split_id)
+    for _split_id, key in keyed_splits:
+        by_len[key.length].update(key.expand())
 
-    unit2 = DirectFilterUnit()
-    for k in sorted(by_len[2]):
-        unit2.add(k)
     unit4 = build_xor_unit(sorted(by_len[4]), 4, fp_bits, splitmix64(seed ^ 4), attempts)
     unit8 = build_xor_unit(sorted(by_len[8]), 8, fp_bits, splitmix64(seed ^ 8), attempts)
     return FilterBank(
-        unit2,
+        DirectFilterUnit.of(by_len[2]),
         unit4,
         unit8,
-        key_owners={k: tuple(sorted(v)) for k, v in owners.items()},
+        DirectFilterUnit.of(k[:2] for k in by_len[4]),
+        DirectFilterUnit.of(k[2:] for k in by_len[4]),
+        DirectFilterUnit.of(k[:2] for k in by_len[8]),
+        DirectFilterUnit.of(k[6:] for k in by_len[8]),
     )

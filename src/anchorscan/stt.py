@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .automata import DEAD, Dfa
+from .blob import BlobReader
 
 FORWARD = "forward"
 REVERSE = "reverse"
@@ -111,30 +112,27 @@ class CompressedStt:
 
     @staticmethod
     def from_bytes(blob: bytes) -> "CompressedStt":
-        if blob[:4] != _MAGIC:
+        r = BlobReader(blob, "transition table")
+        if r.take(4) != _MAGIC:
             raise ValueError("not a transition table blob")
-        version, width, n_states, start, nnz, n_entries = struct.unpack_from("<HBIIQI", blob, 4)
+        version, width, n_states, start, nnz, n_entries = r.unpack("<HBIIQI")
         if version != _VERSION:
             raise ValueError(f"unsupported transition table version {version}")
-        pos = 4 + struct.calcsize("<HBIIQI")
+        if width not in (2, 4):
+            raise ValueError(f"unsupported successor width {width}")
         entries = {}
         for _ in range(n_entries):
-            key, state = struct.unpack_from("<II", blob, pos)
+            key, state = r.unpack("<II")
             entries[key] = state
-            pos += 8
         accepts = []
         for _ in range(n_states):
-            (count,) = struct.unpack_from("<H", blob, pos)
-            pos += 2
-            accepts.append(frozenset(struct.unpack_from(f"<{count}I", blob, pos)))
-            pos += 4 * count
-        bitmap = np.frombuffer(blob, "<u8", n_states * 4, pos).reshape(n_states, 4)
-        pos += bitmap.nbytes
-        prefix = np.frombuffer(blob, "<u2", n_states * 4, pos).reshape(n_states, 4)
-        pos += prefix.nbytes
-        offsets = np.frombuffer(blob, "<u4", n_states, pos)
-        pos += offsets.nbytes
-        successors = np.frombuffer(blob, f"<u{width}", nnz, pos)
+            (count,) = r.unpack("<H")
+            accepts.append(frozenset(r.unpack(f"<{count}I")))
+        bitmap = r.array("<u8", n_states * 4).reshape(n_states, 4)
+        prefix = r.array("<u2", n_states * 4).reshape(n_states, 4)
+        offsets = r.array("<u4", n_states)
+        successors = r.array(f"<u{width}", nnz)
+        r.finish()
         return CompressedStt(
             n_states=n_states,
             start=start,

@@ -26,6 +26,7 @@ from .automata import (
     minimize,
     thompson,
 )
+from .blob import BlobReader
 from .chars import ByteClass
 from .decompose import UnsupportedRuleError
 from .parser import Atom, Node, Rep, reverse_tree
@@ -231,24 +232,23 @@ def gap_to_bytes(gap: Gap) -> bytes:
 
 
 def gap_from_bytes(buf: bytes, pos: int) -> tuple[Gap, int]:
-    kind, mode_code = struct.unpack_from("<BB", buf, pos)
+    r = BlobReader(buf, "gap", pos)
+    kind, mode_code = r.unpack("<BB")
+    if mode_code not in _MODE_NAME:
+        raise ValueError(f"unknown gap mode {mode_code}")
     mode = _MODE_NAME[mode_code]
-    pos += 2
     if kind == 0:
-        return EmptyGap(mode), pos
+        return EmptyGap(mode), r.pos
     if kind == 1:
-        lo, hi = struct.unpack_from("<II", buf, pos)
-        return DotGap(lo, None if hi == _INF else hi, mode), pos + 8
+        lo, hi = r.unpack("<II")
+        return DotGap(lo, None if hi == _INF else hi, mode), r.pos
     if kind == 2:
-        lo, hi = struct.unpack_from("<II", buf, pos)
-        pos += 8
-        mask = int.from_bytes(buf[pos : pos + 32], "little")
-        return ClassGap(ByteClass(mask), lo, None if hi == _INF else hi, mode), pos + 32
+        lo, hi = r.unpack("<II")
+        mask = int.from_bytes(r.take(32), "little")
+        return ClassGap(ByteClass(mask), lo, None if hi == _INF else hi, mode), r.pos
     if kind == 3:
-        (size,) = struct.unpack_from("<Q", buf, pos)
-        pos += 8
-        stt = CompressedStt.from_bytes(buf[pos : pos + size])
-        return DfaGap(stt, mode), pos + size
+        stt = CompressedStt.from_bytes(r.blob())
+        return DfaGap(stt, mode), r.pos
     raise ValueError(f"unknown gap kind {kind}")
 
 

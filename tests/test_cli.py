@@ -104,6 +104,19 @@ def test_scan_missing_db(tmp_path, capsys):
     assert "scan failed" in capsys.readouterr().err
 
 
+def test_scan_truncated_db(tmp_path, capsys):
+    rules = tmp_path / "rules.txt"
+    rules.write_text("ab.*cd\n")
+    db_path = tmp_path / "x.db"
+    assert run(["compile", "--rules", str(rules), "--out", str(db_path)]) == 0
+    db_path.write_bytes(db_path.read_bytes()[:10])
+    corpus = tmp_path / "c.bin"
+    corpus.write_bytes(b"xxabyycdzz")
+    capsys.readouterr()
+    assert run(["scan", "--db", str(db_path), "--corpus", str(corpus)]) == 1
+    assert "scan failed:" in capsys.readouterr().err
+
+
 def test_diff_clean(tmp_path, capsys):
     rules = tmp_path / "rules.txt"
     rules.write_text("ab.*cd\nuser=[a-z]{1,8}\n^hdr[0-9]{2,3}$\n")

@@ -138,6 +138,15 @@ def test_bad_database_blob():
         CompiledDatabase.from_bytes(b"NOPE" + b"\x00" * 64)
 
 
+def test_every_truncated_database_raises_value_error():
+    blob = compile_rules(["ab.*cd", "xy[0-9]{3}zw"])[0].to_bytes()
+    for size in range(len(blob)):
+        with pytest.raises(ValueError):
+            CompiledDatabase.from_bytes(blob[:size])
+    with pytest.raises(ValueError):
+        CompiledDatabase.from_bytes(blob + b"\x00")
+
+
 def test_compile_report_timings():
     _, report = compile_rules(["ab.*cd", "xyz"])
     assert set(report.timings) == {"decompose", "verify_tables", "filter_build", "dfa_build"}
@@ -206,12 +215,15 @@ def test_report_schema():
         "bytes",
         "filter_hits",
         "filter_hit_ratio",
+        "reverse_threads",
+        "forward_threads",
         "adfa_transitions",
         "adfa_byte_ratio",
         "escalated_packets",
         "escalated_ratio",
         "verify_bytes",
         "verify_byte_ratio",
+        "saturated_records",
         "matches",
     ]
     assert d["matches"] == [{"packet": 0, "rule": 0, "end": 4}]

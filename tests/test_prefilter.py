@@ -48,10 +48,8 @@ class TestSplitmix:
 
 class TestDirectUnit:
     def test_exhaustive_exactness(self):
-        unit = DirectFilterUnit()
         inserted = {b"ab", b"zz", b"\x00\xff", b"~\x01"}
-        for k in inserted:
-            unit.add(k)
+        unit = DirectFilterUnit.of(inserted)
         assert unit.key_count == 4
         for hi in range(256):
             for lo in range(0, 256, 5):
@@ -60,11 +58,8 @@ class TestDirectUnit:
 
     def test_vector_matches_scalar(self):
         rng = random.Random(7)
-        unit = DirectFilterUnit()
-        for _ in range(300):
-            unit.add(bytes([rng.randrange(256), rng.randrange(256)]))
-        values = np.arange(65536, dtype=np.uint64)
-        mask = unit.hit_offsets(values)
+        unit = DirectFilterUnit.of(bytes([rng.randrange(256), rng.randrange(256)]) for _ in range(300))
+        mask = unit.members()
         for v in range(0, 65536, 37):
             assert bool(mask[v]) == unit.contains(bytes([v >> 8, v & 0xFF]))
 
@@ -118,6 +113,17 @@ class TestXorUnit:
     def test_members_always_found(self, keys, seed):
         unit = build_xor_unit(sorted(keys), 4, 8, base_seed=seed)
         assert all(unit.contains(k) for k in keys)
+
+    @pytest.mark.parametrize("fp_bits, dtype", [(8, np.uint8), (12, np.uint16), (20, np.uint32)])
+    def test_fingerprints_stored_at_real_width(self, fp_bits, dtype):
+        rng = random.Random(fp_bits)
+        keys = [rng.randbytes(8) for _ in range(200)]
+        bank = build_filter_bank([(i, key_of(k)) for i, k in enumerate(keys)], fp_bits=fp_bits)
+        assert bank.unit8.fingerprints.dtype == dtype
+        back = FilterBank.from_bytes(bank.to_bytes())
+        assert back.unit8.fingerprints.dtype == dtype
+        assert back == bank
+        assert all(back.query(k) for k in keys)
 
 
 class TestBankScan:
@@ -176,7 +182,73 @@ class TestBankScan:
         bank = build_filter_bank([(0, split.key)])
         # key covers both expansions
         assert bank.query(b"xayz") and bank.query(b"xbyz")
-        assert bank.key_owners[b"xayz"] == (0,)
+
+    @given(
+        st.lists(
+            st.sampled_from([2, 4, 8]).flatmap(lambda w: st.binary(min_size=w, max_size=w)),
+            min_size=1,
+            max_size=10,
+            unique=True,
+        ),
+        st.binary(max_size=64),
+        st.integers(0, 7),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_gated_scan_equals_brute_query(self, keys, filler, at, data):
+        bank = bank_of(*keys)
+        head = data.draw(st.sampled_from([b"", *keys]))  # planted at offset `at`
+        tail = data.draw(st.sampled_from([b"", *keys]))  # planted at the packet end
+        body = filler[: 64 - len(head) - len(tail)]
+        at = min(at, len(body))
+        packet = body[:at] + head + body[at:] + tail
+        ends, units = bank.scan(packet)
+        got = list(zip(ends.tolist(), units.tolist()))
+        # unit codes equal window widths
+        want = [
+            (j, w)
+            for j in range(len(packet))
+            for w in (UNIT_DIRECT, UNIT_XOR4, UNIT_XOR8)
+            if j >= w - 1 and bank.query(packet[j - w + 1 : j + 1])
+        ]
+        assert got == want
+        if head:
+            assert (at + len(head) - 1, len(head)) in got
+        if tail:
+            assert (len(packet) - 1, len(tail)) in got
+
+    def test_gated_hits_subset_of_ungated(self):
+        rng = random.Random(37)
+        keys4 = [rng.randbytes(4) for _ in range(300)]
+        keys8 = [rng.randbytes(8) for _ in range(300)]
+        bank = bank_of(*keys4, *keys8)
+        # random bytes, planted keys, and windows that pass only one gate
+        data = bytearray(rng.randbytes(2000))
+        planted = {}
+        for i in range(6000):
+            key = rng.choice(keys4 + keys8)
+            w = len(key)
+            if i % 500 == 0:
+                data += key
+                planted[len(data) - 1] = w
+            elif i % 2:
+                data += key[:2] + rng.randbytes(w - 2)
+            else:
+                data += rng.randbytes(w - 2) + key[-2:]
+        data = bytes(data)
+        ends, units = bank.scan(data)
+        u = np.frombuffer(data, dtype=np.uint8).astype(np.uint64)
+        for unit, code in ((bank.unit4, UNIT_XOR4), (bank.unit8, UNIT_XOR8)):
+            w = unit.width
+            values = np.zeros(len(data) - w + 1, dtype=np.uint64)
+            for col in range(w):
+                values = (values << np.uint64(8)) | u[col : len(u) - w + 1 + col]
+            ungated = set((np.flatnonzero(unit.hit_mask(values)) + w - 1).tolist())
+            gated = {int(e) for e, c in zip(ends, units) if c == code}
+            assert gated <= ungated
+            assert gated == {e for e in ungated if bank.query(data[e - w + 1 : e + 1])}
+            assert {e for e, width in planted.items() if width == w} <= gated
+            assert len(gated) < len(ungated)
 
     def test_scalar_query_matches_scan(self):
         rng = random.Random(23)
@@ -211,3 +283,12 @@ class TestSerialization:
     def test_bad_magic(self):
         with pytest.raises(ValueError):
             FilterBank.from_bytes(b"NOPE" + b"\x00" * 100)
+
+    def test_truncated_or_padded_blob_raises_value_error(self):
+        rng = random.Random(41)
+        blob = bank_of(b"ab", rng.randbytes(4), rng.randbytes(8)).to_bytes()
+        for size in range(len(blob)):
+            with pytest.raises(ValueError):
+                FilterBank.from_bytes(blob[:size])
+        with pytest.raises(ValueError):
+            FilterBank.from_bytes(blob + b"\x00")

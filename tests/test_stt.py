@@ -162,6 +162,14 @@ class TestSerialization:
         with pytest.raises(ValueError):
             CompressedStt.from_bytes(b"JUNKJUNKJUNK" + b"\x00" * 64)
 
+    def test_truncated_or_padded_blob_raises_value_error(self):
+        blob = compress(build_forward_dfa([(3, tree_of("[a-f]{4}")), (8, tree_of("xy?z"))])).to_bytes()
+        for size in range(len(blob)):
+            with pytest.raises(ValueError):
+                CompressedStt.from_bytes(blob[:size])
+        with pytest.raises(ValueError):
+            CompressedStt.from_bytes(blob + b"\x00")
+
 
 class TestProperties:
     @given(_trees(2))
