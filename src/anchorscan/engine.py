@@ -13,6 +13,7 @@ import hashlib
 import json
 import struct
 import time
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,7 +38,7 @@ from .verify import (
 )
 
 _MAGIC = b"ASDB"
-_VERSION = 1
+_VERSION = 2
 
 
 class CompileError(ValueError):
@@ -107,6 +108,12 @@ class CompiledDatabase:
             out.append(struct.pack("<I", len(rc.gaps)))
             for gap in rc.gaps:
                 blob(gap_to_bytes(gap))
+        # checksum the chunks in place: an extra copy of a megabyte-sized
+        # database fragments the heap and measurably raises peak RSS
+        crc = 0
+        for chunk in out:
+            crc = zlib.crc32(chunk, crc)
+        out.append(struct.pack("<I", crc))
         return b"".join(out)
 
     @staticmethod
@@ -117,6 +124,11 @@ class CompiledDatabase:
         (version,) = r.unpack("<B")
         if version != _VERSION:
             raise ValueError(f"unsupported database version {version}")
+        if len(buf) < r.pos + 4:
+            raise ValueError("truncated rule database: no checksum")
+        (crc,) = struct.unpack("<I", buf[-4:])
+        if zlib.crc32(memoryview(buf)[:-4]) != crc:
+            raise ValueError("rule database checksum mismatch")
 
         config = CompileConfig.from_dict(json.loads(r.blob()))
         manifest = json.loads(r.blob())
@@ -143,7 +155,8 @@ class CompiledDatabase:
                     raise ValueError("gap blob length mismatch")
                 gaps.append(gap)
             checks.append(RuleChecks(rule_id, n_frag, tuple(gaps), bool(anchored_end)))
-        r.finish()
+        if r.pos != len(buf) - 4:
+            raise ValueError("rule database does not end at its checksum")
         return CompiledDatabase(
             bank=bank,
             reverse_stt=reverse_stt,

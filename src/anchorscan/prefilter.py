@@ -99,6 +99,35 @@ class DirectFilterUnit:
     def __eq__(self, other) -> bool:
         return isinstance(other, DirectFilterUnit) and np.array_equal(self.bitmap, other.bitmap)
 
+    # serialized as a one-byte tag, then whichever is smaller: the raw
+    # bitmap, or a u16 count and the strictly increasing u16 member values
+    _RAW = 0
+    _LIST = 1
+    _MAX_LIST = (8192 - 3) // 2  # longest list still smaller than the raw bitmap
+
+    def to_bytes(self) -> bytes:
+        members = np.flatnonzero(self.members())
+        if len(members) > self._MAX_LIST:
+            return struct.pack("<B", self._RAW) + self.bitmap.tobytes()
+        return struct.pack("<BH", self._LIST, len(members)) + members.astype("<u2").tobytes()
+
+    @staticmethod
+    def read(r: BlobReader) -> "DirectFilterUnit":
+        (tag,) = r.unpack("<B")
+        if tag == DirectFilterUnit._RAW:
+            return DirectFilterUnit(r.array("u1", 8192))
+        if tag != DirectFilterUnit._LIST:
+            raise ValueError(f"unknown pair-set encoding {tag}")
+        (count,) = r.unpack("<H")
+        if count > DirectFilterUnit._MAX_LIST:
+            raise ValueError(f"pair-set list of {count} members is longer than its bitmap")
+        values = r.array("<u2", count).astype(np.int64)
+        if np.any(values[1:] <= values[:-1]):
+            raise ValueError("pair-set list is not strictly increasing")
+        members = np.zeros(65536, dtype=np.uint8)
+        members[values] = 1
+        return DirectFilterUnit(np.packbits(members, bitorder="little"))
+
 
 # --- xor units for 4- and 8-byte keys --------------------------------------------
 
@@ -320,16 +349,16 @@ class FilterBank:
             and self.tail8 == other.tail8
         )
 
-    # --- serialization: magic, version, fp bits, bitmaps, seeds, slots ---
+    # --- serialization: magic, version, fp bits, pair sets, seeds, slots ---
 
     MAGIC = b"ASFB"
-    VERSION = 2
+    VERSION = 3
 
     def to_bytes(self) -> bytes:
         fp_bits = self.unit8.fp_bits
         out = [self.MAGIC, struct.pack("<HB", self.VERSION, fp_bits)]
         for pair_set in (self.unit2, self.head4, self.tail4, self.head8, self.tail8):
-            out.append(pair_set.bitmap.tobytes())
+            out.append(pair_set.to_bytes())
         slot = _fp_dtype(fp_bits).newbyteorder("<")
         for unit in (self.unit4, self.unit8):
             out.append(struct.pack("<BQII", unit.width, unit.seed, unit.key_count, unit.block_len))
@@ -345,7 +374,7 @@ class FilterBank:
         if version != FilterBank.VERSION:
             raise ValueError(f"unsupported filter bank version {version}")
         dtype = _fp_dtype(fp_bits)
-        bitmaps = [DirectFilterUnit(r.array("u1", 8192)) for _ in range(5)]
+        bitmaps = [DirectFilterUnit.read(r) for _ in range(5)]
         units = []
         for expected in (4, 8):
             width, seed, key_count, block_len = r.unpack("<BQII")

@@ -1,14 +1,20 @@
 """Bitmap-compressed state transition tables and bounded thread runs.
 
 A dense DFA row stores 256 successor ids, nearly all of them the dead
-state. The compressed form keeps one 256-bit occupancy bitmap per state,
-per-word rank prefixes, and a packed array of the non-dead successors;
-lookup is bitmap test + popcount rank. Anything absent resolves to dead.
+state. The stored form keeps one 256-bit occupancy bitmap per state,
+per-word rank prefixes, and a packed array of the non-dead successors; it
+is what databases hold on disk and what `compressed_bytes` measures.
+
+Scanning steps through dense rows instead: one flat array indexed by
+`(state << 8) | byte`, derived from the compressed arrays on first use and
+never serialized. The rows cost `n_states * 256 * succ_width` bytes, no
+more than the dense `(S, 256)` uint32 table compile already held.
 """
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,27 +39,26 @@ class CompressedStt:
     accepts: tuple[frozenset[int], ...]
     entries: dict[int, int] = field(default_factory=dict)
 
+    @cached_property
+    def rows(self) -> memoryview:
+        """Flat dense successor rows: `rows[(state << 8) | byte]`.
+
+        Built from the bitmap and the packed successors on first use, so
+        compiling never holds them; the dead state is 0, so absent
+        transitions are the zero fill.
+        """
+        present = np.unpackbits(self.bitmap.astype("<u8").view(np.uint8), bitorder="little")
+        dense = np.zeros(self.n_states * 256, dtype=self.successors.dtype)
+        dense[present.view(bool)] = self.successors
+        return memoryview(dense)
+
     def lookup(self, state: int, byte: int) -> int:
-        word = int(self.bitmap[state, byte >> 6])
-        bit = byte & 63
-        if not (word >> bit) & 1:
-            return DEAD
-        rank = int(self.prefix[state, byte >> 6]) + (word & ((1 << bit) - 1)).bit_count()
-        return int(self.successors[int(self.offsets[state]) + rank])
+        return self.rows[(state << 8) | byte]
 
     def lookup_many(self, states: np.ndarray, bytes_: np.ndarray) -> np.ndarray:
         """Vectorized lookup over parallel (state, byte) arrays."""
-        words = self.bitmap[states, bytes_ >> 6]
-        bit = (bytes_ & 63).astype(np.uint64)
-        present = (words >> bit) & np.uint64(1)
-        below = words & ((np.uint64(1) << bit) - np.uint64(1))
-        rank = self.prefix[states, bytes_ >> 6].astype(np.int64) + np.bitwise_count(below)
-        idx = self.offsets[states].astype(np.int64) + rank
-        live = present.astype(bool)
-        out = np.full(len(idx), DEAD, dtype=np.int64)
-        if live.any():
-            out[live] = self.successors[idx[live]]
-        return out
+        index = (np.asarray(states, dtype=np.int64) << 8) | np.asarray(bytes_, dtype=np.int64)
+        return np.asarray(self.rows)[index].astype(np.int64)
 
     @property
     def succ_width(self) -> int:
@@ -133,6 +138,14 @@ class CompressedStt:
         offsets = r.array("<u4", n_states)
         successors = r.array(f"<u{width}", nnz)
         r.finish()
+        want_prefix, want_offsets, want_nnz = _ranks(bitmap.astype(np.uint64))
+        if (
+            nnz != want_nnz
+            or not np.array_equal(prefix, want_prefix)
+            or not np.array_equal(offsets, want_offsets)
+            or max(start, *entries.values(), int(successors.max(initial=0))) >= n_states
+        ):
+            raise ValueError("inconsistent transition table")
         return CompressedStt(
             n_states=n_states,
             start=start,
@@ -145,6 +158,19 @@ class CompressedStt:
         )
 
 
+def _ranks(bitmap: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Per-word rank prefixes, per-state successor offsets and the total
+    successor count that an occupancy bitmap implies."""
+    n = bitmap.shape[0]
+    counts = np.bitwise_count(bitmap)
+    prefix = np.zeros((n, 4), dtype=np.uint16)
+    np.cumsum(counts[:, :3], axis=1, out=prefix[:, 1:], dtype=np.uint16)
+    nnz_per_state = counts.sum(axis=1)
+    offsets = np.zeros(n, dtype=np.uint32)
+    np.cumsum(nnz_per_state[:-1], out=offsets[1:], dtype=np.uint32)
+    return prefix, offsets, int(nnz_per_state.sum())
+
+
 def compress(dfa: Dfa) -> CompressedStt:
     """Bitmap-encode a dense DFA; lookups stay exactly equivalent."""
     table = dfa.table
@@ -152,12 +178,7 @@ def compress(dfa: Dfa) -> CompressedStt:
     nz = table != DEAD
     packed = np.packbits(nz, axis=1, bitorder="little")  # (S, 32) uint8
     bitmap = packed.view("<u8").astype(np.uint64).reshape(n, 4)
-    counts = np.bitwise_count(bitmap)
-    prefix = np.zeros((n, 4), dtype=np.uint16)
-    np.cumsum(counts[:, :3], axis=1, out=prefix[:, 1:], dtype=np.uint16)
-    nnz_per_state = counts.sum(axis=1)
-    offsets = np.zeros(n, dtype=np.uint32)
-    np.cumsum(nnz_per_state[:-1], out=offsets[1:], dtype=np.uint32)
+    prefix, offsets, _ = _ranks(bitmap)
     dtype = np.uint16 if n <= 0x10000 else np.uint32
     successors = table[nz].astype(dtype)
     return CompressedStt(
@@ -187,30 +208,29 @@ def run_thread(
     packet edge; the step into dead is included in the returned depth.
     """
     if direction == FORWARD:
-        step = 1
+        forward = True
     elif direction == REVERSE:
-        step = -1
+        forward = False
     else:
         raise ValueError(f"direction must be {FORWARD!r} or {REVERSE!r}")
     s = stt.start if state is None else state
-    records: list[tuple[int, int, int]] = []
-    for label in stt.accepts[s]:
-        # accepting before any byte: an empty span just off the start edge
-        records.append((label, start_offset, start_offset - 1) if step > 0 else (label, start_offset + 1, start_offset))
-    depth = 0
-    pos = start_offset
-    n = len(data)
-    lookup = stt.lookup
     accepts = stt.accepts
-    while 0 <= pos < n:
-        s = lookup(s, data[pos])
-        depth += 1
+    records: list[tuple[int, int, int]] = []
+    for label in accepts[s]:
+        # accepting before any byte: an empty span just off the start edge
+        records.append((label, start_offset, start_offset - 1) if forward else (label, start_offset + 1, start_offset))
+    if not 0 <= start_offset < len(data):
+        return records, 0
+    span = range(start_offset, len(data)) if forward else range(start_offset, -1, -1)
+    depth = len(span)
+    rows = stt.rows
+    for pos in span:
+        s = rows[(s << 8) | data[pos]]
         if s == DEAD:
+            depth = abs(pos - start_offset) + 1
             break
-        for label in accepts[s]:
-            if step > 0:
-                records.append((label, start_offset, pos))
-            else:
-                records.append((label, pos, start_offset))
-        pos += step
+        labels = accepts[s]
+        if labels:
+            for label in labels:
+                records.append((label, start_offset, pos) if forward else (label, pos, start_offset))
     return records, depth

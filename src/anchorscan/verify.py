@@ -12,6 +12,13 @@ interval exactly. A leading gap on an unanchored rule may match any
 suffix of the preceding bytes (the implicit search prefix absorbs the
 rest); a trailing gap without `$` may match any prefix of the remaining
 bytes. Anchored edges are exact again.
+
+Every gap's `check(data, gs, ge)` returns `(ok, n)`. On success `n` is the
+length of the shortest window the gap accepts, measured from the fragment
+edge (the whole interval in exact mode); on failure it is the number of
+bytes read before the gap was rejected. Gaps that examine bytes add `n` to
+the verifier's byte count either way; for a trailing gap, `n` is how far
+past the last fragment the rule's match ends.
 """
 from __future__ import annotations
 
@@ -77,10 +84,10 @@ class DotGap:
             return False, 0
         if self.mode == EXACT:
             ok = self.lo <= length and (self.hi is None or length <= self.hi)
-        else:
-            # a shorter window inside the interval is always available
-            ok = length >= self.lo
-        return ok, 0
+            return ok, length if ok else 0
+        # a shorter window inside the interval is always available
+        ok = length >= self.lo
+        return ok, self.lo if ok else 0
 
     @property
     def examines_bytes(self) -> bool:
@@ -153,18 +160,17 @@ class DfaGap:
             span = range(ge, gs - 1, -1)
         else:
             span = range(gs, ge + 1)
-        lookup = self.stt.lookup
-        consumed = 0
-        for pos in span:
-            state = lookup(state, data[pos])
-            consumed += 1
+        rows = self.stt.rows
+        exact = self.mode == EXACT
+        for consumed, pos in enumerate(span, 1):
+            state = rows[(state << 8) | data[pos]]
             if state == DEAD:
                 return False, consumed
-            if self.mode != EXACT and accepts[state]:
+            if not exact and accepts[state]:
                 return True, consumed
-        if self.mode == EXACT:
-            return bool(accepts[state]), consumed
-        return False, consumed
+        if exact:
+            return bool(accepts[state]), length
+        return False, length
 
     @property
     def examines_bytes(self) -> bool:
@@ -294,25 +300,25 @@ class VerificationState:
         self.verify_bytes = 0
         self.escalated = False
 
-    def _check(self, gap: Gap, gs: int, ge: int) -> bool:
-        ok, examined = gap.check(self.data, gs, ge)
+    def _check(self, gap: Gap, gs: int, ge: int) -> tuple[bool, int]:
+        ok, n = gap.check(self.data, gs, ge)
         if gap.examines_bytes:
             self.escalated = True
-            self.verify_bytes += examined
-        return ok
+            self.verify_bytes += n
+        return ok, n
 
     def on_fragment_match(self, ev: MatchEvent) -> list[tuple[int, int]]:
         rule = self.checks[ev.rule_idx]
         data = self.data
 
         if ev.k == 0:
-            ok = self._check(rule.gaps[0], 0, ev.pos_s - 1)
+            ok, _ = self._check(rule.gaps[0], 0, ev.pos_s - 1)
         else:
             ok = False
             gap = rule.gaps[ev.k]
             for prev_end in self.records.get((ev.rule_idx, ev.k - 1), ()):
-                if self._check(gap, prev_end + 1, ev.pos_s - 1):
-                    ok = True
+                ok, _ = self._check(gap, prev_end + 1, ev.pos_s - 1)
+                if ok:
                     break
         if not ok:
             return []
@@ -328,10 +334,12 @@ class VerificationState:
             kept.append(ev.pos_e)
             return []
 
-        # last fragment: the trailing gap decides, then report
-        if not self._check(rule.gaps[rule.n_fragments], ev.pos_e + 1, len(data) - 1):
+        # last fragment: the trailing gap decides, and the match ends at the
+        # packet end for `$`, else after the gap's shortest window
+        ok, gap_len = self._check(rule.gaps[rule.n_fragments], ev.pos_e + 1, len(data) - 1)
+        if not ok:
             return []
-        end = len(data) - 1 if rule.anchored_end else ev.pos_e
+        end = len(data) - 1 if rule.anchored_end else ev.pos_e + gap_len
         if (rule.rule_id, end) in self.emitted:
             return []
         self.emitted.add((rule.rule_id, end))

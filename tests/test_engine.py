@@ -1,6 +1,7 @@
 """Compile/scan orchestration, serialization, reports, differential sanity."""
 import json
 import random
+from itertools import accumulate
 
 import pytest
 
@@ -147,6 +148,44 @@ def test_every_truncated_database_raises_value_error():
         CompiledDatabase.from_bytes(blob + b"\x00")
 
 
+def test_every_bit_flip_raises_value_error():
+    blob = compile_rules(["ab.*cd", "xy[0-9]{3}zw"])[0].to_bytes()
+    flipped = bytearray(blob)
+    for i in range(len(blob)):
+        for bit in range(8):
+            flipped[i] ^= 1 << bit
+            with pytest.raises(ValueError):
+                CompiledDatabase.from_bytes(bytes(flipped))
+            flipped[i] ^= 1 << bit
+
+
+def test_compile_leaves_dense_rows_unbuilt():
+    # rows appear on first scan, never during compile, where peak RSS is reached
+    db, _ = compile_rules(["ab.*cd", "user=[a-z]{1,8}\\.cgi", "abcd[^\\n]*=[0-9]{3,}"])
+    tables = [db.reverse_stt, db.forward_stt] + [g.stt for rc in db.checks for g in rc.gaps if hasattr(g, "stt")]
+    assert len(tables) == 3
+    assert not any("rows" in vars(t) for t in tables)
+    scan_once(db, b"user=abc.cgi")
+    assert "rows" in vars(db.reverse_stt)
+
+
+@pytest.mark.parametrize(
+    "rule, packet, end",
+    [
+        (r"abcd[^\n]{60,}", b"abcd" + b"x" * 70, 63),
+        (r"cmd=[^&]{70,}", b"cmd=" + b"y" * 80, 73),
+        (r"GET /.*admin.{3,}", b"GET /x/admin" + b"z" * 10, 14),
+        (r"abcd[^\n]*=[0-9]{3,}", b"abcdqq=12345", 9),  # trailing gap is a DfaGap
+        (r"abcd[^\n]{0,}", b"abcd" + b"x" * 5, 3),  # gap accepts the empty string
+        (r"^hdr: [0-9]{2,40}$", b"hdr: 1234", 8),  # $-anchored: the packet end
+    ],
+)
+def test_trailing_gap_end_is_a_match_end(rule, packet, end):
+    db, _ = compile_rules([rule])
+    assert scan_once(db, packet) == [(0, end)]
+    assert end == oracle_match(parse(rule, 0), packet).ends[0]
+
+
 def test_compile_report_timings():
     _, report = compile_rules(["ab.*cd", "xyz"])
     assert set(report.timings) == {"decompose", "verify_tables", "filter_build", "dfa_build"}
@@ -181,6 +220,21 @@ def test_corpus_container_truncated(tmp_path):
     path.write_bytes(b"\xff\x00\x00\x00zz")
     with pytest.raises(ValueError):
         read_corpus(path)
+
+
+def test_every_truncated_corpus_container(tmp_path):
+    packets = [b"", b"one", b"two two", bytes(range(256))]
+    path = tmp_path / "traffic.pkts"
+    write_corpus(path, packets)
+    blob = path.read_bytes()
+    record_ends = [0, *accumulate(4 + len(p) for p in packets)]
+    for size in range(len(blob)):
+        path.write_bytes(blob[:size])
+        if size in record_ends:
+            assert read_corpus(path) == packets[: record_ends.index(size)]
+        else:
+            with pytest.raises(ValueError):
+                read_corpus(path)
 
 
 def test_corpus_directory(tmp_path):

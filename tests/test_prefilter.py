@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import random
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anchorscan.blob import BlobReader
 from anchorscan.decompose import FilterKey, pick_filter_key
 from anchorscan.chars import ByteClass
 from anchorscan.parser import parse
@@ -62,6 +64,35 @@ class TestDirectUnit:
         mask = unit.members()
         for v in range(0, 65536, 37):
             assert bool(mask[v]) == unit.contains(bytes([v >> 8, v & 0xFF]))
+
+
+class TestPairSetEncoding:
+    def decode(self, blob: bytes) -> DirectFilterUnit:
+        r = BlobReader(blob, "pair set")
+        unit = DirectFilterUnit.read(r)
+        r.finish()
+        return unit
+
+    @pytest.mark.parametrize("count, size", [(0, 3), (1, 5), (4094, 8191), (4095, 8193), (65536, 8193)])
+    def test_smaller_encoding_round_trips(self, count, size):
+        values = random.Random(count).sample(range(65536), count)
+        unit = DirectFilterUnit.of(bytes([v >> 8, v & 0xFF]) for v in values)
+        blob = unit.to_bytes()
+        assert len(blob) == size  # a list of n members takes 3 + 2n bytes, the raw bitmap 1 + 8192
+        assert self.decode(blob) == unit
+
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            struct.pack("<BH2H", 1, 2, 9, 7),  # unsorted
+            struct.pack("<BH2H", 1, 2, 7, 7),  # duplicate
+            struct.pack("<BH", 1, 4095) + bytes(8190),  # longer than the raw bitmap
+            struct.pack("<B", 2) + bytes(8192),  # unknown tag
+        ],
+    )
+    def test_malformed_list_raises_value_error(self, blob):
+        with pytest.raises(ValueError):
+            self.decode(blob)
 
 
 class TestXorUnit:

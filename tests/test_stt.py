@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from anchorscan.automata import Dfa, build_forward_dfa, build_reverse_dfa, determinize, minimize, thompson
+from anchorscan.automata import DEAD, Dfa, build_forward_dfa, build_reverse_dfa, determinize, minimize, thompson
 from anchorscan.parser import parse
 from anchorscan.stt import FORWARD, REVERSE, CompressedStt, compress, run_thread
 from test_parser import _trees
@@ -17,11 +19,47 @@ def tree_of(pattern: str):
 
 
 def assert_lookup_equal(stt: CompressedStt, dfa: Dfa):
-    states, bytes_ = np.meshgrid(
-        np.arange(dfa.n_states, dtype=np.int64), np.arange(256, dtype=np.int64), indexing="ij"
-    )
-    got = stt.lookup_many(states.ravel(), bytes_.ravel()).reshape(dfa.n_states, 256)
-    assert np.array_equal(got, dfa.table.astype(np.int64))
+    """lookup and lookup_many equal the dense table for every (state, byte)."""
+    table = dfa.table
+    for lo in range(0, dfa.n_states, 4096):
+        block = table[lo : lo + 4096]
+        states = np.repeat(np.arange(lo, lo + len(block)), 256)
+        got = stt.lookup_many(states, np.tile(np.arange(256), len(block)))
+        assert np.array_equal(got.reshape(len(block), 256), block)
+    lookup = stt.lookup
+    for s, row in enumerate(table.tolist()):
+        assert [lookup(s, b) for b in range(256)] == row
+
+
+# --- reference: bitmap test + popcount rank over the compressed arrays -----
+
+
+def rank_lookup(stt: CompressedStt, state: int, byte: int) -> int:
+    word = int(stt.bitmap[state, byte >> 6])
+    bit = byte & 63
+    if not (word >> bit) & 1:
+        return DEAD
+    rank = int(stt.prefix[state, byte >> 6]) + (word & ((1 << bit) - 1)).bit_count()
+    return int(stt.successors[int(stt.offsets[state]) + rank])
+
+
+def reference_run_thread(stt, data, start_offset, direction, state=None):
+    step = 1 if direction == FORWARD else -1
+    s = stt.start if state is None else state
+    records = []
+    for label in stt.accepts[s]:
+        records.append((label, start_offset, start_offset - 1) if step > 0 else (label, start_offset + 1, start_offset))
+    depth = 0
+    pos = start_offset
+    while 0 <= pos < len(data):
+        s = rank_lookup(stt, s, data[pos])
+        depth += 1
+        if s == DEAD:
+            break
+        for label in stt.accepts[s]:
+            records.append((label, start_offset, pos) if step > 0 else (label, pos, start_offset))
+        pos += step
+    return records, depth
 
 
 class TestCompress:
@@ -54,7 +92,7 @@ class TestCompress:
         stt = compress(dfa)
         for _ in range(10_000):
             s, b = rng.randrange(n), rng.randrange(256)
-            assert stt.lookup(s, b) == int(table[s, b])
+            assert stt.lookup(s, b) == rank_lookup(stt, s, b) == int(table[s, b])
         assert_lookup_equal(stt, dfa)
 
     def test_scalar_matches_vector(self):
@@ -82,10 +120,29 @@ class TestCompress:
     def test_wide_successor_dtype(self):
         table = np.zeros((70000, 256), dtype=np.uint32)
         table[1, 5] = 69999
+        table[69999, 255] = 65536
         dfa = Dfa(table=table, accepts=tuple(frozenset() for _ in range(70000)))
         stt = compress(dfa)
         assert stt.successors.dtype == np.uint32
         assert stt.lookup(1, 5) == 69999
+        assert stt.rows.format == "I"
+        assert_lookup_equal(stt, dfa)
+        back = CompressedStt.from_bytes(stt.to_bytes())
+        assert back.rows.format == "I"
+        assert np.array_equal(np.asarray(back.rows), np.asarray(stt.rows))
+
+    def test_narrow_rows_match_successor_width(self):
+        stt = compress(build_reverse_dfa([(0, tree_of("user="))]))
+        assert stt.successors.dtype == np.uint16
+        assert stt.rows.format == "H"
+        assert len(stt.rows) == stt.n_states * 256
+
+    def test_rows_built_on_first_use_only(self):
+        stt = compress(build_reverse_dfa([(0, tree_of("user="))]))
+        assert "rows" not in vars(stt)
+        rows = stt.rows
+        assert stt.rows is rows  # cached, not rebuilt per step
+        assert CompressedStt.from_bytes(stt.to_bytes()) == stt  # never serialized
 
 
 class TestRunThread:
@@ -158,6 +215,19 @@ class TestSerialization:
         back = CompressedStt.from_bytes(stt.to_bytes())
         assert_lookup_equal(back, dfa)
 
+    def test_inconsistent_arrays_raise_value_error(self):
+        stt = compress(build_forward_dfa([(3, tree_of("[a-f]{4}")), (8, tree_of("xy?z"))]))
+        bad = [
+            replace(stt, offsets=stt.offsets + np.uint32(1)),
+            replace(stt, prefix=stt.prefix[::-1].copy()),
+            replace(stt, successors=np.append(stt.successors[:-1], np.uint16(stt.n_states))),
+            replace(stt, start=stt.n_states),
+            replace(stt, entries={**stt.entries, 3: stt.n_states}),
+        ]
+        for table in bad:
+            with pytest.raises(ValueError):
+                CompressedStt.from_bytes(table.to_bytes())
+
     def test_bad_magic(self):
         with pytest.raises(ValueError):
             CompressedStt.from_bytes(b"JUNKJUNKJUNK" + b"\x00" * 64)
@@ -177,3 +247,42 @@ class TestProperties:
     def test_compressed_equals_dense(self, tree):
         dfa = minimize(determinize(thompson([tree])))
         assert_lookup_equal(compress(dfa), dfa)
+
+
+_REVERSE = compress(build_reverse_dfa([
+    (0, tree_of("user=")), (1, tree_of("[0-9]{2}ab")), (2, tree_of("a{2,4}")), (3, tree_of("(ab|b)c?")),
+]))
+_FORWARD = compress(build_forward_dfa([(5, tree_of("a{0,2}")), (6, tree_of("[0-9]+b")), (7, tree_of("sera"))]))
+
+
+@st.composite
+def _packet_and_offset(draw):
+    packet = draw(st.binary(max_size=48) | st.lists(st.sampled_from(b"user=abc09"), max_size=48).map(bytes))
+    return packet, draw(st.integers(-2, len(packet) + 1))
+
+
+class TestRunThreadAgainstRankReference:
+    @given(_packet_and_offset())
+    @settings(max_examples=300, deadline=None)
+    def test_reverse(self, packet_offset):
+        packet, offset = packet_offset
+        got = run_thread(_REVERSE, packet, offset, REVERSE)
+        assert got == reference_run_thread(_REVERSE, packet, offset, REVERSE)
+
+    @given(_packet_and_offset(), st.sampled_from([None, 5, 6, 7]))
+    @settings(max_examples=300, deadline=None)
+    def test_forward(self, packet_offset, split):
+        packet, offset = packet_offset
+        state = None if split is None else _FORWARD.entries[split]
+        got = run_thread(_FORWARD, packet, offset, FORWARD, state)
+        assert got == reference_run_thread(_FORWARD, packet, offset, FORWARD, state)
+
+    def test_reference_agrees_on_a_match_dense_packet(self):
+        packet = b"xuser=12abaaaabcuser=" * 5
+        for offset in range(len(packet)):
+            assert run_thread(_REVERSE, packet, offset, REVERSE) == reference_run_thread(_REVERSE, packet, offset, REVERSE)
+            for split in (5, 6, 7):
+                state = _FORWARD.entries[split]
+                assert run_thread(_FORWARD, packet, offset, FORWARD, state) == reference_run_thread(
+                    _FORWARD, packet, offset, FORWARD, state
+                )

@@ -76,8 +76,8 @@ def test_dot_gap_exact_bounds():
     g = DotGap(2, 3, EXACT)
     data = b"\x00" * 10
     assert g.check(data, 2, 1) == (False, 0)   # empty interval
-    assert g.check(data, 2, 3) == (True, 0)
-    assert g.check(data, 2, 4) == (True, 0)
+    assert g.check(data, 2, 3) == (True, 2)    # success gives the window length
+    assert g.check(data, 2, 4) == (True, 3)
     assert g.check(data, 2, 5) == (False, 0)   # length 4 > hi
     assert g.check(data, 4, 2) == (False, 0)   # negative length
 
@@ -85,7 +85,7 @@ def test_dot_gap_exact_bounds():
 def test_dot_gap_edge_ignores_hi():
     g = DotGap(2, 3, SUFFIX)
     data = b"\x00" * 10
-    assert g.check(data, 0, 7) == (True, 0)    # length 8 > hi, but a window fits
+    assert g.check(data, 0, 7) == (True, 2)    # length 8 > hi, but a lo-byte window fits
     assert g.check(data, 0, 0) == (False, 0)   # length 1 < lo
 
 
