@@ -197,10 +197,10 @@ def _cmd_compile(args) -> int:
     try:
         rules = read_rules_file(args.rules)
         db, report = compile_rules(rules, config)
+        db.save(args.out)
     except (OSError, CompileError) as exc:
         print(f"compile failed: {exc}", file=sys.stderr)
         return 1
-    db.save(args.out)
     print(f"compiled {len(report.supported)}/{report.rule_count} rules -> {args.out}")
     for stage in ("decompose", "verify_tables", "filter_build", "dfa_build"):
         print(f"  {stage:14s} {report.timings[stage] * 1000:9.2f} ms")
@@ -228,17 +228,12 @@ def _cmd_scan(args) -> int:
 def _cmd_diff(args) -> int:
     try:
         patterns = read_rules_file(args.rules)
-    except OSError as exc:
-        print(f"diff failed: {exc}", file=sys.stderr)
-        return 1
-    try:
         db, report = compile_rules(patterns)
-    except CompileError as exc:
+        packets = read_corpus(args.corpus) if args.corpus else None
+    except (OSError, ValueError) as exc:  # CompileError, a truncated .pkts
         print(f"diff failed: {exc}", file=sys.stderr)
         return 1
-    if args.corpus:
-        packets = read_corpus(args.corpus)
-    else:
+    if packets is None:
         packets = diff_packets(
             [patterns[i] for i in report.supported], args.cases, args.seed
         )
@@ -247,16 +242,21 @@ def _cmd_diff(args) -> int:
     disagreements = 0
     comparisons = 0
     for pkt_idx, packet in enumerate(packets):
-        got = {r for r, _ in scan_packet(db, packet, ScanStats())}
+        ends: dict[int, set[int]] = {}
+        for rid, end in scan_packet(db, packet, ScanStats()):
+            ends.setdefault(rid, set()).add(end)
         for rid, rule in supported.items():
-            want = bool(oracle_match(rule, packet))
+            want = oracle_match(rule, packet)
+            got = ends.get(rid, set())
             comparisons += 1
-            if (rid in got) != want:
+            # the engine must agree on whether the rule matches, and end
+            # each of its matches where the oracle also ends one
+            if bool(got) != bool(want) or not got <= set(want.ends):
                 disagreements += 1
                 if disagreements <= 10:
                     print(
                         f"DISAGREE packet {pkt_idx} rule {rid} ({patterns[rid]!r}): "
-                        f"engine={rid in got} oracle={want}"
+                        f"engine ends={sorted(got)} oracle ends={sorted(want.ends)}"
                     )
     print(
         f"{len(supported)}/{len(patterns)} rules, {len(packets)} packets, "

@@ -327,11 +327,10 @@ def scan_packet(db: CompiledDatabase, data: bytes, stats: ScanStats) -> list[tup
         return []
 
     ends, _codes = db.bank.scan(data)
-    events: set[tuple[int, int, int, int]] = set()
+    events: set[tuple[int, int, int, int]] = set()  # (pos_e, rule_idx, k, pos_s)
     fwd_cache: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
     last_pos = -1
-    for pos in ends:
-        pos = int(pos)
+    for pos in ends.tolist():
         if pos == last_pos:
             continue  # one escalation per trigger offset, whatever units fired
         last_pos = pos
@@ -342,7 +341,7 @@ def scan_packet(db: CompiledDatabase, data: bytes, stats: ScanStats) -> list[tup
         for split_id, s, _e in records:
             meta = db.splits[split_id]
             if not meta.has_back:
-                events.add((meta.rule_idx, meta.frag_k, s, pos))
+                events.add((pos, meta.rule_idx, meta.frag_k, s))
                 continue
             entry = db.forward_stt.entries[split_id]
             cache_key = (entry, pos)
@@ -353,13 +352,13 @@ def scan_packet(db: CompiledDatabase, data: bytes, stats: ScanStats) -> list[tup
                 fwd_cache[cache_key] = frecords
             for label, _fs, fe in fwd_cache[cache_key]:
                 if label == split_id:
-                    events.add((meta.rule_idx, meta.frag_k, s, fe))
+                    events.add((fe, meta.rule_idx, meta.frag_k, s))
 
     if not events:
         return []
-    vs = VerificationState(list(db.checks), data, db.config.record_cap)
+    vs = VerificationState(db.checks, data, db.config.record_cap)
     matches: list[tuple[int, int]] = []
-    for rule_idx, k, s, e in sorted(events, key=lambda t: (t[3], t[0], t[1], t[2])):
+    for e, rule_idx, k, s in sorted(events):
         matches.extend(vs.on_fragment_match(MatchEvent(rule_idx, k, s, e)))
     stats.escalated_packets += int(vs.escalated)
     stats.verify_bytes += vs.verify_bytes

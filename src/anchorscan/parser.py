@@ -483,37 +483,3 @@ def _render_class(cls: ByteClass) -> str:
     if cls.population > 128:
         return f"[^{_render_members(cls.negate().members())}]"
     return f"[{_render_members(cls.members())}]"
-
-
-# --- rule files ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SkippedRule:
-    line_no: int
-    source: str
-    reason: str
-
-
-def load_ruleset(text: str) -> tuple[list[Rule], list[SkippedRule]]:
-    """Parse a rule file: one pattern per line, `#` comments and blank lines
-    ignored, optional surrounding `/.../` delimiters stripped. Unparsable or
-    unsupported lines are skipped and reported, never fatal."""
-    rules: list[Rule] = []
-    skipped: list[SkippedRule] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if len(line) >= 2 and line.startswith("/") and line.endswith("/"):
-            line = line[1:-1]
-        try:
-            rules.append(parse(line, rule_id=len(rules)))
-        except PatternError as exc:
-            skipped.append(SkippedRule(line_no, line, str(exc)))
-    return rules, skipped
-
-
-def load_ruleset_file(path: str) -> tuple[list[Rule], list[SkippedRule]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_ruleset(fh.read())

@@ -12,9 +12,12 @@ maps every 2-byte window of a packet to one flag byte (the direct unit's bit
 and the four gate bits) with a single gather, reports the direct hits, and
 hashes a 4- or 8-byte window only when its head and tail pairs both pass
 their gates. Every key passes its own gates, so the gates cost no false
-negatives; on clean traffic most packets make no hash call at all. The hot
-path is vectorized over the whole packet; the scalar query path applies the
-same gates and is kept bit-identical to it (tests enforce this).
+negatives; on clean traffic most packets make no hash call at all. Windows
+are read in place as big-endian integers through one-byte-stride views of
+the packet. A unit with a few gated windows hashes them one by one with the
+scalar `contains`; more go through one vectorized `hit_mask` call. The
+scalar `query` path applies the same gates and is kept bit-identical to
+`scan` (tests enforce this).
 """
 from __future__ import annotations
 
@@ -41,6 +44,14 @@ _TAIL4 = 0x02
 _HEAD4 = 0x04
 _TAIL8 = 0x08
 _HEAD8 = 0x10
+
+#: gated windows per unit up to which `scan` hashes each window with the
+#: scalar `XorFilterUnit.contains` instead of one vectorized `hit_mask` call.
+#: `hit_mask` costs a fixed ~40 numpy dispatches (about 50 us on a 2-core
+#: x86 host, numpy 2.4) whatever its length; one `contains` costs about
+#: 4.5-5 us there, so the two break even near 10-12 windows. 8 stays below
+#: that, where a scalar run can never cost much more than the call it saves.
+_SCALAR_WINDOWS = 8
 
 
 def splitmix64(x: int) -> int:
@@ -310,30 +321,36 @@ class FilterBank:
         Returns (end_offsets, unit_codes) sorted by end offset, direct unit
         before xor-4 before xor-8 at equal offsets.
         """
-        if len(data) < 2:
+        n = len(data)
+        if n < 2:
             return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint8)
-        u = np.frombuffer(data, dtype=np.uint8).astype(np.uint16)
-        v2 = (u[:-1] << 8) | u[1:]  # v2[i] is the window ending at i + 1
-        flags = self.flags[v2]
-        end = np.flatnonzero(flags & _DIRECT) + 1
-        offs = [end]
-        codes = [np.full(len(end), UNIT_DIRECT, dtype=np.uint8)]
-        for unit, tail_bit, code in ((self.unit4, _TAIL4, UNIT_XOR4), (self.unit8, _TAIL8, UNIT_XOR8)):
+        # every w-byte window read in place as a big-endian integer: element
+        # k of a view with a one-byte stride is bytes k..k+w-1
+        flags = self.flags[np.ndarray((n - 1,), ">u2", data, 0, (1,))]
+        direct = (flags & _DIRECT).nonzero()[0] + 1  # window k ends at k + 1
+        heads = flags >> 1  # head gate bits moved onto their tail bits
+        offs, codes = [direct], [UNIT_DIRECT]
+        for unit, tail_bit, code, dtype in (
+            (self.unit4, _TAIL4, UNIT_XOR4, ">u4"),
+            (self.unit8, _TAIL8, UNIT_XOR8, ">u8"),
+        ):
             w = unit.width
-            # window k spans bytes k..k+w-1: head pair v2[k], tail pair v2[k+w-2]
-            starts = np.flatnonzero((flags[: 2 - w] >> 1) & flags[w - 2 :] & tail_bit)
-            if not len(starts):
-                continue
-            values = np.zeros(len(starts), dtype=np.uint64)
-            for off in range(0, w, 2):
-                values = (values << np.uint64(16)) | v2[starts + off]
-            end = starts[unit.hit_mask(values)] + (w - 1)
-            offs.append(end)
-            codes.append(np.full(len(end), code, dtype=np.uint8))
+            # window k passes when its head pair (flags[k]) and its tail pair
+            # (flags[k + w - 2]) both pass their gates
+            starts = (heads[: 2 - w] & flags[w - 2 :] & tail_bit).nonzero()[0]
+            if len(starts) > _SCALAR_WINDOWS:
+                values = np.ndarray((n - w + 1,), dtype, data, 0, (1,))[starts]
+                offs.append(starts[unit.hit_mask(values)] + (w - 1))
+                codes.append(code)
+            elif len(starts):
+                hit = [k + w - 1 for k in starts.tolist() if unit.contains(data[k : k + w])]
+                if hit:
+                    offs.append(np.array(hit, dtype=np.int64))
+                    codes.append(code)
         if len(offs) == 1:
-            return offs[0], codes[0]
+            return direct, np.full(len(direct), UNIT_DIRECT, dtype=np.uint8)
         end = np.concatenate(offs)
-        unit = np.concatenate(codes)
+        unit = np.repeat(np.array(codes, dtype=np.uint8), [len(e) for e in offs])
         order = np.lexsort((unit, end))
         return end[order], unit[order]
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 from .automata import (
     DEAD,
@@ -58,6 +59,8 @@ def _interval_len(gs: int, ge: int) -> int:
 class EmptyGap:
     """No gap pattern at all; exact mode insists the interval is empty."""
 
+    examines_bytes = False
+
     mode: str
 
     def check(self, data: bytes, gs: int, ge: int) -> tuple[bool, int]:
@@ -65,14 +68,12 @@ class EmptyGap:
             return _interval_len(gs, ge) == 0, 0
         return _interval_len(gs, ge) >= 0, 0
 
-    @property
-    def examines_bytes(self) -> bool:
-        return False
-
 
 @dataclass(frozen=True)
 class DotGap:
     """Any-byte interval: pure length arithmetic, no content reads."""
+
+    examines_bytes = False
 
     lo: int
     hi: int | None
@@ -89,14 +90,12 @@ class DotGap:
         ok = length >= self.lo
         return ok, self.lo if ok else 0
 
-    @property
-    def examines_bytes(self) -> bool:
-        return False
-
 
 @dataclass(frozen=True)
 class ClassGap:
     """Class-constrained interval: length bound plus byte membership."""
+
+    examines_bytes = True
 
     cls: ByteClass
     lo: int
@@ -130,10 +129,6 @@ class ClassGap:
                 return True, i + 1
         return False, length  # unreachable: lo <= length guarantees a return above
 
-    @property
-    def examines_bytes(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
 class DfaGap:
@@ -144,6 +139,8 @@ class DfaGap:
     walks backwards from the fragment edge, accepting anywhere; prefix mode
     walks forward, accepting anywhere.
     """
+
+    examines_bytes = True
 
     stt: CompressedStt
     mode: str
@@ -171,10 +168,6 @@ class DfaGap:
         if exact:
             return bool(accepts[state]), length
         return False, length
-
-    @property
-    def examines_bytes(self) -> bool:
-        return True
 
 
 Gap = EmptyGap | DotGap | ClassGap | DfaGap
@@ -261,8 +254,7 @@ def gap_from_bytes(buf: bytes, pos: int) -> tuple[Gap, int]:
 # --- per-packet verification state -------------------------------------------
 
 
-@dataclass(frozen=True)
-class MatchEvent:
+class MatchEvent(NamedTuple):
     rule_idx: int
     k: int       # fragment index within the rule, 0-based
     pos_s: int   # first byte of the fragment match
@@ -290,7 +282,7 @@ class VerificationState:
     come back as (rule_id, end_offset) pairs, deduplicated per packet.
     """
 
-    def __init__(self, checks: list[RuleChecks], data: bytes, record_cap: int = 64):
+    def __init__(self, checks: Sequence[RuleChecks], data: bytes, record_cap: int = 64):
         self.checks = checks
         self.data = data
         self.record_cap = record_cap

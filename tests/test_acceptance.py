@@ -53,24 +53,29 @@ def test_criterion_1_differential(capsys):
     parsed = [parse(p, i) for i, p in enumerate(rules)]
 
     stats = ScanStats()
-    engine_hits = [{r for r, _ in scan_packet(db, pkt, stats)} for pkt in packets]
     comparisons = 0
     disagreements = []
+    stray_ends = 0
     for pi, pkt in enumerate(packets):
+        engine_ends: dict[int, set[int]] = {}
+        for r, end in scan_packet(db, pkt, stats):
+            engine_ends.setdefault(r, set()).add(end)
         for rule in parsed:
             comparisons += 1
-            want = bool(oracle_match(rule, pkt))
-            got = rule.rule_id in engine_hits[pi]
-            if want != got:
-                disagreements.append((pi, rule.rule_id, got, want))
+            want = oracle_match(rule, pkt)
+            got = engine_ends.get(rule.rule_id, set())
+            if bool(want) != bool(got):
+                disagreements.append((pi, rule.rule_id, bool(got), bool(want)))
+            # every engine end must be an end of the oracle's too
+            stray_ends += len(got - set(want.ends))
     elapsed = time.perf_counter() - t0
-    ok = comparisons >= 10_000 and not disagreements and elapsed < 300
+    ok = comparisons >= 10_000 and not disagreements and not stray_ends and elapsed < 300
     _verdict(
         capsys,
         1,
         ok,
         f"{comparisons} (rule,packet) pairs, {len(disagreements)} disagreements, "
-        f"{elapsed:.1f}s (< 300s)",
+        f"{stray_ends} engine ends outside the oracle's, {elapsed:.1f}s (< 300s)",
     )
 
 

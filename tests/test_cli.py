@@ -16,6 +16,12 @@ def test_rules_file_parsing(tmp_path):
     assert read_rules_file(f) == ["ab.*cd", "user=[a-z]{1,8}"]
 
 
+def test_rules_file_lines_are_verbatim(tmp_path):
+    f = tmp_path / "rules.txt"
+    f.write_text("  # indented comment\n/ab/\n ab \n\t\n")
+    assert read_rules_file(f) == ["/ab/", " ab "]
+
+
 def test_gen_dotstar(tmp_path, capsys):
     out = tmp_path / "rules.txt"
     assert run(["gen", "--family", "dotstar", "--k", "5", "--out", str(out)]) == 0
@@ -135,6 +141,44 @@ def test_diff_with_corpus(tmp_path, capsys):
     (corpus / "1").write_bytes(b"cdab")
     assert run(["diff", "--rules", str(rules), "--corpus", str(corpus)]) == 0
     assert "2 packets, 2 comparisons, 0 disagreements" in capsys.readouterr().out
+
+
+def test_compile_unwritable_out(tmp_path, capsys):
+    rules = tmp_path / "rules.txt"
+    rules.write_text("ab.*cd\n")
+    out = tmp_path / "no-such-dir" / "x.db"
+    assert run(["compile", "--rules", str(rules), "--out", str(out)]) == 1
+    assert "compile failed:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("corpus", ["missing.pkts", "truncated.pkts"])
+def test_diff_bad_corpus_fails_cleanly(tmp_path, capsys, corpus):
+    rules = tmp_path / "rules.txt"
+    rules.write_text("ab.*cd\n")
+    (tmp_path / "truncated.pkts").write_bytes(b"\x10\x00\x00\x00abcd")  # 16-byte record, 4 bytes
+    assert run(["diff", "--rules", str(rules), "--corpus", str(tmp_path / corpus)]) == 1
+    captured = capsys.readouterr()
+    assert "diff failed:" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_diff_counts_ends_outside_the_oracle(tmp_path, capsys, monkeypatch):
+    import anchorscan.cli as cli
+
+    rules = tmp_path / "rules.txt"
+    rules.write_text("ab.*cd\n")
+    corpus = tmp_path / "c"
+    corpus.mkdir()
+    (corpus / "0").write_bytes(b"xabxcdx")  # the oracle ends a match at 5 only
+    assert run(["diff", "--rules", str(rules), "--corpus", str(corpus)]) == 0
+    capsys.readouterr()
+
+    real = cli.scan_packet
+    monkeypatch.setattr(cli, "scan_packet", lambda *a: [(r, e + 1) for r, e in real(*a)])
+    assert run(["diff", "--rules", str(rules), "--corpus", str(corpus)]) == 3
+    out = capsys.readouterr().out
+    assert "engine ends=[6] oracle ends=[5]" in out
+    assert "1 comparisons, 1 disagreements" in out
 
 
 def test_usage_exit_codes():

@@ -12,7 +12,6 @@ from anchorscan.parser import (
     Rep,
     Seq,
     UnsupportedConstructError,
-    load_ruleset,
     min_length,
     normalize,
     parse,
@@ -209,25 +208,6 @@ class TestTreeProperties:
 
 
 class TestRulesetLoading:
-    def test_comments_blanks_delimiters(self):
-        text = "\n".join(
-            [
-                "# a comment",
-                "",
-                "/ab.*cd/",
-                "user=[a-f0-9]{32}",
-                "   ",
-                "bad(one",
-                "(a)\\1",
-            ]
-        )
-        rules, skipped = load_ruleset(text)
-        assert [r.source for r in rules] == ["ab.*cd", "user=[a-f0-9]{32}"]
-        assert [r.rule_id for r in rules] == [0, 1]
-        assert len(skipped) == 2
-        assert skipped[0].line_no == 6
-        assert "unbalanced" in skipped[0].reason
-
     def test_search_semantics_with_anchors(self):
         rule = parse("^ab")
         assert search_ends(rule, b"abab") == {1}

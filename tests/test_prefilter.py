@@ -18,9 +18,11 @@ from anchorscan.prefilter import (
     UNIT_XOR8,
     DirectFilterUnit,
     FilterBank,
+    XorFilterUnit,
     build_filter_bank,
     build_xor_unit,
     splitmix64,
+    _SCALAR_WINDOWS,
     _splitmix64_vec,
 )
 
@@ -31,6 +33,16 @@ def key_of(text: bytes) -> FilterKey:
 
 def bank_of(*keys: bytes) -> FilterBank:
     return build_filter_bank([(i, key_of(k)) for i, k in enumerate(keys)])
+
+
+def brute_hits(bank: FilterBank, packet: bytes) -> list[tuple[int, int]]:
+    """(end, unit code) of every window the gated `query` accepts, in scan order."""
+    return [
+        (j, w)  # unit codes equal window widths
+        for j in range(len(packet))
+        for w in (UNIT_DIRECT, UNIT_XOR4, UNIT_XOR8)
+        if j >= w - 1 and bank.query(packet[j - w + 1 : j + 1])
+    ]
 
 
 class TestSplitmix:
@@ -235,14 +247,7 @@ class TestBankScan:
         packet = body[:at] + head + body[at:] + tail
         ends, units = bank.scan(packet)
         got = list(zip(ends.tolist(), units.tolist()))
-        # unit codes equal window widths
-        want = [
-            (j, w)
-            for j in range(len(packet))
-            for w in (UNIT_DIRECT, UNIT_XOR4, UNIT_XOR8)
-            if j >= w - 1 and bank.query(packet[j - w + 1 : j + 1])
-        ]
-        assert got == want
+        assert got == brute_hits(bank, packet)
         if head:
             assert (at + len(head) - 1, len(head)) in got
         if tail:
@@ -290,6 +295,64 @@ class TestBankScan:
         got4 = {int(e) for e, u in zip(ends, units) if u == UNIT_XOR4}
         want4 = {i for i in range(3, len(data)) if bank.query(data[i - 3 : i + 1])}
         assert got4 == want4
+
+
+class TestHashingThreshold:
+    """`scan` hashes up to _SCALAR_WINDOWS gated windows of a unit one by one
+    and more in one vectorized call; both paths must give the same hits."""
+
+    # disjoint alphabets, so no window of one unit passes the other's gates,
+    # and no key holds the separator byte 0
+    keys4 = [bytes(random.Random(i).choices(b"abcdefgh", k=4)) for i in range(6)]
+    keys8 = [bytes(random.Random(i).choices(b"ABCDEFGH", k=8)) for i in range(6)]
+    bank = bank_of(b"a\x01", *keys4, *keys8)
+
+    def packet(self, keys: list[bytes], count: int) -> bytes:
+        """`count` gated windows of the keys' width: every third one a real
+        key, the rest one key's head pair joined to another key's tail pair."""
+        w = len(keys[0])
+        rng = random.Random(count * w)
+        out = bytearray(b"\x00" * w)
+        for i in range(count):
+            a, b = rng.choice(keys), rng.choice(keys)
+            out += a if i % 3 == 0 else a[:2] + rng.randbytes(w - 4) + b[-2:]
+            out += b"\x00" * (w - 1)  # no window straddling two plants passes
+        return bytes(out)
+
+    def gated_windows(self, packet: bytes, w: int) -> int:
+        keys = self.keys4 if w == 4 else self.keys8
+        heads, tails = {k[:2] for k in keys}, {k[-2:] for k in keys}
+        return sum(
+            packet[k : k + 2] in heads and packet[k + w - 2 : k + w] in tails
+            for k in range(len(packet) - w + 1)
+        )
+
+    def assert_scan_is_brute(self, packet: bytes) -> None:
+        ends, units = self.bank.scan(packet)
+        assert ends.dtype == np.int64 and units.dtype == np.uint8
+        assert list(zip(ends.tolist(), units.tolist())) == brute_hits(self.bank, packet)
+
+    @pytest.mark.parametrize("w", [4, 8])
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_scalar_and_vector_paths(self, w, extra, monkeypatch):
+        calls = []
+        hit_mask = XorFilterUnit.hit_mask
+        monkeypatch.setattr(XorFilterUnit, "hit_mask", lambda unit, v: calls.append(len(v)) or hit_mask(unit, v))
+        count = _SCALAR_WINDOWS + extra
+        packet = self.packet(self.keys4 if w == 4 else self.keys8, count)
+        assert self.gated_windows(packet, w) == count
+        assert self.gated_windows(packet, 12 - w) == 0
+        self.assert_scan_is_brute(packet)
+        assert calls == ([count] if extra else [])
+        hits = [u for u in self.bank.scan(packet)[1].tolist() if u == w]
+        assert len(hits) >= -(-count // 3)  # every planted key is found
+
+    @pytest.mark.parametrize("length", range(10))
+    def test_short_packets(self, length):
+        k4, k8 = self.keys4[0], self.keys8[0]
+        for packet in (k4 + k8, k8 + k4, b"a\x01" + k4 + k4, k4[:2] + k8[-2:] + k8):
+            self.assert_scan_is_brute(packet[:length])
+            self.assert_scan_is_brute(packet[len(packet) - length :])
 
 
 class TestSerialization:
