@@ -23,8 +23,9 @@ past the last fragment the rule's match ends.
 from __future__ import annotations
 
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .automata import (
     DEAD,
