@@ -15,7 +15,7 @@ import struct
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .automata import build_forward_dfa, build_reverse_dfa
@@ -29,7 +29,6 @@ from .verify import (
     INTERIOR,
     LEADING,
     TRAILING,
-    MatchEvent,
     RuleChecks,
     VerificationState,
     classify_gap,
@@ -82,6 +81,28 @@ class CompiledDatabase:
     checks: tuple[RuleChecks, ...]
     config: CompileConfig
     manifest: dict
+    #: split id -> (rule_idx, frag_k, forward entry state or -1): everything
+    #: a reverse-thread accept needs, in one index; derived, not serialized
+    scan_table: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        """Build the scan table, rejecting cross-references the scan would
+        trip over: a split outside the rule tables, a reverse accept that
+        names no split, a continued split with no forward entry."""
+        checks, entries = self.checks, self.forward_stt.entries
+        for rule_idx, rc in enumerate(checks):
+            if len(rc.gaps) != rc.n_fragments + 1:
+                raise ValueError(f"rule {rule_idx} has {len(rc.gaps)} gaps for {rc.n_fragments} fragments")
+        table = []
+        for sid, m in enumerate(self.splits):
+            if not (0 <= m.rule_idx < len(checks) and 0 <= m.frag_k < checks[m.rule_idx].n_fragments):
+                raise ValueError(f"split {sid} names fragment {m.frag_k} of rule {m.rule_idx}, which does not exist")
+            if m.has_back and sid not in entries:
+                raise ValueError(f"split {sid} continues forward but has no forward entry")
+            table.append((m.rule_idx, m.frag_k, entries[sid] if m.has_back else -1))
+        if max(set().union(*self.reverse_stt.accepts), default=-1) >= len(table):
+            raise ValueError("reverse automaton accepts a label that is not a split id")
+        self.scan_table = tuple(table)
 
     # --- serialization ---------------------------------------------------
 
@@ -326,40 +347,58 @@ def scan_packet(db: CompiledDatabase, data: bytes, stats: ScanStats) -> list[tup
     if not data:
         return []
 
+    # `db.bank.scan`, `run_thread` and `VerificationState` are looked up at
+    # call time, once per packet: perfbench/tracing.py replaces these names
+    # (and `FilterBank.scan`) to time each layer, and checks its call counts
+    # against ScanStats. Binding them at import would bypass the tracer.
+    run = run_thread
+    reverse_stt = db.reverse_stt
+    forward_stt = db.forward_stt
+    scan_table = db.scan_table
     ends, _codes = db.bank.scan(data)
     events: set[tuple[int, int, int, int]] = set()  # (pos_e, rule_idx, k, pos_s)
-    fwd_cache: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    fwd_runs: dict[int, list[tuple[int, int, int]]] = {}  # entry -> records at this trigger
+    triggers = fwd_threads = steps = 0
     last_pos = -1
     for pos in ends.tolist():
         if pos == last_pos:
             continue  # one escalation per trigger offset, whatever units fired
         last_pos = pos
-        stats.filter_hits += 1
-        stats.reverse_threads += 1
-        records, depth = run_thread(db.reverse_stt, data, pos, REVERSE)
-        stats.adfa_transitions += depth
+        triggers += 1
+        records, depth = run(reverse_stt, data, pos, REVERSE)
+        steps += depth
+        if not records:
+            continue
+        if fwd_runs:
+            fwd_runs.clear()
         for split_id, s, _e in records:
-            meta = db.splits[split_id]
-            if not meta.has_back:
-                events.add((pos, meta.rule_idx, meta.frag_k, s))
+            rule_idx, k, entry = scan_table[split_id]
+            if entry < 0:
+                events.add((pos, rule_idx, k, s))
                 continue
-            entry = db.forward_stt.entries[split_id]
-            cache_key = (entry, pos)
-            if cache_key not in fwd_cache:
-                stats.forward_threads += 1
-                frecords, fdepth = run_thread(db.forward_stt, data, pos + 1, FORWARD, entry)
-                stats.adfa_transitions += fdepth
-                fwd_cache[cache_key] = frecords
-            for label, _fs, fe in fwd_cache[cache_key]:
+            frecords = fwd_runs.get(entry)
+            if frecords is None:
+                fwd_threads += 1
+                frecords, fdepth = run(forward_stt, data, pos + 1, FORWARD, entry)
+                steps += fdepth
+                fwd_runs[entry] = frecords
+            for label, _fs, fe in frecords:
                 if label == split_id:
-                    events.add((fe, meta.rule_idx, meta.frag_k, s))
+                    events.add((fe, rule_idx, k, s))
+    stats.filter_hits += triggers
+    stats.reverse_threads += triggers
+    stats.forward_threads += fwd_threads
+    stats.adfa_transitions += steps
 
     if not events:
         return []
     vs = VerificationState(db.checks, data, db.config.record_cap)
+    on_match = vs.on_fragment_match
     matches: list[tuple[int, int]] = []
     for e, rule_idx, k, s in sorted(events):
-        matches.extend(vs.on_fragment_match(MatchEvent(rule_idx, k, s, e)))
+        found = on_match((rule_idx, k, s, e))
+        if found:
+            matches.extend(found)
     stats.escalated_packets += int(vs.escalated)
     stats.verify_bytes += vs.verify_bytes
     stats.saturated_records += vs.saturated

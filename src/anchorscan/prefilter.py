@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -163,21 +164,28 @@ class XorFilterUnit:
     def is_empty(self) -> bool:
         return self.key_count == 0
 
+    @cached_property
+    def slot_view(self) -> memoryview:
+        """`fingerprints` as a memoryview: scalar reads give plain ints, about
+        4x cheaper than numpy scalar indexing. Derived, not serialized."""
+        return memoryview(self.fingerprints)
+
     def _mix(self, value: int) -> tuple[int, int, int, int]:
         h = splitmix64(value ^ self.seed)
-        i0 = (h & _CHUNK) % self.block_len
-        i1 = ((h >> 21) & _CHUNK) % self.block_len + self.block_len
-        i2 = ((h >> 42) & _CHUNK) % self.block_len + 2 * self.block_len
-        fp = splitmix64(h) & ((1 << self.fp_bits) - 1)
-        return i0, i1, i2, fp
+        bl = self.block_len
+        return (
+            (h & _CHUNK) % bl,
+            ((h >> 21) & _CHUNK) % bl + bl,
+            ((h >> 42) & _CHUNK) % bl + 2 * bl,
+            splitmix64(h) & ((1 << self.fp_bits) - 1),
+        )
 
     def contains(self, window: bytes) -> bool:
-        if self.is_empty:
+        if not self.key_count:
             return False
-        value = int.from_bytes(window, "big")
-        i0, i1, i2, fp = self._mix(value)
-        slots = self.fingerprints
-        return (int(slots[i0]) ^ int(slots[i1]) ^ int(slots[i2])) == fp
+        i0, i1, i2, fp = self._mix(int.from_bytes(window, "big"))
+        slots = self.slot_view
+        return slots[i0] ^ slots[i1] ^ slots[i2] == fp
 
     def hit_mask(self, values: np.ndarray) -> np.ndarray:
         if self.is_empty:

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import struct
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import length_hint
 from typing import NamedTuple
 
 from .automata import (
@@ -52,10 +53,6 @@ PREFIX = "prefix"  # gap may match any prefix of the interval (trailing edge)
 _INF = 0xFFFFFFFF
 
 
-def _interval_len(gs: int, ge: int) -> int:
-    return ge - gs + 1
-
-
 @dataclass(frozen=True)
 class EmptyGap:
     """No gap pattern at all; exact mode insists the interval is empty."""
@@ -66,8 +63,8 @@ class EmptyGap:
 
     def check(self, data: bytes, gs: int, ge: int) -> tuple[bool, int]:
         if self.mode == EXACT:
-            return _interval_len(gs, ge) == 0, 0
-        return _interval_len(gs, ge) >= 0, 0
+            return ge - gs + 1 == 0, 0
+        return ge - gs + 1 >= 0, 0
 
 
 @dataclass(frozen=True)
@@ -81,7 +78,7 @@ class DotGap:
     mode: str
 
     def check(self, data: bytes, gs: int, ge: int) -> tuple[bool, int]:
-        length = _interval_len(gs, ge)
+        length = ge - gs + 1
         if length < 0:
             return False, 0
         if self.mode == EXACT:
@@ -94,7 +91,12 @@ class DotGap:
 
 @dataclass(frozen=True)
 class ClassGap:
-    """Class-constrained interval: length bound plus byte membership."""
+    """Class-constrained interval: length bound plus byte membership.
+
+    Membership is tested at C speed: `bytes.translate` maps every byte of
+    the window through a 256-byte table (1 for members, 0 otherwise) and
+    `find`/`rfind` locate the first non-member from the fragment edge.
+    """
 
     examines_bytes = True
 
@@ -102,33 +104,33 @@ class ClassGap:
     lo: int
     hi: int | None
     mode: str
+    #: byte -> 1 if a member else 0; derived from `cls`, not serialized
+    table: bytes = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        mask = self.cls.mask
+        object.__setattr__(self, "table", bytes((mask >> b) & 1 for b in range(256)))
 
     def check(self, data: bytes, gs: int, ge: int) -> tuple[bool, int]:
-        length = _interval_len(gs, ge)
+        length = ge - gs + 1
         if length < 0:
             return False, 0
-        mask = self.cls.mask
         if self.mode == EXACT:
             if length < self.lo or (self.hi is not None and length > self.hi):
                 return False, 0
-            for i, pos in enumerate(range(gs, ge + 1)):
-                if not (mask >> data[pos]) & 1:
-                    return False, i + 1
-            return True, length
-        if length < self.lo:
+            miss = data[gs : ge + 1].translate(self.table).find(0)
+            return (False, miss + 1) if miss >= 0 else (True, length)
+        lo = self.lo
+        if length < lo:
             return False, 0
-        if self.lo == 0:
+        if lo == 0:
             return True, 0  # the empty window is always available
-        # scan from the fragment edge; a run of lo class bytes suffices
-        span = range(ge, gs - 1, -1) if self.mode == SUFFIX else range(gs, ge + 1)
-        run = 0
-        for i, pos in enumerate(span):
-            if not (mask >> data[pos]) & 1:
-                return False, i + 1
-            run += 1
-            if run >= self.lo:
-                return True, i + 1
-        return False, length  # unreachable: lo <= length guarantees a return above
+        # from the fragment edge, a run of lo class bytes suffices
+        if self.mode == SUFFIX:
+            miss = data[ge - lo + 1 : ge + 1].translate(self.table).rfind(0)
+            return (False, lo - miss) if miss >= 0 else (True, lo)
+        miss = data[gs : gs + lo].translate(self.table).find(0)
+        return (False, miss + 1) if miss >= 0 else (True, lo)
 
 
 @dataclass(frozen=True)
@@ -147,27 +149,32 @@ class DfaGap:
     mode: str
 
     def check(self, data: bytes, gs: int, ge: int) -> tuple[bool, int]:
-        length = _interval_len(gs, ge)
+        length = ge - gs + 1
         if length < 0:
             return False, 0
-        accepts = self.stt.accepts
-        state = self.stt.start
-        if self.mode != EXACT and accepts[state]:
-            return True, 0  # the gap pattern matches the empty string
-        if self.mode == SUFFIX:
-            span = range(ge, gs - 1, -1)
-        else:
-            span = range(gs, ge + 1)
-        rows = self.stt.rows
-        exact = self.mode == EXACT
-        for consumed, pos in enumerate(span, 1):
-            state = rows[(state << 8) | data[pos]]
-            if state == DEAD:
-                return False, consumed
-            if not exact and accepts[state]:
-                return True, consumed
-        if exact:
+        stt = self.stt
+        accepts = stt.accepts
+        state = stt.start
+        rows = stt.rows
+        # iterate a copy of the window, the cheapest per-step loop; on an
+        # early return the bytes left in the iterator give the count read
+        window = data[gs : ge + 1]
+        if self.mode == EXACT:
+            it = iter(window)
+            for byte in it:
+                state = rows[(state << 8) | byte]
+                if state == DEAD:
+                    return False, length - length_hint(it)
             return bool(accepts[state]), length
+        if accepts[state]:
+            return True, 0  # the gap pattern matches the empty string
+        it = iter(window[::-1] if self.mode == SUFFIX else window)
+        for byte in it:
+            state = rows[(state << 8) | byte]
+            if state == DEAD:
+                return False, length - length_hint(it)
+            if accepts[state]:
+                return True, length - length_hint(it)
         return False, length
 
 
@@ -293,46 +300,60 @@ class VerificationState:
         self.verify_bytes = 0
         self.escalated = False
 
-    def _check(self, gap: Gap, gs: int, ge: int) -> tuple[bool, int]:
-        ok, n = gap.check(self.data, gs, ge)
-        if gap.examines_bytes:
-            self.escalated = True
-            self.verify_bytes += n
-        return ok, n
-
-    def on_fragment_match(self, ev: MatchEvent) -> list[tuple[int, int]]:
-        rule = self.checks[ev.rule_idx]
+    def on_fragment_match(self, ev: tuple[int, int, int, int]) -> list[tuple[int, int]]:
+        """Take one fragment match, a `MatchEvent` or a plain tuple of the
+        same fields, and return the rule matches it completes."""
+        rule_idx, k, pos_s, pos_e = ev
+        rule = self.checks[rule_idx]
+        gaps = rule.gaps
         data = self.data
 
-        if ev.k == 0:
-            ok, _ = self._check(rule.gaps[0], 0, ev.pos_s - 1)
+        # gaps that examine bytes escalate the packet and count what they read
+        if k == 0:
+            gap = gaps[0]
+            ok, n = gap.check(data, 0, pos_s - 1)
+            if gap.examines_bytes:
+                self.escalated = True
+                self.verify_bytes += n
         else:
             ok = False
-            gap = rule.gaps[ev.k]
-            for prev_end in self.records.get((ev.rule_idx, ev.k - 1), ()):
-                ok, _ = self._check(gap, prev_end + 1, ev.pos_s - 1)
-                if ok:
-                    break
+            prev_ends = self.records.get((rule_idx, k - 1))
+            if prev_ends:
+                gap = gaps[k]
+                check = gap.check
+                examines = gap.examines_bytes
+                for prev_end in prev_ends:
+                    ok, n = check(data, prev_end + 1, pos_s - 1)
+                    if examines:
+                        self.escalated = True
+                        self.verify_bytes += n
+                    if ok:
+                        break
         if not ok:
             return []
 
-        if ev.k < rule.n_fragments - 1:
-            key = (ev.rule_idx, ev.k)
+        n_fragments = rule.n_fragments
+        if k < n_fragments - 1:
+            key = (rule_idx, k)
             kept = self.records.setdefault(key, [])
-            if kept and _keeps_earliest_only(rule.gaps[ev.k + 1]):
+            if kept and _keeps_earliest_only(gaps[k + 1]):
                 return []  # earliest record already suffices for a 0..inf gap
             if len(kept) >= self.record_cap:
                 self.saturated += 1
                 return []
-            kept.append(ev.pos_e)
+            kept.append(pos_e)
             return []
 
         # last fragment: the trailing gap decides, and the match ends at the
         # packet end for `$`, else after the gap's shortest window
-        ok, gap_len = self._check(rule.gaps[rule.n_fragments], ev.pos_e + 1, len(data) - 1)
+        gap = gaps[n_fragments]
+        ok, gap_len = gap.check(data, pos_e + 1, len(data) - 1)
+        if gap.examines_bytes:
+            self.escalated = True
+            self.verify_bytes += gap_len
         if not ok:
             return []
-        end = len(data) - 1 if rule.anchored_end else ev.pos_e + gap_len
+        end = len(data) - 1 if rule.anchored_end else pos_e + gap_len
         if (rule.rule_id, end) in self.emitted:
             return []
         self.emitted.add((rule.rule_id, end))

@@ -7,7 +7,8 @@ import json
 import pytest
 
 from anchorscan.cli import bench_overheads, read_rules_file, run
-from anchorscan.engine import CompiledDatabase, read_corpus
+from anchorscan.engine import CompiledDatabase, compile_rules, read_corpus
+from test_engine import XREF_RULES, FORGERIES, forged_blob, forgeries
 
 
 def test_rules_file_parsing(tmp_path):
@@ -119,6 +120,19 @@ def test_scan_truncated_db(tmp_path, capsys):
     corpus = tmp_path / "c.bin"
     corpus.write_bytes(b"xxabyycdzz")
     capsys.readouterr()
+    assert run(["scan", "--db", str(db_path), "--corpus", str(corpus)]) == 1
+    assert "scan failed:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", FORGERIES)
+def test_scan_rejects_forged_db(tmp_path, capsys, case):
+    # checksummed, well-formed databases whose config or cross-references
+    # would drop matches or fail mid-scan are refused before any packet
+    db, _ = compile_rules(XREF_RULES)
+    db_path = tmp_path / "x.db"
+    db_path.write_bytes(forged_blob(db, **forgeries(db)[case]))
+    corpus = tmp_path / "c.bin"
+    corpus.write_bytes(b"xxabyycdzz user=abc.cgi")
     assert run(["scan", "--db", str(db_path), "--corpus", str(corpus)]) == 1
     assert "scan failed:" in capsys.readouterr().err
 

@@ -1,6 +1,7 @@
 """Compile/scan orchestration, serialization, reports, differential sanity."""
 import json
 import random
+from dataclasses import replace
 from itertools import accumulate
 
 import pytest
@@ -157,6 +158,85 @@ def test_every_bit_flip_raises_value_error():
             with pytest.raises(ValueError):
                 CompiledDatabase.from_bytes(bytes(flipped))
             flipped[i] ^= 1 << bit
+
+
+# --- load-time validation of config and cross-references ---------------------
+
+XREF_RULES = ["ab.*cd", r"user=[a-z]{1,8}\.cgi"]  # splits 0, 1 end rule 0; split 2 continues forward
+
+
+def forged_blob(db, **fields):
+    """`db.to_bytes()` with some fields replaced, checksum and all, without
+    the checks a database makes when it is built: what a load must refuse."""
+    bad = object.__new__(CompiledDatabase)
+    vars(bad).update(vars(db), **fields)
+    return bad.to_bytes()
+
+
+def forgeries(db):
+    """Field replacements, by name, that each break one thing a load checks."""
+    rc0 = db.checks[0]
+    accepts = list(db.reverse_stt.accepts)
+    accepting = next(i for i, labels in enumerate(accepts) if labels)
+    accepts[accepting] = accepts[accepting] | {len(db.splits)}
+    return {
+        "record_cap 0": dict(config=replace(db.config, record_cap=0)),
+        "record_cap -1": dict(config=replace(db.config, record_cap=-1)),
+        "record_cap '7'": dict(config=replace(db.config, record_cap="7")),
+        "split rule_idx 99": dict(splits=(replace(db.splits[0], rule_idx=99), *db.splits[1:])),
+        "split frag_k past the rule": dict(splits=(db.splits[0], replace(db.splits[1], frag_k=2), db.splits[2])),
+        "reverse label not a split": dict(reverse_stt=replace(db.reverse_stt, accepts=tuple(accepts))),
+        "continued split without entry": dict(forward_stt=replace(db.forward_stt, entries={})),
+        "gap count not fragments + 1": dict(checks=(replace(rc0, gaps=rc0.gaps[:-1]), *db.checks[1:])),
+    }
+
+
+FORGERIES = (
+    "record_cap 0", "record_cap -1", "record_cap '7'", "split rule_idx 99", "split frag_k past the rule",
+    "reverse label not a split", "continued split without entry", "gap count not fragments + 1",
+)
+
+
+def test_forged_blob_is_faithful():
+    db, _ = compile_rules(XREF_RULES)
+    assert forged_blob(db) == db.to_bytes()
+    assert db.scan_table == ((0, 0, -1), (0, 1, -1), (1, 0, db.forward_stt.entries[2]))
+
+
+def test_forgeries_are_all_tested():
+    assert set(forgeries(compile_rules(XREF_RULES)[0])) == set(FORGERIES)
+
+
+@pytest.mark.parametrize("case", FORGERIES)
+def test_load_rejects_bad_config_and_cross_references(case):
+    db, _ = compile_rules(XREF_RULES)
+    blob = forged_blob(db, **forgeries(db)[case])
+    with pytest.raises(ValueError):
+        CompiledDatabase.from_bytes(blob)
+
+
+@pytest.mark.parametrize("value", [0, -1, "7", 7.0, True, None])
+def test_config_from_dict_rejects_bad_record_cap(value):
+    with pytest.raises(ValueError):
+        CompileConfig.from_dict({**CompileConfig().as_dict(), "record_cap": value})
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("fingerprint_bits", 0), ("fingerprint_bits", 33), ("filter_seed", -1), ("filter_seed", 2**64),
+     ("state_cap", 0), ("max_key_len", 1), ("max_key_prob", 0), ("max_key_prob", float("nan")),
+     ("max_key_prob", "1e-4"), ("long_pop_threshold", 1.5)],
+)
+def test_config_from_dict_rejects_out_of_range(name, value):
+    with pytest.raises(ValueError):
+        CompileConfig.from_dict({**CompileConfig().as_dict(), name: value})
+
+
+def test_config_from_dict_accepts_what_compile_writes():
+    for config in (CompileConfig(), CompileConfig(max_key_prob=1, long_pop_threshold=-5, record_cap=1)):
+        assert CompileConfig.from_dict(json.loads(json.dumps(config.as_dict()))) == config
+    with pytest.raises(ValueError):
+        CompileConfig.from_dict([])
 
 
 def test_compile_leaves_dense_rows_unbuilt():

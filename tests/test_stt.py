@@ -277,6 +277,17 @@ class TestRunThreadAgainstRankReference:
         got = run_thread(_FORWARD, packet, offset, FORWARD, state)
         assert got == reference_run_thread(_FORWARD, packet, offset, FORWARD, state)
 
+    @given(st.binary(min_size=1, max_size=48) | st.lists(st.sampled_from(b"user=abc09"), min_size=1, max_size=48).map(bytes))
+    @settings(max_examples=200, deadline=None)
+    def test_packet_edges_both_directions(self, packet):
+        # threads that start at the first and the last byte run to the
+        # opposite edge or stop at once, where an off-by-one shows
+        for offset in (0, len(packet) - 1):
+            assert run_thread(_REVERSE, packet, offset, REVERSE) == reference_run_thread(_REVERSE, packet, offset, REVERSE)
+            for state in (None, *_FORWARD.entries.values()):
+                got = run_thread(_FORWARD, packet, offset, FORWARD, state)
+                assert got == reference_run_thread(_FORWARD, packet, offset, FORWARD, state)
+
     def test_reference_agrees_on_a_match_dense_packet(self):
         packet = b"xuser=12abaaaabcuser=" * 5
         for offset in range(len(packet)):

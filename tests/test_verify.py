@@ -1,5 +1,7 @@
 """Gap checking and per-packet verification state."""
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anchorscan.chars import ByteClass
 from anchorscan.decompose import UnsupportedRuleError
@@ -145,6 +147,124 @@ def test_dfa_gap_prefix():
     g = classify_gap(tree("=[0-9]+"), TRAILING)
     assert g.check(b"ab=123xx", 2, 7) == (True, 2)   # accepts at =1
     assert g.check(b"ab=x23xx", 2, 7) == (False, 2)
+
+
+# --- references: the byte-by-byte checks the C-speed ones replaced -----------
+
+
+def reference_class_check(gap, data, gs, ge):
+    length = ge - gs + 1
+    if length < 0:
+        return False, 0
+    mask = gap.cls.mask
+    if gap.mode == EXACT:
+        if length < gap.lo or (gap.hi is not None and length > gap.hi):
+            return False, 0
+        for i, pos in enumerate(range(gs, ge + 1)):
+            if not (mask >> data[pos]) & 1:
+                return False, i + 1
+        return True, length
+    if length < gap.lo:
+        return False, 0
+    if gap.lo == 0:
+        return True, 0
+    span = range(ge, gs - 1, -1) if gap.mode == SUFFIX else range(gs, ge + 1)
+    run = 0
+    for i, pos in enumerate(span):
+        if not (mask >> data[pos]) & 1:
+            return False, i + 1
+        run += 1
+        if run >= gap.lo:
+            return True, i + 1
+    raise AssertionError("lo <= length guarantees a return above")
+
+
+def reference_dfa_check(gap, data, gs, ge):
+    length = ge - gs + 1
+    if length < 0:
+        return False, 0
+    stt, exact = gap.stt, gap.mode == EXACT
+    state = stt.start
+    if not exact and stt.accepts[state]:
+        return True, 0
+    span = range(ge, gs - 1, -1) if gap.mode == SUFFIX else range(gs, ge + 1)
+    for consumed, pos in enumerate(span, 1):
+        state = stt.lookup(state, data[pos])
+        if state == 0:
+            return False, consumed
+        if not exact and stt.accepts[state]:
+            return True, consumed
+    return (bool(stt.accepts[state]), length) if exact else (False, length)
+
+
+_ALPHABET = b"ab0z=\n9"
+
+
+@st.composite
+def _window(draw):
+    """A packet over a small alphabet and an interval in it: empty and
+    negative intervals, gs = 0 and ge = len - 1 included."""
+    data = bytes(draw(st.lists(st.sampled_from(_ALPHABET), max_size=24)))
+    gs = draw(st.integers(0, len(data)))
+    ge = draw(st.integers(gs - 3, len(data) - 1))
+    return data, gs, ge
+
+
+@st.composite
+def _class_gap(draw):
+    members = draw(st.sets(st.sampled_from(_ALPHABET), min_size=1))
+    extra = draw(st.integers(0, (1 << 256) - 1))  # bytes outside the alphabet
+    lo = draw(st.integers(0, 8))
+    hi = draw(st.none() | st.integers(lo, lo + 8))
+    return ClassGap(ByteClass(ByteClass.from_bytes(bytes(members)).mask | extra), lo, hi, draw(st.sampled_from([EXACT, SUFFIX, PREFIX])))
+
+
+_DFA_GAPS = [
+    classify_gap(tree(pattern), role, anchored)
+    for pattern in ("x[0-9]{1,3}", "(ab)?", "(a|bz)*0", "[ab]+9?", "=[0-9]+", ".{2}a", "a\\n*b")
+    for role, anchored in ((INTERIOR, False), (LEADING, False), (TRAILING, False), (LEADING, True))
+]
+
+
+def _all_windows(data):
+    return [(gs, ge) for gs in range(len(data) + 1) for ge in range(gs - 2, len(data))]
+
+
+@given(_class_gap(), _window())
+@settings(max_examples=400, deadline=None)
+def test_class_gap_equals_reference(gap, window):
+    data, gs, ge = window
+    assert gap.check(data, gs, ge) == reference_class_check(gap, data, gs, ge)
+
+
+@given(st.sampled_from(_DFA_GAPS), _window())
+@settings(max_examples=400, deadline=None)
+def test_dfa_gap_equals_reference(gap, window):
+    data, gs, ge = window
+    assert gap.check(data, gs, ge) == reference_dfa_check(gap, data, gs, ge)
+
+
+@pytest.mark.parametrize("data", [b"", b"a", b"ab0ab0zz", b"==0123a\nbz9ab", b"zzzzzzzzzzzz"])
+def test_gap_checks_equal_references_on_every_window(data):
+    class_gaps = [
+        ClassGap(ByteClass.from_bytes(members), lo, hi, mode)
+        for members in (b"ab", b"z", b"0123456789=")
+        for lo, hi in ((0, None), (1, 1), (2, 5), (3, None))
+        for mode in (EXACT, SUFFIX, PREFIX)
+    ]
+    for gs, ge in _all_windows(data):
+        for gap in class_gaps:
+            assert gap.check(data, gs, ge) == reference_class_check(gap, data, gs, ge), (gap, gs, ge)
+        for gap in _DFA_GAPS:
+            assert gap.check(data, gs, ge) == reference_dfa_check(gap, data, gs, ge), (gap, gs, ge)
+
+
+def test_class_gap_table_is_derived():
+    g = ClassGap(ByteClass.from_bytes(b"az"), 1, None, PREFIX)
+    assert g.table == bytes(int(b in b"az") for b in range(256))
+    assert "table" not in repr(g)
+    assert g == ClassGap(ByteClass.from_bytes(b"az"), 1, None, PREFIX)
+    assert gap_from_bytes(gap_to_bytes(g), 0)[0].table == g.table
 
 
 # --- verification state: worked rules ---------------------------------------
