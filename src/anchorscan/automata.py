@@ -433,73 +433,76 @@ def classic_state_count(trees: list[Node], cap: int = 1_000_000) -> int:
 # --- minimization -----------------------------------------------------------
 
 
-def minimize(dfa: Dfa) -> Dfa:
-    """Partition-refinement minimization preserving accept label sets.
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque void scalar per row, so `np.unique` sorts whole rows with
+    a single byte-wise comparison instead of field by field."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
 
-    Initial blocks group states by label set; refinement splits on reduced
-    alphabet classes until stable; blocks are renumbered by BFS from the
-    start (entries first) with the dead block pinned at 0.
+
+def minimize(dfa: Dfa) -> Dfa:
+    """Partition-refinement (Moore) minimization preserving accept label sets.
+
+    Bytes whose columns are equal in every state act alike, so refinement
+    reads one column per distinct column, kept in order of its first byte.
+    Initial blocks group states by label set. Each round gives every state
+    the signature (its block, its successors' blocks) and splits blocks by
+    exact signature equality, until a round splits nothing; the result is
+    the coarsest stable partition, which does not depend on how blocks are
+    numbered along the way. The blocks are then renumbered by BFS over
+    bytes from the start (entries next) with the dead block pinned at 0,
+    so the output is the same whatever ids the refinement assigned.
     """
     table = dfa.table
     n = table.shape[0]
-    reduced = np.unique(table, axis=1)
+    _, first_byte = np.unique(_row_keys(table.T), return_index=True)
+    reduced = table[:, np.sort(first_byte)]
 
     label_keys: dict[frozenset[int], int] = {}
-    block_of = np.zeros(n, dtype=np.int64)
-    for s in range(n):
-        key = dfa.accepts[s]
-        if key not in label_keys:
-            label_keys[key] = len(label_keys)
-        block_of[s] = label_keys[key]
-
+    block_of = np.array([label_keys.setdefault(a, len(label_keys)) for a in dfa.accepts], dtype=np.int32)
     n_blocks = len(label_keys)
+    sig = np.empty((n, 1 + reduced.shape[1]), dtype=np.int32)
     while True:
-        sig = np.column_stack([block_of, block_of[reduced]])
-        _, new_ids = np.unique(sig, axis=0, return_inverse=True)
+        sig[:, 0] = block_of
+        sig[:, 1:] = block_of[reduced]
+        _, new_ids = np.unique(_row_keys(sig), return_inverse=True)
         new_count = int(new_ids.max()) + 1
         if new_count == n_blocks:
             break
-        block_of = new_ids.reshape(n)
+        block_of = new_ids.astype(np.int32)
         n_blocks = new_count
 
+    # one member per block stands for it; reading its successors off the
+    # reduced columns in first-byte order meets each one in the same order
+    # as reading all 256 bytes would
     _, first_state = np.unique(block_of, return_index=True)
-    block_table = block_of[table[first_state]]  # (blocks, 256)
-    block_accepts = [dfa.accepts[int(s)] for s in first_state]
+    succ = block_of[reduced[first_state]].tolist()
 
-    # renumber: dead first, then start/entries, then BFS over bytes
-    renum = {int(block_of[DEAD]): DEAD}
+    # renumber: dead first, then start/entries, then BFS over bytes; a
+    # block is numbered when first dequeued, which is its first discovery
+    seen = [False] * n_blocks
     order = [int(block_of[DEAD])]
-    frontier = [int(block_of[dfa.start])]
-    frontier += [int(block_of[e]) for e in dfa.entries.values()]
+    seen[order[0]] = True
+    queue = [int(block_of[dfa.start])]
+    queue += [int(block_of[e]) for e in dfa.entries.values()]
     qpos = 0
-    queue2: list[int] = []
-    for b in frontier:
-        if b not in renum:
-            renum[b] = len(order)
-            order.append(b)
-            queue2.append(b)
-    while qpos < len(queue2):
-        b = queue2[qpos]
+    while qpos < len(queue):
+        b = queue[qpos]
         qpos += 1
-        for succ in block_table[b]:
-            sb = int(succ)
-            if sb not in renum:
-                renum[sb] = len(order)
-                order.append(sb)
-                queue2.append(sb)
+        if seen[b]:
+            continue
+        seen[b] = True
+        order.append(b)
+        queue.extend(succ[b])
+    renum = np.zeros(n_blocks, dtype=np.uint32)
+    renum[order] = np.arange(len(order), dtype=np.uint32)
 
-    m = len(order)
-    new_table = np.zeros((m, 256), dtype=np.uint32)
-    new_accepts: list[frozenset[int]] = [frozenset()] * m
-    for new_id, b in enumerate(order):
-        new_table[new_id] = [renum[int(x)] for x in block_table[b]]
-        new_accepts[new_id] = block_accepts[b]
-    entries = {k: renum[int(block_of[v])] for k, v in dfa.entries.items()}
+    members = first_state[order]
     return Dfa(
-        table=new_table,
-        accepts=tuple(new_accepts),
-        start=renum[int(block_of[dfa.start])],
-        entries=entries,
+        table=renum[block_of[table[members]]],
+        accepts=tuple(dfa.accepts[s] for s in members.tolist()),
+        start=int(renum[block_of[dfa.start]]),
+        entries={k: int(renum[block_of[v]]) for k, v in dfa.entries.items()},
     )
 
 

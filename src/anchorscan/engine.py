@@ -14,7 +14,6 @@ import json
 import struct
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -460,18 +459,15 @@ def scan_corpus(
     packets: list[bytes],
     workers: int = 1,
 ) -> ScanReport:
-    """Scan packets across independent contexts; the report is
-    worker-count invariant."""
+    """Scan packets in `workers` interleaved shards, one shard after
+    another in this thread, and merge their counters and matches; the
+    report is worker-count invariant."""
     indexed = list(enumerate(packets))
     shards = [indexed[i::workers] for i in range(workers)] if workers > 1 else [indexed]
     total = ScanStats()
     matches: list[tuple[int, int, int]] = []
-    if len(shards) == 1:
-        results = [_scan_shard(db, shards[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda s: _scan_shard(db, s), shards))
-    for stats, shard_matches in results:
+    for shard in shards:
+        stats, shard_matches = _scan_shard(db, shard)
         total.merge(stats)
         matches.extend(shard_matches)
     matches.sort()

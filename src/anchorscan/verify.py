@@ -269,6 +269,18 @@ class MatchEvent(NamedTuple):
     pos_e: int   # last byte of the fragment match
 
 
+def _keeps_earliest_only(gap: Gap) -> bool:
+    return isinstance(gap, DotGap) and gap.lo == 0 and gap.hi is None
+
+
+def _accepts_any_lead(gap: Gap) -> bool:
+    """True when the leading gap accepts every interval `[0, pos_s)`
+    without reading a byte: no pattern on an unanchored edge, or `.*`."""
+    if isinstance(gap, EmptyGap):
+        return gap.mode != EXACT
+    return _keeps_earliest_only(gap)
+
+
 @dataclass(frozen=True)
 class RuleChecks:
     """Verifier-side view of one compiled rule."""
@@ -277,10 +289,13 @@ class RuleChecks:
     n_fragments: int
     gaps: tuple[Gap, ...]  # length n_fragments + 1
     anchored_end: bool
+    #: the leading gap accepts any first fragment without a check; derived
+    #: from `gaps[0]`, not serialized
+    free_lead: bool = field(init=False, repr=False, compare=False)
 
-
-def _keeps_earliest_only(gap: Gap) -> bool:
-    return isinstance(gap, DotGap) and gap.lo == 0 and gap.hi is None
+    def __post_init__(self) -> None:
+        # a rule with no gaps at all is refused when its database loads
+        object.__setattr__(self, "free_lead", bool(self.gaps) and _accepts_any_lead(self.gaps[0]))
 
 
 class VerificationState:
@@ -310,11 +325,14 @@ class VerificationState:
 
         # gaps that examine bytes escalate the packet and count what they read
         if k == 0:
-            gap = gaps[0]
-            ok, n = gap.check(data, 0, pos_s - 1)
-            if gap.examines_bytes:
-                self.escalated = True
-                self.verify_bytes += n
+            if rule.free_lead:
+                ok = True
+            else:
+                gap = gaps[0]
+                ok, n = gap.check(data, 0, pos_s - 1)
+                if gap.examines_bytes:
+                    self.escalated = True
+                    self.verify_bytes += n
         else:
             ok = False
             prev_ends = self.records.get((rule_idx, k - 1))

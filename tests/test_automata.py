@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ref_match
+from anchorscan import automata, verify
 from anchorscan.automata import (
     DEAD,
     Dfa,
@@ -20,8 +24,12 @@ from anchorscan.automata import (
     thompson,
 )
 from anchorscan.chars import ByteClass
+from anchorscan.engine import compile_rules
 from anchorscan.parser import Alt, Atom, Rep, Seq, parse
 from test_parser import _trees
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import PAPER_RULES  # noqa: E402
 
 
 def tree_of(pattern: str):
@@ -153,6 +161,133 @@ class TestMinimize:
         dfa = dfa_for("ab", "cd")
         assert full_match_labels(dfa, b"ab") == {0}
         assert full_match_labels(dfa, b"cd") == {1}
+
+
+def reference_minimize(dfa: Dfa) -> Dfa:
+    """The structured-sort, per-state-loop minimization that `minimize`
+    replaced, kept as the reference its output must equal exactly."""
+    table = dfa.table
+    n = table.shape[0]
+    reduced = np.unique(table, axis=1)
+
+    label_keys: dict[frozenset[int], int] = {}
+    block_of = np.zeros(n, dtype=np.int64)
+    for s in range(n):
+        key = dfa.accepts[s]
+        if key not in label_keys:
+            label_keys[key] = len(label_keys)
+        block_of[s] = label_keys[key]
+
+    n_blocks = len(label_keys)
+    while True:
+        sig = np.column_stack([block_of, block_of[reduced]])
+        _, new_ids = np.unique(sig, axis=0, return_inverse=True)
+        new_count = int(new_ids.max()) + 1
+        if new_count == n_blocks:
+            break
+        block_of = new_ids.reshape(n)
+        n_blocks = new_count
+
+    _, first_state = np.unique(block_of, return_index=True)
+    block_table = block_of[table[first_state]]  # (blocks, 256)
+    block_accepts = [dfa.accepts[int(s)] for s in first_state]
+
+    # renumber: dead first, then start/entries, then BFS over bytes
+    renum = {int(block_of[DEAD]): DEAD}
+    order = [int(block_of[DEAD])]
+    frontier = [int(block_of[dfa.start])]
+    frontier += [int(block_of[e]) for e in dfa.entries.values()]
+    qpos = 0
+    queue2: list[int] = []
+    for b in frontier:
+        if b not in renum:
+            renum[b] = len(order)
+            order.append(b)
+            queue2.append(b)
+    while qpos < len(queue2):
+        b = queue2[qpos]
+        qpos += 1
+        for succ in block_table[b]:
+            sb = int(succ)
+            if sb not in renum:
+                renum[sb] = len(order)
+                order.append(sb)
+                queue2.append(sb)
+
+    m = len(order)
+    new_table = np.zeros((m, 256), dtype=np.uint32)
+    new_accepts: list[frozenset[int]] = [frozenset()] * m
+    for new_id, b in enumerate(order):
+        new_table[new_id] = [renum[int(x)] for x in block_table[b]]
+        new_accepts[new_id] = block_accepts[b]
+    entries = {k: renum[int(block_of[v])] for k, v in dfa.entries.items()}
+    return Dfa(
+        table=new_table,
+        accepts=tuple(new_accepts),
+        start=renum[int(block_of[dfa.start])],
+        entries=entries,
+    )
+
+
+_LABEL_SETS = (frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1}), frozenset({2, 5}))
+
+
+@st.composite
+def raw_dfas(draw) -> Dfa:
+    """Total DFAs with an absorbing, non-accepting dead state 0.
+
+    States draw their rows from a few distinct rows and their columns from
+    a few distinct columns (a single one makes every column equal), so
+    equivalent states are common. Random targets leave some states
+    unreachable; label sets include multi-label ones and the start and
+    entries may be any state, the dead one included.
+    """
+    n = draw(st.integers(1, 30))
+    n_rows = draw(st.integers(1, 8))
+    n_cols = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.integers(0, n, (n_rows, n_cols))
+    cols = rng.integers(0, n_cols, 256)
+    table = rows[rng.integers(0, n_rows, n)][:, cols].astype(np.uint32)
+    table[DEAD] = DEAD
+    labels = draw(st.lists(st.sampled_from(_LABEL_SETS), min_size=n - 1, max_size=n - 1))
+    start = draw(st.integers(0, n - 1))
+    entries = draw(st.dictionaries(st.integers(0, 9), st.integers(0, n - 1), max_size=4))
+    return Dfa(table=table, accepts=(frozenset(), *labels), start=start, entries=entries)
+
+
+def assert_same_dfa(got: Dfa, want: Dfa) -> None:
+    assert got.table.dtype == want.table.dtype == np.uint32
+    assert np.array_equal(got.table, want.table)
+    assert got.accepts == want.accepts
+    assert got.start == want.start
+    assert got.entries == want.entries
+
+
+class TestMinimizeEqualsReference:
+    @given(raw_dfas())
+    @settings(max_examples=400, deadline=None)
+    def test_random_dfas(self, dfa):
+        before = dfa.table.copy()
+        assert_same_dfa(minimize(dfa), reference_minimize(dfa))
+        assert np.array_equal(dfa.table, before)
+
+    def test_unreachable_equal_columns_and_entries(self):
+        # state 4 is unreachable; states 2 and 3 are equivalent; every
+        # column is equal, so the reduced alphabet has one class
+        table = np.array([[0], [2], [3], [3], [1]], dtype=np.uint32).repeat(256, axis=1)
+        accepts = (frozenset(), frozenset(), frozenset({0, 1}), frozenset({0, 1}), frozenset({7}))
+        dfa = Dfa(table=table, accepts=accepts, start=1, entries={5: 3, 6: 2})
+        got = minimize(dfa)
+        assert_same_dfa(got, reference_minimize(dfa))
+        assert got.n_states == 3 and got.entries == {5: 2, 6: 2}
+
+    def test_paper_rules_compile_to_the_same_bytes(self, monkeypatch):
+        rules = list(PAPER_RULES)
+        fast = compile_rules(rules)[0].to_bytes()
+        monkeypatch.setattr(automata, "minimize", reference_minimize)
+        monkeypatch.setattr(verify, "minimize", reference_minimize)
+        assert compile_rules(rules)[0].to_bytes() == fast
 
 
 class TestLanguagePreservation:

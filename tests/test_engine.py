@@ -1,11 +1,17 @@
 """Compile/scan orchestration, serialization, reports, differential sanity."""
 import json
 import random
+import sys
+import threading
 from dataclasses import replace
 from itertools import accumulate
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from anchorscan import engine, synth
 from anchorscan.config import CompileConfig
 from anchorscan.engine import (
     CompiledDatabase,
@@ -19,6 +25,10 @@ from anchorscan.engine import (
 )
 from anchorscan.oracle import oracle_match
 from anchorscan.parser import parse
+from anchorscan.verify import DotGap, EmptyGap
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import PAPER_RULES  # noqa: E402
 
 
 def scan_once(db, data):
@@ -380,6 +390,63 @@ def test_worker_count_invariance():
         packets.append(bytes(pkt))
     reports = [scan_corpus(db, packets, workers=w).to_json() for w in (1, 4, 8)]
     assert reports[0] == reports[1] == reports[2]
+
+
+def test_shards_run_in_the_calling_thread(monkeypatch):
+    db, _ = compile_rules(["ab.*cd", "user=[a-z]{1,8}"])
+    packets = [b"xxab12cd", b"user=abc", b"", b"zz"] * 5
+    threads = set()
+    real = engine.scan_packet
+
+    def spy(db, data, stats):
+        threads.add(threading.get_ident())
+        return real(db, data, stats)
+
+    monkeypatch.setattr(engine, "scan_packet", spy)
+    reports = [scan_corpus(db, packets, workers=w).to_json() for w in (1, 3)]
+    assert threads == {threading.get_ident()}
+    assert reports[0] == reports[1]
+
+
+# --- leading gaps that accept every interval -----------------------------------
+
+
+@pytest.fixture(scope="module")
+def free_lead_dbs():
+    """The paper rules plus `.*` leads, compiled once as they are and once
+    with every leading gap forced through its check, as before the skip."""
+    rules = [*PAPER_RULES, r".*cmd\.exe", r"^.*shadow", r"^abc.*def", r".{0,}zz[0-9]+"]
+    db, report = compile_rules(rules)
+    checked = []
+    for rc in db.checks:
+        rc = replace(rc)
+        object.__setattr__(rc, "free_lead", False)
+        checked.append(rc)
+    supported = [rules[i] for i in report.supported]
+    return db, replace(db, checks=tuple(checked)), supported
+
+
+def test_free_lead_covers_empty_and_dotstar_leads(free_lead_dbs):
+    db, checked, _ = free_lead_dbs
+    free = [rc for rc in db.checks if rc.free_lead]
+    assert {type(rc.gaps[0]) for rc in free} == {EmptyGap, DotGap}
+    assert any(not rc.free_lead for rc in db.checks)
+    assert not any(rc.free_lead for rc in checked.checks)
+
+
+@given(seed=st.integers(0, 2**32 - 1), dense=st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_free_lead_skip_equals_checked_lead(free_lead_dbs, seed, dense):
+    db, checked, rules = free_lead_dbs
+    packets = synth.diff_packets(rules, 24, seed=seed)
+    if dense:
+        # match-dense packets, so records pile up behind first fragments
+        packets = [b"".join(packets)[:1500]]
+    packets.append(random.Random(seed).randbytes(300))
+    for packet in packets:
+        fast, slow = ScanStats(), ScanStats()
+        assert scan_packet(db, packet, fast) == scan_packet(checked, packet, slow)
+        assert fast == slow
 
 
 # --- differential sanity ------------------------------------------------------

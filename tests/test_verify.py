@@ -267,6 +267,22 @@ def test_class_gap_table_is_derived():
     assert gap_from_bytes(gap_to_bytes(g), 0)[0].table == g.table
 
 
+def test_free_lead_is_derived():
+    free = [EmptyGap(SUFFIX), DotGap(0, None, SUFFIX), DotGap(0, None, EXACT)]
+    checked = [
+        EmptyGap(EXACT),
+        DotGap(1, None, SUFFIX),
+        DotGap(0, 5, EXACT),
+        ClassGap(ByteClass.from_bytes(b"az"), 0, None, SUFFIX),  # reads bytes
+        classify_gap(tree("x|yz"), LEADING),
+    ]
+    for lead in free + checked:
+        rc = RuleChecks(1, 1, (lead, EmptyGap(PREFIX)), False)
+        assert rc.free_lead == (lead in free), lead
+        assert rc == RuleChecks(1, 1, (lead, EmptyGap(PREFIX)), False)
+        assert "free_lead" not in repr(rc)
+
+
 # --- verification state: worked rules ---------------------------------------
 
 
