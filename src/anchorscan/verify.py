@@ -269,18 +269,6 @@ class MatchEvent(NamedTuple):
     pos_e: int   # last byte of the fragment match
 
 
-def _keeps_earliest_only(gap: Gap) -> bool:
-    return isinstance(gap, DotGap) and gap.lo == 0 and gap.hi is None
-
-
-def _accepts_any_lead(gap: Gap) -> bool:
-    """True when the leading gap accepts every interval `[0, pos_s)`
-    without reading a byte: no pattern on an unanchored edge, or `.*`."""
-    if isinstance(gap, EmptyGap):
-        return gap.mode != EXACT
-    return _keeps_earliest_only(gap)
-
-
 @dataclass(frozen=True)
 class RuleChecks:
     """Verifier-side view of one compiled rule."""
@@ -296,6 +284,18 @@ class RuleChecks:
     def __post_init__(self) -> None:
         # a rule with no gaps at all is refused when its database loads
         object.__setattr__(self, "free_lead", bool(self.gaps) and _accepts_any_lead(self.gaps[0]))
+
+
+def _keeps_earliest_only(gap: Gap) -> bool:
+    return isinstance(gap, DotGap) and gap.lo == 0 and gap.hi is None
+
+
+def _accepts_any_lead(gap: Gap) -> bool:
+    """True when the leading gap accepts every interval `[0, pos_s)`
+    without reading a byte: no pattern on an unanchored edge, or `.*`."""
+    if isinstance(gap, EmptyGap):
+        return gap.mode != EXACT
+    return _keeps_earliest_only(gap)
 
 
 class VerificationState:

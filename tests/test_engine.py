@@ -432,6 +432,10 @@ def test_free_lead_covers_empty_and_dotstar_leads(free_lead_dbs):
     assert {type(rc.gaps[0]) for rc in free} == {EmptyGap, DotGap}
     assert any(not rc.free_lead for rc in db.checks)
     assert not any(rc.free_lead for rc in checked.checks)
+    # derived: outside equality and the database bytes, rebuilt on load
+    assert checked.checks == db.checks and checked.to_bytes() == db.to_bytes()
+    loaded = CompiledDatabase.from_bytes(db.to_bytes())
+    assert [rc.free_lead for rc in loaded.checks] == [rc.free_lead for rc in db.checks]
 
 
 @given(seed=st.integers(0, 2**32 - 1), dense=st.booleans())
