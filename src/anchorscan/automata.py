@@ -206,7 +206,6 @@ class _SubsetSpace:
         self.nfa = nfa
         self.class_of, self.reps = _byte_classes(nfa)
         C = self.n_classes = len(self.reps)
-        self.key_len = (nfa.n + 7) // 8
         closures = _eps_closures(nfa)
         self.closures = closures
 
@@ -241,7 +240,6 @@ class _SubsetSpace:
         self.core = core
         self.base_move = self._moves_of(core)
 
-        self.accept_items = sorted(nfa.accepts.items())
         self.accept_mask = 0
         for s in nfa.accepts:
             self.accept_mask |= 1 << s
@@ -274,16 +272,15 @@ class _SubsetSpace:
             acc = [a | uni for a in acc]
         return acc
 
-    def key_of(self, subset: int) -> bytes:
-        return subset.to_bytes(self.key_len, "little")
-
     def labels_of(self, subset: int) -> frozenset[int]:
-        if not subset & self.accept_mask:
+        """Union of the label sets of the subset's accepting states."""
+        hits = subset & self.accept_mask
+        if not hits:
             return frozenset()
+        accepts = self.nfa.accepts
         labels: frozenset[int] = frozenset()
-        for state, ids in self.accept_items:
-            if (subset >> state) & 1:
-                labels |= ids
+        for state in _bits(hits):
+            labels |= accepts[state]
         return labels
 
 
@@ -328,46 +325,47 @@ def determinize(
     starts = [nfa.start] + (entry_states or [])
     if any(space.closures[s] & space.core != space.core for s in starts):
         space.disable_core()
-    C = space.n_classes
     not_core = ~space.core
 
-    rows: list[list[int]] = [[DEAD] * C]  # dead state row
+    # subsets are their own dict keys; an int mask hashes at C speed
+    rows: list[list[int]] = [[DEAD] * space.n_classes]  # dead state row
     labels: list[frozenset[int]] = [frozenset()]
-    seen: dict[bytes, int] = {space.key_of(0): DEAD}
+    seen: dict[int, int] = {0: DEAD}
     queue: list[tuple[int, ...]] = [()]  # non-core state indices per subset
 
     entry_ids: list[int] = []
     for s in starts:
         subset = space.closures[s]
-        key = space.key_of(subset)
-        sid = seen.get(key)
+        sid = seen.get(subset)
         if sid is None:
-            sid = len(rows)
-            seen[key] = sid
-            rows.append([DEAD] * C)
+            sid = len(labels)
+            seen[subset] = sid
             labels.append(space.labels_of(subset))
             queue.append(_bits(subset & not_core))
         entry_ids.append(sid)
 
+    # rows are appended in queue order, so rows[sid] is subset sid's row;
+    # a row is looked up in one pass, and only its new subsets, numbered in
+    # class order, take the per-class loop
     pos = 1
     while pos < len(queue):
-        sid = pos
         succ = space.successors(queue[pos])
+        row = list(map(seen.get, succ))
+        if None in row:
+            for c, nid in enumerate(row):
+                if nid is None:
+                    subset = succ[c]
+                    nid = seen.get(subset)  # an earlier class may have added it
+                    if nid is None:
+                        nid = len(labels)
+                        if nid > cap:
+                            raise StateExplosionError(cap, nid)
+                        seen[subset] = nid
+                        labels.append(space.labels_of(subset))
+                        queue.append(_bits(subset & not_core))
+                    row[c] = nid
+        rows.append(row)
         pos += 1
-        row = rows[sid]
-        for c in range(C):
-            subset = succ[c]
-            key = space.key_of(subset)
-            nid = seen.get(key)
-            if nid is None:
-                nid = len(rows)
-                if nid > cap:
-                    raise StateExplosionError(cap, nid)
-                seen[key] = nid
-                rows.append([DEAD] * C)
-                labels.append(space.labels_of(subset))
-                queue.append(_bits(subset & not_core))
-            row[c] = nid
     del seen, queue
 
     class_table = np.array(rows, dtype=np.uint32)
@@ -384,7 +382,7 @@ def subset_state_count(nfa: Nfa, cap: int = 1_000_000) -> int:
     """
     space = _SubsetSpace(nfa)
     not_core = ~space.core
-    key_len = space.key_len
+    key_len = (nfa.n + 7) // 8
     # frontier entries are packed indices and subsets are deduplicated by
     # 64-bit digests, keeping a million-state probe in the 100 MB range
     idx_width = "H" if nfa.n <= 0xFFFF else "I"
@@ -445,64 +443,119 @@ def minimize(dfa: Dfa) -> Dfa:
 
     Bytes whose columns are equal in every state act alike, so refinement
     reads one column per distinct column, kept in order of its first byte.
-    Initial blocks group states by label set. Each round gives every state
-    the signature (its block, its successors' blocks) and splits blocks by
-    exact signature equality, until a round splits nothing; the result is
-    the coarsest stable partition, which does not depend on how blocks are
+    Initial blocks group states by label set. Each round gives states the
+    signature (their block, their successors' blocks) and splits blocks by
+    exact signature equality, until a round splits nothing; only states
+    whose signature may have changed are signed again. The result is the
+    coarsest stable partition, which does not depend on how blocks are
     numbered along the way. The blocks are then renumbered by BFS over
     bytes from the start (entries next) with the dead block pinned at 0,
     so the output is the same whatever ids the refinement assigned.
     """
     table = dfa.table
     n = table.shape[0]
-    _, first_byte = np.unique(_row_keys(table.T), return_index=True)
-    reduced = table[:, np.sort(first_byte)]
+    # one id per distinct column, numbered in order of its first byte; a
+    # dict keyed by each column's bytes finds them exactly
+    columns = np.ascontiguousarray(table.T)
+    column_ids: dict[bytes, int] = {}
+    column_of = np.array([column_ids.setdefault(columns[b].tobytes(), len(column_ids)) for b in range(256)])
+    reduced = table[:, np.unique(column_of, return_index=True)[1]]
 
     label_keys: dict[frozenset[int], int] = {}
     block_of = np.array([label_keys.setdefault(a, len(label_keys)) for a in dfa.accepts], dtype=np.int32)
     n_blocks = len(label_keys)
-    sig = np.empty((n, 1 + reduced.shape[1]), dtype=np.int32)
-    while True:
-        sig[:, 0] = block_of
-        sig[:, 1:] = block_of[reduced]
-        _, new_ids = np.unique(_row_keys(sig), return_inverse=True)
-        new_count = int(new_ids.max()) + 1
-        if new_count == n_blocks:
+    # A state's signature changes only when a successor moves to a fresh
+    # block id. So a round signs only the states with such a successor
+    # (`changed`) plus one stand-in for the other members of their blocks
+    # (`unchanged`): those shared their old signature and still do. The
+    # largest part of a split block keeps its id, so a state moves at most
+    # log2(n) times, and the rounds along a long unrolled chain, which
+    # splits one link per round, sign a few states instead of all of them.
+    targets = reduced.ravel()
+    preds = np.argsort(targets, kind="stable") // reduced.shape[1]  # grouped by successor
+    preds_start = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(targets, minlength=n), out=preds_start[1:])
+
+    todo = np.arange(n)  # the first n_rep states are the stand-ins
+    n_rep = 0
+    unchanged = unchanged_blk = stood_for = np.zeros(0, dtype=np.intp)
+    while len(todo):
+        blk = block_of[todo]
+        sig = np.empty((len(todo), 1 + reduced.shape[1]), dtype=np.int32)
+        sig[:, 0] = blk
+        sig[:, 1:] = block_of[reduced[todo]]
+        _, inverse = np.unique(_row_keys(sig), return_inverse=True)
+        size = np.bincount(inverse)
+        size[inverse[:n_rep]] += stood_for
+        sig_blk = np.empty(len(size), dtype=np.int32)
+        sig_blk[inverse] = blk
+        # each signature lies in one block; the block's largest part keeps
+        # its id and the other parts take fresh ids
+        by_block = np.lexsort((-size, sig_blk))
+        ordered = sig_blk[by_block]
+        fresh = np.empty(len(size), dtype=bool)
+        fresh[by_block[0]] = False
+        fresh[by_block[1:]] = ordered[1:] == ordered[:-1]
+        n_fresh = np.count_nonzero(fresh)
+        if not n_fresh:
             break
-        block_of = new_ids.astype(np.int32)
-        n_blocks = new_count
+        new_id = sig_blk.copy()
+        new_id[fresh] = np.arange(n_blocks, n_blocks + n_fresh, dtype=np.int32)
+        block_of[todo] = new_id[inverse]
+        follow = np.zeros(n_blocks, dtype=np.int32)  # unchanged members go where their stand-in went
+        follow[blk[:n_rep]] = new_id[inverse[:n_rep]]
+        follow = follow[unchanged_blk]
+        block_of[unchanged] = follow
+        n_blocks += n_fresh
+
+        moved = np.concatenate([todo[fresh[inverse]], unchanged[follow != unchanged_blk]])
+        lens = preds_start[moved + 1] - preds_start[moved]
+        ends = np.cumsum(lens)
+        changed = np.zeros(n, dtype=bool)
+        changed[preds[np.repeat(preds_start[moved] - ends + lens, lens) + np.arange(ends[-1])]] = True
+        dirty = np.zeros(n_blocks, dtype=bool)
+        dirty[block_of[changed]] = True
+        unchanged = np.flatnonzero(dirty[block_of] & ~changed)
+        unchanged_blk = block_of[unchanged]
+        stand_in = np.empty(n_blocks, dtype=np.intp)
+        stand_in[unchanged_blk] = unchanged  # any member will do
+        count = np.bincount(unchanged_blk, minlength=n_blocks)
+        rep_blocks = np.flatnonzero(count)
+        stood_for = count[rep_blocks] - 1  # members besides the stand-in
+        n_rep = len(rep_blocks)
+        todo = np.concatenate([stand_in[rep_blocks], np.flatnonzero(changed)])
 
     # one member per block stands for it; reading its successors off the
     # reduced columns in first-byte order meets each one in the same order
     # as reading all 256 bytes would
     _, first_state = np.unique(block_of, return_index=True)
-    succ = block_of[reduced[first_state]].tolist()
+    succ = block_of[reduced[first_state]]
 
-    # renumber: dead first, then start/entries, then BFS over bytes; a
-    # block is numbered when first dequeued, which is its first discovery
-    seen = [False] * n_blocks
-    order = [int(block_of[DEAD])]
+    # renumber: dead first, then start/entries, then BFS over bytes. A
+    # block is numbered at its first discovery, so BFS runs level by
+    # level: a level's blocks are the first occurrences of unseen blocks
+    # among its parents' successor rows, read in parent order.
+    seen = np.zeros(n_blocks, dtype=bool)
+    order = [block_of[[DEAD]]]
     seen[order[0]] = True
-    queue = [int(block_of[dfa.start])]
-    queue += [int(block_of[e]) for e in dfa.entries.values()]
-    qpos = 0
-    while qpos < len(queue):
-        b = queue[qpos]
-        qpos += 1
-        if seen[b]:
-            continue
-        seen[b] = True
-        order.append(b)
-        queue.extend(succ[b])
+    level = block_of[[dfa.start, *dfa.entries.values()]]
+    while len(level):
+        level = level[~seen[level]]
+        level = level[np.sort(np.unique(level, return_index=True)[1])]
+        seen[level] = True
+        order.append(level)
+        level = succ[level].ravel()
+    order = np.concatenate(order)
     renum = np.zeros(n_blocks, dtype=np.uint32)
     renum[order] = np.arange(len(order), dtype=np.uint32)
 
     members = first_state[order]
+    state_renum = renum[block_of]
     return Dfa(
-        table=renum[block_of[table[members]]],
+        table=state_renum[reduced[members]].take(column_of, axis=1),
         accepts=tuple(dfa.accepts[s] for s in members.tolist()),
-        start=int(renum[block_of[dfa.start]]),
-        entries={k: int(renum[block_of[v]]) for k, v in dfa.entries.items()},
+        start=int(state_renum[dfa.start]),
+        entries={k: int(state_renum[v]) for k, v in dfa.entries.items()},
     )
 
 

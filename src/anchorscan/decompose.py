@@ -19,7 +19,6 @@ fragment numbering in reports is 1-based to match the alternating layout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 from .chars import ByteClass
@@ -240,13 +239,14 @@ def _runs(items: list[Node]) -> list[list[_Cell]]:
     return runs
 
 
-def _window_sort_key(cells: list[_Cell], position: int):
-    # lowest probability first, then longer, then leftmost; probability is
-    # compared exactly as a rational, floats would blur the tie-breaks.
+def _window_sort_key(cells: list[_Cell], position: int, max_len: int) -> tuple[int, int, int]:
+    # lowest probability first, then longer, then leftmost. A window's
+    # probability is expansion / 256**len; over the common denominator
+    # 256**max_len its numerator is an exact int, and ints compare at C speed.
     expansion = 1
     for c in cells:
         expansion *= c.cls.population
-    return Fraction(expansion, 256 ** len(cells)), -len(cells), position
+    return expansion << 8 * (max_len - len(cells)), -len(cells), position
 
 
 def pick_filter_key(
@@ -277,12 +277,13 @@ def pick_filter_key(
 
 def _pick_for_alternative(items: list[Node], config: CompileConfig) -> KeySplit | None:
     candidates: list[tuple[tuple, list[_Cell]]] = []
+    max_len = config.max_key_len
     position = 0
     for run in _runs(items):
-        for length in range(2, min(config.max_key_len, len(run)) + 1):
+        for length in range(2, min(max_len, len(run)) + 1):
             for start in range(len(run) - length + 1):
                 cells = run[start : start + length]
-                candidates.append((_window_sort_key(cells, position + start), cells))
+                candidates.append((_window_sort_key(cells, position + start, max_len), cells))
         position += len(run)
     candidates.sort(key=lambda pair: pair[0])
 

@@ -15,9 +15,8 @@ their gates. Every key passes its own gates, so the gates cost no false
 negatives; on clean traffic most packets make no hash call at all. Windows
 are read in place as big-endian integers through one-byte-stride views of
 the packet. A unit with a few gated windows hashes them one by one with the
-scalar `contains`; more go through one vectorized `hit_mask` call. The
-scalar `query` path applies the same gates and is kept bit-identical to
-`scan` (tests enforce this).
+scalar `contains`; more go through one vectorized `hit_mask` call. Tests
+hold `scan` to a brute-force per-window query that applies the same gates.
 """
 from __future__ import annotations
 
@@ -187,9 +186,9 @@ class XorFilterUnit:
         slots = self.slot_view
         return slots[i0] ^ slots[i1] ^ slots[i2] == fp
 
-    def hit_mask(self, values: np.ndarray) -> np.ndarray:
-        if self.is_empty:
-            return np.zeros(len(values), dtype=bool)
+    def _mix_vec(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """`_mix` over a uint64 array: three int64 slot arrays and the
+        uint64 fingerprints."""
         h = _splitmix64_vec(values ^ np.uint64(self.seed))
         bl = np.uint64(self.block_len)
         chunk = np.uint64(_CHUNK)
@@ -197,9 +196,14 @@ class XorFilterUnit:
         i1 = ((h >> np.uint64(21)) & chunk) % bl + bl
         i2 = ((h >> np.uint64(42)) & chunk) % bl + np.uint64(2) * bl
         fp = _splitmix64_vec(h) & np.uint64((1 << self.fp_bits) - 1)
+        return i0.astype(np.int64), i1.astype(np.int64), i2.astype(np.int64), fp
+
+    def hit_mask(self, values: np.ndarray) -> np.ndarray:
+        if self.is_empty:
+            return np.zeros(len(values), dtype=bool)
+        i0, i1, i2, fp = self._mix_vec(values)
         slots = self.fingerprints
-        got = slots[i0.astype(np.int64)] ^ slots[i1.astype(np.int64)] ^ slots[i2.astype(np.int64)]
-        return got.astype(np.uint64) == fp
+        return (slots[i0] ^ slots[i1] ^ slots[i2]).astype(np.uint64) == fp
 
     def __eq__(self, other) -> bool:
         return (
@@ -220,12 +224,16 @@ def build_xor_unit(
     base_seed: int,
     attempts: int = 100,
 ) -> XorFilterUnit:
-    """Peel-and-backfill construction; retries with fresh seeds on failure."""
+    """Peel-and-backfill construction; retries with fresh seeds on failure.
+
+    Each attempt hashes every key once, vectorized as `hit_mask` does, and
+    the peel and the backfill share the resulting slot triples.
+    """
     unit = XorFilterUnit(width=width, fp_bits=fp_bits)
-    values = sorted({int.from_bytes(k, "big") for k in keys})
-    if not values:
-        return unit
+    values = np.array(sorted({int.from_bytes(k, "big") for k in keys}), dtype=np.uint64)
     n = len(values)
+    if not n:
+        return unit
     unit.key_count = n
     # 1.23x capacity factor plus constant slack so tiny key sets still peel
     capacity = 32 + -(-123 * n // 100)
@@ -233,34 +241,32 @@ def build_xor_unit(
 
     for attempt in range(attempts):
         unit.seed = splitmix64(base_seed ^ (attempt * 0x9E3779B97F4A7C15 & _M64))
-        order = _peel(unit, values)
+        i0, i1, i2, fp = unit._mix_vec(values)
+        triples = list(zip(i0.tolist(), i1.tolist(), i2.tolist()))
+        order = _peel(triples, 3 * unit.block_len)
         if order is None:
             continue
-        slots = np.zeros(3 * unit.block_len, dtype=_fp_dtype(fp_bits))
-        for value, slot in reversed(order):
-            i0, i1, i2, fp = unit._mix(value)
-            acc = fp
-            for j in (i0, i1, i2):
-                if j != slot:
-                    acc ^= int(slots[j])
-            slots[slot] = acc
-        unit.fingerprints = slots
+        # a key's own slot is still 0 when it is filled, so xor-ing all
+        # three slots into its fingerprint leaves the other two's xor
+        fps = fp.tolist()
+        slots = [0] * (3 * unit.block_len)
+        for idx, slot in reversed(order):
+            a, b, c = triples[idx]
+            slots[slot] = fps[idx] ^ slots[a] ^ slots[b] ^ slots[c]
+        unit.fingerprints = np.array(slots, dtype=_fp_dtype(fp_bits))
         return unit
     raise FilterBuildError(
         f"xor unit (width {width}) failed to build after {attempts} seeds for {n} keys"
     )
 
 
-def _peel(unit: XorFilterUnit, values: list[int]) -> list[tuple[int, int]] | None:
-    """Order keys so each has a slot no later key touches; None if stuck."""
-    m = 3 * unit.block_len
+def _peel(triples: list[tuple[int, int, int]], m: int) -> list[tuple[int, int]] | None:
+    """Order keys (by index) so each has a slot no later key touches, as
+    (key index, slot) pairs; None if stuck."""
     count = [0] * m
     key_xor = [0] * m  # xor of key indices per slot; identifies the lone key
-    triples = []
-    for idx, value in enumerate(values):
-        i0, i1, i2, _ = unit._mix(value)
-        triples.append((i0, i1, i2))
-        for j in (i0, i1, i2):
+    for idx, triple in enumerate(triples):
+        for j in triple:
             count[j] += 1
             key_xor[j] ^= idx
     stack: list[tuple[int, int]] = []
@@ -270,13 +276,13 @@ def _peel(unit: XorFilterUnit, values: list[int]) -> list[tuple[int, int]] | Non
         if count[slot] != 1:
             continue
         idx = key_xor[slot]
-        stack.append((values[idx], slot))
+        stack.append((idx, slot))
         for j in triples[idx]:
             count[j] -= 1
             key_xor[j] ^= idx
             if count[j] == 1:
                 queue.append(j)
-    if len(stack) != len(values):
+    if len(stack) != len(triples):
         return None
     return stack
 
@@ -311,17 +317,6 @@ class FilterBank:
     @property
     def key_count(self) -> int:
         return self.unit2.key_count + self.unit4.key_count + self.unit8.key_count
-
-    def query(self, window: bytes) -> bool:
-        if len(window) == 2:
-            return self.unit2.contains(window)
-        if len(window) == 4:
-            head, tail, unit = self.head4, self.tail4, self.unit4
-        elif len(window) == 8:
-            head, tail, unit = self.head8, self.tail8, self.unit8
-        else:
-            raise ValueError("window must be 2, 4 or 8 bytes")
-        return head.contains(window[:2]) and tail.contains(window[-2:]) and unit.contains(window)
 
     def scan(self, data: bytes) -> tuple[np.ndarray, np.ndarray]:
         """All filter hits over a packet.

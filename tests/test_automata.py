@@ -13,6 +13,7 @@ from anchorscan import automata, verify
 from anchorscan.automata import (
     DEAD,
     Dfa,
+    Nfa,
     NfaBuildError,
     StateExplosionError,
     build_forward_dfa,
@@ -256,6 +257,14 @@ def raw_dfas(draw) -> Dfa:
     return Dfa(table=table, accepts=(frozenset(), *labels), start=start, entries=entries)
 
 
+_CHAIN_CLASSES = (
+    ByteClass.of(ord("a")),
+    ByteClass.of(ord("a"), ord("b")),
+    ByteClass.full(),
+    ByteClass.of(ord("\n")).negate(),
+)
+
+
 def assert_same_dfa(got: Dfa, want: Dfa) -> None:
     assert got.table.dtype == want.table.dtype == np.uint32
     assert np.array_equal(got.table, want.table)
@@ -271,6 +280,30 @@ class TestMinimizeEqualsReference:
         before = dfa.table.copy()
         assert_same_dfa(minimize(dfa), reference_minimize(dfa))
         assert np.array_equal(dfa.table, before)
+
+    @given(
+        st.lists(
+            st.lists(
+                st.tuples(st.sampled_from(_CHAIN_CLASSES), st.integers(0, 12), st.none() | st.integers(0, 8)),
+                min_size=1,
+                max_size=4,
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_counted_chains(self, patterns, with_entries):
+        # unrolled counted repetitions split one link per refinement round,
+        # so these take many rounds that each sign only a few states
+        trees = [
+            Seq(tuple(Rep(Atom(cls), lo, None if extra is None else lo + extra) for cls, lo, extra in parts))
+            for parts in patterns
+        ]
+        nfa = thompson(trees)
+        dfa = determinize(nfa, entry_states=nfa.entries if with_entries else None)
+        assert_same_dfa(minimize(dfa), reference_minimize(dfa))
 
     def test_unreachable_equal_columns_and_entries(self):
         # state 4 is unreachable; states 2 and 3 are equivalent; every
@@ -288,6 +321,157 @@ class TestMinimizeEqualsReference:
         monkeypatch.setattr(automata, "minimize", reference_minimize)
         monkeypatch.setattr(verify, "minimize", reference_minimize)
         assert compile_rules(rules)[0].to_bytes() == fast
+
+
+def reference_determinize(nfa: Nfa, cap: int = 1_000_000, *, entry_states: list[int] | None = None) -> Dfa:
+    """The subset construction that `determinize` replaced: subsets keyed by
+    fixed-width little-endian bytes, labels found by walking every accept
+    state. Kept as the reference its output must equal exactly."""
+    space = automata._SubsetSpace(nfa)
+    starts = [nfa.start] + (entry_states or [])
+    if any(space.closures[s] & space.core != space.core for s in starts):
+        space.disable_core()
+    C = space.n_classes
+    not_core = ~space.core
+    key_len = (nfa.n + 7) // 8
+    accept_items = sorted(nfa.accepts.items())
+
+    def key_of(subset: int) -> bytes:
+        return subset.to_bytes(key_len, "little")
+
+    def labels_of(subset: int) -> frozenset[int]:
+        labels: frozenset[int] = frozenset()
+        for state, ids in accept_items:
+            if (subset >> state) & 1:
+                labels |= ids
+        return labels
+
+    rows: list[list[int]] = [[DEAD] * C]
+    labels: list[frozenset[int]] = [frozenset()]
+    seen: dict[bytes, int] = {key_of(0): DEAD}
+    queue: list[tuple[int, ...]] = [()]
+    entry_ids: list[int] = []
+    for s in starts:
+        subset = space.closures[s]
+        sid = seen.get(key_of(subset))
+        if sid is None:
+            sid = len(rows)
+            seen[key_of(subset)] = sid
+            rows.append([DEAD] * C)
+            labels.append(labels_of(subset))
+            queue.append(automata._bits(subset & not_core))
+        entry_ids.append(sid)
+    pos = 1
+    while pos < len(queue):
+        sid = pos
+        succ = space.successors(queue[pos])
+        pos += 1
+        for c in range(C):
+            subset = succ[c]
+            nid = seen.get(key_of(subset))
+            if nid is None:
+                nid = len(rows)
+                if nid > cap:
+                    raise StateExplosionError(cap, nid)
+                seen[key_of(subset)] = nid
+                rows.append([DEAD] * C)
+                labels.append(labels_of(subset))
+                queue.append(automata._bits(subset & not_core))
+            rows[sid][c] = nid
+    table = np.array(rows, dtype=np.uint32)[:, space.class_of]
+    entries = {i: entry_ids[1 + i] for i in range(len(entry_states or []))}
+    return Dfa(table=table, accepts=tuple(labels), start=entry_ids[0], entries=entries)
+
+
+_FULL = ByteClass.full().mask
+#: transition masks: single bytes, a range, a few scattered bytes, every
+#: byte (any-byte loops give subset construction a persistent core), and
+#: every byte but one
+_MASKS = (
+    1 << ord("a"),
+    1 << ord("b"),
+    ByteClass.from_ranges((ord("a"), ord("z"))).mask,
+    (1 << 0) | (1 << 200) | (1 << ord("b")),
+    _FULL,
+    _FULL ^ (1 << ord("a")),
+)
+
+
+@st.composite
+def raw_nfas(draw) -> tuple[Nfa, list[int] | None]:
+    """Random byte-class NFAs with their entry states.
+
+    Edges draw from a few masks, any-byte ones included, and random epsilon
+    edges may form cycles. Accept states carry single or multi-label sets,
+    or there are none (the empty language). Entry states may be any
+    state, so some miss the start closure's core and disable it.
+    """
+    n = draw(st.integers(1, 12))
+    nfa = Nfa()
+    nfa.n = n
+    nfa.trans = [
+        draw(st.lists(st.tuples(st.sampled_from(_MASKS), st.integers(0, n - 1)), max_size=3))
+        for _ in range(n)
+    ]
+    nfa.eps = [draw(st.lists(st.integers(0, n - 1), max_size=2)) for _ in range(n)]
+    if draw(st.booleans()):
+        nfa.trans[0].append((_FULL, 0))  # an unanchored start: a core
+    labels = st.frozensets(st.integers(0, 5), min_size=1, max_size=3)
+    nfa.accepts = draw(st.dictionaries(st.integers(0, n - 1), labels, max_size=4))
+    entries = draw(st.none() | st.lists(st.integers(0, n - 1), max_size=4))
+    return nfa, entries
+
+
+class TestDeterminizeEqualsReference:
+    @given(raw_nfas())
+    @settings(max_examples=400, deadline=None)
+    def test_random_nfas(self, case):
+        nfa, entries = case
+        assert_same_dfa(
+            determinize(nfa, entry_states=entries),
+            reference_determinize(nfa, entry_states=entries),
+        )
+
+    @given(st.lists(_trees(2), max_size=4), st.booleans(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_thompson_nfas(self, trees, unanchored, with_entries):
+        labels = [frozenset({i % 2, 7}) for i in range(len(trees))]
+        nfa = thompson(trees, labels, unanchored=unanchored)
+        entries = nfa.entries if with_entries else None
+        assert_same_dfa(
+            determinize(nfa, entry_states=entries),
+            reference_determinize(nfa, entry_states=entries),
+        )
+
+    def test_core_disabled_by_an_entry(self):
+        nfa = thompson([tree_of("ab"), tree_of("cd")], unanchored=True)
+        space = automata._SubsetSpace(nfa)
+        assert space.core  # the any-byte loops form a core ...
+        # ... that the closure of the state before the final "d" misses
+        (entry,) = [s for s in range(nfa.n) if (1 << ord("d"), s + 1) in nfa.trans[s]]
+        assert space.closures[entry] & space.core != space.core
+        got = determinize(nfa, entry_states=[entry])
+        assert_same_dfa(got, reference_determinize(nfa, entry_states=[entry]))
+        assert full_match_labels(got, b"d", got.entries[0]) == {1}
+
+    def test_multi_label_and_empty_language(self):
+        nfa = thompson([tree_of("ab"), tree_of("a[bc]")], [frozenset({1, 4}), frozenset({4, 9})])
+        got = determinize(nfa)
+        assert_same_dfa(got, reference_determinize(nfa))
+        assert full_match_labels(got, b"ab") == {1, 4, 9}
+        empty = Nfa()
+        empty.n, empty.trans, empty.eps = 2, [[(_FULL, 1)], [(_FULL, 0)]], [[], []]
+        got = determinize(empty, entry_states=[1])
+        assert_same_dfa(got, reference_determinize(empty, entry_states=[1]))
+        assert not any(got.accepts)
+
+    def test_cap_raises_like_the_reference(self):
+        nfa = thompson([tree_of("[ab]{6}")])
+        with pytest.raises(StateExplosionError) as want:
+            reference_determinize(nfa, cap=5)
+        with pytest.raises(StateExplosionError) as got:
+            determinize(nfa, cap=5)
+        assert (got.value.cap, got.value.visited) == (want.value.cap, want.value.visited)
 
 
 class TestLanguagePreservation:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,8 @@ from anchorscan.chars import ByteClass
 from anchorscan.config import CompileConfig
 from anchorscan.decompose import (
     UnsupportedRuleError,
+    _Cell,
+    _window_sort_key,
     decompose_rule,
     is_gap_component,
     pick_filter_key,
@@ -180,6 +184,53 @@ class TestKeyExtraction:
                 for sp in splits
             )
             assert recombined == accepts(fragment, s)
+
+
+def fraction_sort_key(cells: list[_Cell], position: int) -> tuple:
+    """The rational ranking `_window_sort_key` replaced: probability as an
+    exact `Fraction`, then longer, then leftmost."""
+    expansion = 1
+    for c in cells:
+        expansion *= c.cls.population
+    return Fraction(expansion, 256 ** len(cells)), -len(cells), position
+
+
+#: populations that make equal probabilities across lengths common
+#: (16 * 16 == 1 * 256, 2 * 128 == 1 * 256, ...)
+_POPULATIONS = (1, 2, 3, 4, 16, 64, 128, 255, 256)
+
+
+class TestWindowRanking:
+    @given(
+        st.integers(2, 12).flatmap(
+            lambda max_len: st.tuples(
+                st.just(max_len),
+                st.lists(
+                    st.tuples(
+                        st.lists(st.sampled_from(_POPULATIONS), min_size=2, max_size=max_len),
+                        st.integers(0, 20),
+                    ),
+                    min_size=1,
+                    max_size=30,
+                ),
+            )
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_integer_key_ranks_like_the_fraction(self, case):
+        max_len, windows = case
+        cands = [
+            ([_Cell(0, i, ByteClass((1 << pop) - 1)) for i, pop in enumerate(pops)], position)
+            for pops, position in windows
+        ]
+        old = [fraction_sort_key(cells, pos) for cells, pos in cands]
+        new = [_window_sort_key(cells, pos, max_len) for cells, pos in cands]
+        for i in range(len(cands)):
+            for j in range(len(cands)):
+                assert (old[i] < old[j]) == (new[i] < new[j])
+                assert (old[i] == old[j]) == (new[i] == new[j])
+        order = sorted(range(len(cands)), key=old.__getitem__)
+        assert order == sorted(range(len(cands)), key=new.__getitem__)
 
 
 class TestMerging:

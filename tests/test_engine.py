@@ -1,4 +1,5 @@
 """Compile/scan orchestration, serialization, reports, differential sanity."""
+import hashlib
 import json
 import random
 import sys
@@ -28,7 +29,7 @@ from anchorscan.parser import parse
 from anchorscan.verify import DotGap, EmptyGap
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-from workloads import PAPER_RULES  # noqa: E402
+from workloads import PAPER_RULES, mixed_rules  # noqa: E402
 
 
 def scan_once(db, data):
@@ -274,6 +275,41 @@ def test_trailing_gap_end_is_a_match_end(rule, packet, end):
     db, _ = compile_rules([rule])
     assert scan_once(db, packet) == [(0, end)]
     assert end == oracle_match(parse(rule, 0), packet).ends[0]
+
+
+@pytest.mark.parametrize(
+    "rules, size, sha_prefix",
+    [
+        (mixed_rules(), 1_182_945, "62c917f087baab7b"),
+        (list(PAPER_RULES), 521_570, "554131a70287fac1"),
+    ],
+    ids=["mixed", "paper"],
+)
+def test_compiled_bytes_are_pinned(rules, size, sha_prefix):
+    # a change to compilation that moves a single database byte must say so
+    # and re-pin these values
+    blob = compile_rules(rules)[0].to_bytes()
+    assert (len(blob), hashlib.sha256(blob).hexdigest()[:16]) == (size, sha_prefix)
+
+
+#: 100 "ab" records overflow the 64-record cap, which keeps the earliest;
+#: only the last five end within 70 bytes of "cdef"
+SATURATING_RULE = r"ab[^\n]{60,70}cdef"
+SATURATING_PACKET = b"ab" * 100 + b"z" * 61 + b"cdef"
+
+
+def test_saturating_case_oracle_end():
+    assert oracle_match(parse(SATURATING_RULE, 0), SATURATING_PACKET).ends == (264,)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the 64-record cap drops the record that the match needs "
+    "(saturated_records == 36); remove this mark once records are pruned by dominance",
+)
+def test_bounded_class_gap_survives_record_saturation():
+    db, _ = compile_rules([SATURATING_RULE])
+    assert scan_once(db, SATURATING_PACKET) == [(0, 264)]
 
 
 def test_compile_report_timings():

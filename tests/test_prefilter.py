@@ -18,11 +18,13 @@ from anchorscan.prefilter import (
     UNIT_XOR8,
     DirectFilterUnit,
     FilterBank,
+    FilterBuildError,
     XorFilterUnit,
     build_filter_bank,
     build_xor_unit,
     splitmix64,
     _SCALAR_WINDOWS,
+    _fp_dtype,
     _splitmix64_vec,
 )
 
@@ -35,13 +37,27 @@ def bank_of(*keys: bytes) -> FilterBank:
     return build_filter_bank([(i, key_of(k)) for i, k in enumerate(keys)])
 
 
+def reference_query(bank: FilterBank, window: bytes) -> bool:
+    """Brute-force membership of one 2-, 4- or 8-byte window, through the
+    same gates `scan` applies; the reference `scan` must agree with."""
+    if len(window) == 2:
+        return bank.unit2.contains(window)
+    if len(window) == 4:
+        head, tail, unit = bank.head4, bank.tail4, bank.unit4
+    elif len(window) == 8:
+        head, tail, unit = bank.head8, bank.tail8, bank.unit8
+    else:
+        raise ValueError("window must be 2, 4 or 8 bytes")
+    return head.contains(window[:2]) and tail.contains(window[-2:]) and unit.contains(window)
+
+
 def brute_hits(bank: FilterBank, packet: bytes) -> list[tuple[int, int]]:
-    """(end, unit code) of every window the gated `query` accepts, in scan order."""
+    """(end, unit code) of every window `reference_query` accepts, in scan order."""
     return [
         (j, w)  # unit codes equal window widths
         for j in range(len(packet))
         for w in (UNIT_DIRECT, UNIT_XOR4, UNIT_XOR8)
-        if j >= w - 1 and bank.query(packet[j - w + 1 : j + 1])
+        if j >= w - 1 and reference_query(bank, packet[j - w + 1 : j + 1])
     ]
 
 
@@ -107,7 +123,75 @@ class TestPairSetEncoding:
             self.decode(blob)
 
 
+def reference_build_xor_unit(keys, width, fp_bits, base_seed, attempts=100) -> XorFilterUnit:
+    """The scalar build that `build_xor_unit` replaced: every key hashed
+    through `_mix` in the peel and again in the backfill, slots written as
+    numpy scalars. Kept as the reference its units must equal exactly."""
+    unit = XorFilterUnit(width=width, fp_bits=fp_bits)
+    values = sorted({int.from_bytes(k, "big") for k in keys})
+    if not values:
+        return unit
+    unit.key_count = len(values)
+    unit.block_len = -(-(32 + -(-123 * len(values) // 100)) // 3)
+    for attempt in range(attempts):
+        unit.seed = splitmix64(base_seed ^ (attempt * 0x9E3779B97F4A7C15 & (2**64 - 1)))
+        m = 3 * unit.block_len
+        count, key_xor, triples = [0] * m, [0] * m, []
+        for idx, value in enumerate(values):
+            triple = unit._mix(value)[:3]
+            triples.append(triple)
+            for j in triple:
+                count[j] += 1
+                key_xor[j] ^= idx
+        stack = []
+        queue = [j for j in range(m) if count[j] == 1]
+        while queue:
+            slot = queue.pop()
+            if count[slot] != 1:
+                continue
+            idx = key_xor[slot]
+            stack.append((values[idx], slot))
+            for j in triples[idx]:
+                count[j] -= 1
+                key_xor[j] ^= idx
+                if count[j] == 1:
+                    queue.append(j)
+        if len(stack) != len(values):
+            continue
+        slots = np.zeros(m, dtype=_fp_dtype(fp_bits))
+        for value, slot in reversed(stack):
+            i0, i1, i2, acc = unit._mix(value)
+            for j in (i0, i1, i2):
+                if j != slot:
+                    acc ^= int(slots[j])
+            slots[slot] = acc
+        unit.fingerprints = slots
+        return unit
+    raise FilterBuildError("reference build failed")
+
+
 class TestXorUnit:
+    @given(
+        st.sampled_from([4, 8]).flatmap(
+            lambda w: st.sets(st.binary(min_size=w, max_size=w), max_size=300).map(lambda ks: (w, sorted(ks)))
+        ),
+        st.sampled_from([3, 8, 12, 20]),
+        st.integers(0, 2**32),
+        st.integers(1, 3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_build_equals_reference(self, width_keys, fp_bits, seed, attempts):
+        width, keys = width_keys
+        try:
+            want = reference_build_xor_unit(keys, width, fp_bits, seed, attempts)
+        except FilterBuildError:
+            with pytest.raises(FilterBuildError):
+                build_xor_unit(keys, width, fp_bits, seed, attempts)
+            return
+        got = build_xor_unit(keys, width, fp_bits, seed, attempts)
+        assert got == want
+        assert got.fingerprints.dtype == want.fingerprints.dtype
+
     def test_zero_false_negatives_exhaustive(self):
         rng = random.Random(11)
         keys = list({rng.randbytes(8) for _ in range(5000)})
@@ -166,7 +250,7 @@ class TestXorUnit:
         back = FilterBank.from_bytes(bank.to_bytes())
         assert back.unit8.fingerprints.dtype == dtype
         assert back == bank
-        assert all(back.query(k) for k in keys)
+        assert all(reference_query(back, k) for k in keys)
 
 
 class TestBankScan:
@@ -218,13 +302,13 @@ class TestBankScan:
         ends, units = bank.scan(b"anything goes here")
         assert len(ends) == 0
         for w in (b"ab", b"abcd", b"abcdefgh"):
-            assert not bank.query(w)
+            assert not reference_query(bank, w)
 
     def test_class_keys_expand(self):
         (split,) = pick_filter_key(parse("x[ab]yz").tree)
         bank = build_filter_bank([(0, split.key)])
         # key covers both expansions
-        assert bank.query(b"xayz") and bank.query(b"xbyz")
+        assert reference_query(bank, b"xayz") and reference_query(bank, b"xbyz")
 
     @given(
         st.lists(
@@ -282,7 +366,7 @@ class TestBankScan:
             ungated = set((np.flatnonzero(unit.hit_mask(values)) + w - 1).tolist())
             gated = {int(e) for e, c in zip(ends, units) if c == code}
             assert gated <= ungated
-            assert gated == {e for e in ungated if bank.query(data[e - w + 1 : e + 1])}
+            assert gated == {e for e in ungated if reference_query(bank, data[e - w + 1 : e + 1])}
             assert {e for e, width in planted.items() if width == w} <= gated
             assert len(gated) < len(ungated)
 
@@ -293,7 +377,7 @@ class TestBankScan:
         data = rng.randbytes(2000)
         ends, units = bank.scan(data)
         got4 = {int(e) for e, u in zip(ends, units) if u == UNIT_XOR4}
-        want4 = {i for i in range(3, len(data)) if bank.query(data[i - 3 : i + 1])}
+        want4 = {i for i in range(3, len(data)) if reference_query(bank, data[i - 3 : i + 1])}
         assert got4 == want4
 
 
