@@ -28,7 +28,7 @@ DEAD = 0
 
 
 class NfaBuildError(Exception):
-    """Thompson construction outgrew the configured state budget."""
+    """Thompson construction outgrew its state cap."""
 
 
 class StateExplosionError(Exception):
@@ -297,9 +297,6 @@ class Dfa:
     def n_states(self) -> int:
         return int(self.table.shape[0])
 
-    def accepting(self, state: int) -> bool:
-        return bool(self.accepts[state])
-
     def run(self, data: bytes, state: int | None = None) -> int:
         s = self.start if state is None else state
         table = self.table
@@ -377,14 +374,17 @@ def determinize(
 def subset_state_count(nfa: Nfa, cap: int = 1_000_000) -> int:
     """Count reachable subsets without materializing a table.
 
-    Memory-bounded: subsets are deduplicated by 128-bit digests and queued
-    as sparse index arrays. Raises StateExplosionError past `cap`.
+    Subsets are deduplicated by 64-bit blake2b digests, so a collision
+    would undercount (about 3e-8 odds at a million subsets), and queued as
+    packed arrays of their non-core NFA state ids. Raises
+    StateExplosionError past `cap`.
     """
     space = _SubsetSpace(nfa)
     not_core = ~space.core
     key_len = (nfa.n + 7) // 8
-    # frontier entries are packed indices and subsets are deduplicated by
-    # 64-bit digests, keeping a million-state probe in the 100 MB range
+    # the queue holds one packed id array per unexpanded subset, and a big
+    # subset holds hundreds of ids: `anchorscan bench --suite statecount
+    # --k 300` (capped at 1 000 001 subsets) peaked at 743 MB RSS
     idx_width = "H" if nfa.n <= 0xFFFF else "I"
 
     def digest(subset: int) -> int:
@@ -562,10 +562,7 @@ def minimize(dfa: Dfa) -> Dfa:
 # --- scan-side builders ------------------------------------------------------
 
 
-def build_reverse_dfa(
-    fragments: list[tuple[int, Node]],
-    state_cap: int = 1_000_000,
-) -> Dfa:
+def build_reverse_dfa(fragments: list[tuple[int, Node]]) -> Dfa:
     """Minimized DFA over the reversed fragment prefixes.
 
     Takes (fragment id, prefix tree) pairs; the automaton consumes prefix
@@ -576,14 +573,10 @@ def build_reverse_dfa(
     labels = [frozenset([fid]) for fid, _ in fragments]
     if not trees:
         return Dfa(table=np.zeros((1, 256), dtype=np.uint32), accepts=(frozenset(),), start=0)
-    nfa = thompson(trees, labels, state_cap=state_cap)
-    return minimize(determinize(nfa, cap=state_cap))
+    return minimize(determinize(thompson(trees, labels)))
 
 
-def build_forward_dfa(
-    fragments: list[tuple[int, Node]],
-    state_cap: int = 1_000_000,
-) -> Dfa:
+def build_forward_dfa(fragments: list[tuple[int, Node]]) -> Dfa:
     """Merged multi-entry DFA over the fragment suffixes.
 
     Structurally identical suffix trees share one sub-automaton whose
@@ -606,8 +599,8 @@ def build_forward_dfa(
 
     trees = list(distinct)
     labels = [frozenset(o) for o in owners]
-    nfa = thompson(trees, labels, state_cap=state_cap)
-    dfa = determinize(nfa, cap=state_cap, entry_states=nfa.entries)
+    nfa = thompson(trees, labels)
+    dfa = determinize(nfa, entry_states=nfa.entries)
     dfa = minimize(dfa)
     dfa.entries = {fid: dfa.entries[slot] for fid, slot in entry_slot.items()}
     return dfa

@@ -11,7 +11,7 @@ import sys
 import time
 from pathlib import Path
 
-from .automata import StateExplosionError, build_forward_dfa, build_reverse_dfa, classic_state_count
+from .automata import StateExplosionError, classic_state_count
 from .config import CompileConfig
 from .engine import (
     CompiledDatabase,
@@ -26,7 +26,6 @@ from .engine import (
 from .oracle import oracle_match
 from .parser import parse
 from .prefilter import build_xor_unit, splitmix64
-from .stt import compress
 from .synth import diff_packets, dotstar_family, filter_stress_ruleset, random_packets
 
 
@@ -85,32 +84,16 @@ def bench_statecount(ks: list[int], cap: int = 1_000_000) -> list[dict]:
 
 def bench_compression(ks: list[int]) -> list[dict]:
     """Sparse transition-table footprint against the dense equivalent."""
-    from .decompose import decompose_rule
-
     rows = []
     for k in ks:
-        rules = dotstar_family(k)
-        rev_in, fwd_in = [], []
-        for i, pattern in enumerate(rules):
-            dec = decompose_rule(parse(pattern, i))
-            for frag in dec.bounded:
-                for sp in frag.splits:
-                    sid = len(rev_in)
-                    rev_in.append((sid, sp.front))
-                    if sp.back is not None:
-                        fwd_in.append((sid, sp.back))
-        for side, dfa in (
-            ("reverse", build_reverse_dfa(rev_in)),
-            ("forward", build_forward_dfa(fwd_in)),
-        ):
-            stt = compress(dfa)
-            dense = dfa.n_states * 256 * (2 if dfa.n_states <= 0x10000 else 4)
+        db, _ = compile_rules(dotstar_family(k))
+        for side, stt in (("reverse", db.reverse_stt), ("forward", db.forward_stt)):
             rows.append(
                 {
                     "k": k,
                     "side": side,
                     "states": stt.n_states,
-                    "dense_bytes": dense,
+                    "dense_bytes": stt.n_states * 256 * stt.succ_width,
                     "compressed_bytes": stt.compressed_bytes,
                     "ratio": round(stt.compression_ratio, 4),
                 }

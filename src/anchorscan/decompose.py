@@ -26,6 +26,12 @@ from .config import SUPPORTED_KEY_LENGTHS, CompileConfig
 from .parser import Alt, Atom, Node, Rep, Rule, Seq, normalize
 
 
+#: most concrete byte strings one filter key may expand to
+MAX_EXPANSION = 1024
+#: most alternatives a fragment's alternations may distribute into
+ALT_CAP = 64
+
+
 class UnsupportedRuleError(ValueError):
     """Raised when a rule cannot enter the pipeline; carries a reason code."""
 
@@ -263,7 +269,7 @@ def pick_filter_key(
     fragment is unfriendly: no candidate qualifies in some alternative, or
     alternation distribution exceeds the cap.
     """
-    alternatives = _linearize(fragment, config.alt_cap)
+    alternatives = _linearize(fragment, ALT_CAP)
     if alternatives is None:
         return None
     splits: list[KeySplit] = []
@@ -290,7 +296,7 @@ def _pick_for_alternative(items: list[Node], config: CompileConfig) -> KeySplit 
     for _, cells in candidates:
         window = _trim(cells)
         key = FilterKey(tuple(c.cls for c in window))
-        if key.expansion > config.max_expansion:
+        if key.expansion > MAX_EXPANSION:
             continue
         if key.probability >= config.max_key_prob:
             continue

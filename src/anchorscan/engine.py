@@ -9,7 +9,6 @@ counters along the way.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import struct
 import time
@@ -36,7 +35,7 @@ from .verify import (
 )
 
 _MAGIC = b"ASDB"
-_VERSION = 2
+_VERSION = 3
 
 
 class CompileError(ValueError):
@@ -45,9 +44,9 @@ class CompileError(ValueError):
 
 @dataclass(frozen=True)
 class SplitMeta:
-    """Scan-side identity of one keyed split."""
+    """Scan-side identity of one keyed split; its id is its position in
+    `CompiledDatabase.splits`."""
 
-    split_id: int
     rule_idx: int   # dense index into the database's rule tables
     frag_k: int     # 0-based fragment position within the rule
     has_back: bool
@@ -158,9 +157,9 @@ class CompiledDatabase:
 
         (n_splits,) = r.unpack("<I")
         splits = []
-        for sid in range(n_splits):
+        for _ in range(n_splits):
             rule_idx, frag_k, has_back = r.unpack("<IIB")
-            splits.append(SplitMeta(sid, rule_idx, frag_k, bool(has_back)))
+            splits.append(SplitMeta(rule_idx, frag_k, bool(has_back)))
 
         (n_rules,) = r.unpack("<I")
         checks = []
@@ -233,7 +232,7 @@ def compile_rules(
                     role, anchored = TRAILING, dec.rule.anchored_end
                 else:
                     role, anchored = INTERIOR, False
-                gaps.append(classify_gap(tree, role, anchored, config.state_cap))
+                gaps.append(classify_gap(tree, role, anchored))
         except UnsupportedRuleError as exc:
             skipped.append(SkippedRule(rid, exc.reason, str(exc)))
             continue
@@ -254,38 +253,24 @@ def compile_rules(
         for frag in dec.bounded:
             for sp in frag.splits:
                 sid = len(split_meta)
-                split_meta.append(SplitMeta(sid, rule_idx, frag.index - 1, sp.back is not None))
+                split_meta.append(SplitMeta(rule_idx, frag.index - 1, sp.back is not None))
                 keyed.append((sid, sp.key))
                 rev_in.append((sid, sp.front))
                 if sp.back is not None:
                     fwd_in.append((sid, sp.back))
 
     t0 = time.perf_counter()
-    bank = build_filter_bank(
-        keyed,
-        fp_bits=config.fingerprint_bits,
-        seed=config.filter_seed,
-        attempts=config.filter_build_attempts,
-    )
+    bank = build_filter_bank(keyed)
     timings["filter_build"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    reverse_stt = compress(build_reverse_dfa(rev_in, config.state_cap))
-    forward_stt = compress(build_forward_dfa(fwd_in, config.state_cap))
+    reverse_stt = compress(build_reverse_dfa(rev_in))
+    forward_stt = compress(build_forward_dfa(fwd_in))
     timings["dfa_build"] = time.perf_counter() - t0
 
     skipped_ids = {s.rule_id for s in skipped}
     manifest = {
-        "format": _VERSION,
-        "config": config.as_dict(),
-        "rules": [
-            {
-                "pattern": p,
-                "digest": hashlib.sha256(p.encode()).hexdigest(),
-                "supported": rid not in skipped_ids,
-            }
-            for rid, p in enumerate(patterns)
-        ],
+        "rules": [{"pattern": p, "supported": rid not in skipped_ids} for rid, p in enumerate(patterns)],
     }
     db = CompiledDatabase(
         bank=bank,
@@ -391,7 +376,7 @@ def scan_packet(db: CompiledDatabase, data: bytes, stats: ScanStats) -> list[tup
 
     if not events:
         return []
-    vs = VerificationState(db.checks, data, db.config.record_cap)
+    vs = VerificationState(db.checks, data)
     on_match = vs.on_fragment_match
     matches: list[tuple[int, int]] = []
     for e, rule_idx, k, s in sorted(events):

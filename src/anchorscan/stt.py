@@ -1,9 +1,9 @@
 """Bitmap-compressed state transition tables and bounded thread runs.
 
 A dense DFA row stores 256 successor ids, nearly all of them the dead
-state. The stored form keeps one 256-bit occupancy bitmap per state,
-per-word rank prefixes, and a packed array of the non-dead successors; it
-is what databases hold on disk and what `compressed_bytes` measures.
+state. The stored form keeps one 256-bit occupancy bitmap per state and a
+packed array of the non-dead successors, in state-then-byte order; it is
+what databases hold on disk and what `compressed_bytes` measures.
 
 Scanning steps through dense rows instead: one flat array indexed by
 `(state << 8) | byte`, derived from the compressed arrays on first use and
@@ -25,7 +25,7 @@ FORWARD = "forward"
 REVERSE = "reverse"
 
 _MAGIC = b"ASTT"
-_VERSION = 1
+_VERSION = 2
 
 
 @dataclass
@@ -33,9 +33,7 @@ class CompressedStt:
     n_states: int
     start: int
     bitmap: np.ndarray      # (S, 4) uint64, little bit order within words
-    prefix: np.ndarray      # (S, 4) uint16, popcount of preceding words
-    offsets: np.ndarray     # (S,) uint32 into successors
-    successors: np.ndarray  # (nnz,) uint16 or uint32
+    successors: np.ndarray  # (nnz,) uint16 or uint32, one per set bitmap bit
     accepts: tuple[frozenset[int], ...]
     entries: dict[int, int] = field(default_factory=dict)
 
@@ -66,9 +64,7 @@ class CompressedStt:
 
     @property
     def compressed_bytes(self) -> int:
-        return (
-            self.bitmap.nbytes + self.prefix.nbytes + self.offsets.nbytes + self.successors.nbytes
-        )
+        return self.bitmap.nbytes + self.successors.nbytes
 
     @property
     def compression_ratio(self) -> float:
@@ -84,8 +80,6 @@ class CompressedStt:
             and self.accepts == other.accepts
             and self.successors.dtype == other.successors.dtype
             and np.array_equal(self.bitmap, other.bitmap)
-            and np.array_equal(self.prefix, other.prefix)
-            and np.array_equal(self.offsets, other.offsets)
             and np.array_equal(self.successors, other.successors)
         )
 
@@ -110,8 +104,6 @@ class CompressedStt:
             out.append(struct.pack("<H", len(ids)))
             out.extend(struct.pack("<I", i) for i in sorted(ids))
         out.append(self.bitmap.astype("<u8").tobytes())
-        out.append(self.prefix.astype("<u2").tobytes())
-        out.append(self.offsets.astype("<u4").tobytes())
         out.append(self.successors.astype(f"<u{self.succ_width}").tobytes())
         return b"".join(out)
 
@@ -133,42 +125,22 @@ class CompressedStt:
         for _ in range(n_states):
             (count,) = r.unpack("<H")
             accepts.append(frozenset(r.unpack(f"<{count}I")))
-        bitmap = r.array("<u8", n_states * 4).reshape(n_states, 4)
-        prefix = r.array("<u2", n_states * 4).reshape(n_states, 4)
-        offsets = r.array("<u4", n_states)
+        bitmap = r.array("<u8", n_states * 4).reshape(n_states, 4).astype(np.uint64)
         successors = r.array(f"<u{width}", nnz)
         r.finish()
-        want_prefix, want_offsets, want_nnz = _ranks(bitmap.astype(np.uint64))
         if (
-            nnz != want_nnz
-            or not np.array_equal(prefix, want_prefix)
-            or not np.array_equal(offsets, want_offsets)
+            nnz != int(np.bitwise_count(bitmap).sum(dtype=np.int64))
             or max(start, *entries.values(), int(successors.max(initial=0))) >= n_states
         ):
             raise ValueError("inconsistent transition table")
         return CompressedStt(
             n_states=n_states,
             start=start,
-            bitmap=bitmap.astype(np.uint64),
-            prefix=prefix.astype(np.uint16),
-            offsets=offsets.astype(np.uint32),
+            bitmap=bitmap,
             successors=successors.astype(np.uint16 if width == 2 else np.uint32),
             accepts=tuple(accepts),
             entries=entries,
         )
-
-
-def _ranks(bitmap: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Per-word rank prefixes, per-state successor offsets and the total
-    successor count that an occupancy bitmap implies."""
-    n = bitmap.shape[0]
-    counts = np.bitwise_count(bitmap)
-    prefix = np.zeros((n, 4), dtype=np.uint16)
-    np.cumsum(counts[:, :3], axis=1, out=prefix[:, 1:], dtype=np.uint16)
-    nnz_per_state = counts.sum(axis=1)
-    offsets = np.zeros(n, dtype=np.uint32)
-    np.cumsum(nnz_per_state[:-1], out=offsets[1:], dtype=np.uint32)
-    return prefix, offsets, int(nnz_per_state.sum())
 
 
 def compress(dfa: Dfa) -> CompressedStt:
@@ -178,15 +150,12 @@ def compress(dfa: Dfa) -> CompressedStt:
     nz = table != DEAD
     packed = np.packbits(nz, axis=1, bitorder="little")  # (S, 32) uint8
     bitmap = packed.view("<u8").astype(np.uint64).reshape(n, 4)
-    prefix, offsets, _ = _ranks(bitmap)
     dtype = np.uint16 if n <= 0x10000 else np.uint32
     successors = table[nz].astype(dtype)
     return CompressedStt(
         n_states=n,
         start=dfa.start,
         bitmap=bitmap,
-        prefix=prefix,
-        offsets=offsets,
         successors=successors,
         accepts=dfa.accepts,
         entries=dict(dfa.entries),

@@ -52,6 +52,10 @@ PREFIX = "prefix"  # gap may match any prefix of the interval (trailing edge)
 
 _INF = 0xFFFFFFFF
 
+#: fragment records kept per (rule, fragment) in one packet; a record past
+#: the cap is dropped and counted in `saturated`
+RECORD_CAP = 64
+
 
 @dataclass(frozen=True)
 class EmptyGap:
@@ -305,10 +309,9 @@ class VerificationState:
     come back as (rule_id, end_offset) pairs, deduplicated per packet.
     """
 
-    def __init__(self, checks: Sequence[RuleChecks], data: bytes, record_cap: int = 64):
+    def __init__(self, checks: Sequence[RuleChecks], data: bytes):
         self.checks = checks
         self.data = data
-        self.record_cap = record_cap
         self.records: dict[tuple[int, int], list[int]] = {}  # (rule_idx, k) -> pos_e list
         self.emitted: set[tuple[int, int]] = set()
         self.saturated = 0
@@ -356,7 +359,7 @@ class VerificationState:
             kept = self.records.setdefault(key, [])
             if kept and _keeps_earliest_only(gaps[k + 1]):
                 return []  # earliest record already suffices for a 0..inf gap
-            if len(kept) >= self.record_cap:
+            if len(kept) >= RECORD_CAP:
                 self.saturated += 1
                 return []
             kept.append(pos_e)

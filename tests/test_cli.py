@@ -126,8 +126,9 @@ def test_scan_truncated_db(tmp_path, capsys):
 
 @pytest.mark.parametrize("case", FORGERIES)
 def test_scan_rejects_forged_db(tmp_path, capsys, case):
-    # checksummed, well-formed databases whose config or cross-references
-    # would drop matches or fail mid-scan are refused before any packet
+    # checksummed, well-formed databases whose config a compile could not
+    # have written, or whose cross-references would fail mid-scan, are
+    # refused before any packet
     db, _ = compile_rules(XREF_RULES)
     db_path = tmp_path / "x.db"
     db_path.write_bytes(forged_blob(db, **forgeries(db)[case]))

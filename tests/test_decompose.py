@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from anchorscan.chars import ByteClass
 from anchorscan.config import CompileConfig
 from anchorscan.decompose import (
+    MAX_EXPANSION,
     UnsupportedRuleError,
     _Cell,
     _window_sort_key,
@@ -150,7 +151,7 @@ class TestKeyExtraction:
         # an 8-long window with three hex cells expands to 4096 > 1024 and is
         # passed over for a window that fits the cap
         splits = pick_filter_key(tree_of("user=[a-f0-9]{32}"))
-        assert splits[0].key.expansion <= CFG.max_expansion
+        assert splits[0].key.expansion <= MAX_EXPANSION
 
     def test_key_lengths_are_supported(self):
         for pattern in ["abc", "abcd", "abcde", "abcdefg", "abcdefgh", "abcdefghij"]:
@@ -306,7 +307,7 @@ class TestProperties:
         for sp in splits:
             assert sp.key.length in (2, 4, 8)
             assert sp.key.probability < CFG.max_key_prob
-            assert sp.key.expansion <= CFG.max_expansion
+            assert sp.key.expansion <= MAX_EXPANSION
         for s in enumerate_strings(b"ab", 5):
             recombined = any(
                 accepts(sp.front if sp.back is None else Seq((sp.front, sp.back)), s)

@@ -2,8 +2,10 @@
 import hashlib
 import json
 import random
+import struct
 import sys
 import threading
+import zlib
 from dataclasses import replace
 from itertools import accumulate
 from pathlib import Path
@@ -119,9 +121,13 @@ def test_all_rules_fail_raises():
 
 def test_manifest_flags():
     db, _ = compile_rules(["abc", "(", "xx.*yy"])
-    flags = [r["supported"] for r in db.manifest["rules"]]
-    assert flags == [True, False, True]
-    assert all(len(r["digest"]) == 64 for r in db.manifest["rules"])
+    assert db.manifest == {
+        "rules": [
+            {"pattern": "abc", "supported": True},
+            {"pattern": "(", "supported": False},
+            {"pattern": "xx.*yy", "supported": True},
+        ]
+    }
 
 
 def test_single_byte_fragments_unsupported():
@@ -149,6 +155,18 @@ def test_database_roundtrip_bit_exact(tmp_path):
 def test_bad_database_blob():
     with pytest.raises(ValueError):
         CompiledDatabase.from_bytes(b"NOPE" + b"\x00" * 64)
+
+
+def test_version_2_database_raises_value_error():
+    # version 2 databases also stored the config and a digest per rule in
+    # the manifest, and version 1 transition tables; a correct checksum
+    # does not make them loadable
+    blob = compile_rules(["ab.*cd"])[0].to_bytes()
+    assert blob[4] == 3
+    old = blob[:4] + b"\x02" + blob[5:-4]
+    old += struct.pack("<I", zlib.crc32(old))
+    with pytest.raises(ValueError, match="unsupported database version 2"):
+        CompiledDatabase.from_bytes(old)
 
 
 def test_every_truncated_database_raises_value_error():
@@ -191,9 +209,7 @@ def forgeries(db):
     accepting = next(i for i, labels in enumerate(accepts) if labels)
     accepts[accepting] = accepts[accepting] | {len(db.splits)}
     return {
-        "record_cap 0": dict(config=replace(db.config, record_cap=0)),
-        "record_cap -1": dict(config=replace(db.config, record_cap=-1)),
-        "record_cap '7'": dict(config=replace(db.config, record_cap="7")),
+        "max_key_len 1": dict(config=replace(db.config, max_key_len=1)),
         "split rule_idx 99": dict(splits=(replace(db.splits[0], rule_idx=99), *db.splits[1:])),
         "split frag_k past the rule": dict(splits=(db.splits[0], replace(db.splits[1], frag_k=2), db.splits[2])),
         "reverse label not a split": dict(reverse_stt=replace(db.reverse_stt, accepts=tuple(accepts))),
@@ -203,7 +219,7 @@ def forgeries(db):
 
 
 FORGERIES = (
-    "record_cap 0", "record_cap -1", "record_cap '7'", "split rule_idx 99", "split frag_k past the rule",
+    "max_key_len 1", "split rule_idx 99", "split frag_k past the rule",
     "reverse label not a split", "continued split without entry", "gap count not fragments + 1",
 )
 
@@ -227,15 +243,14 @@ def test_load_rejects_bad_config_and_cross_references(case):
 
 
 @pytest.mark.parametrize("value", [0, -1, "7", 7.0, True, None])
-def test_config_from_dict_rejects_bad_record_cap(value):
+def test_config_from_dict_rejects_bad_max_key_len(value):
     with pytest.raises(ValueError):
-        CompileConfig.from_dict({**CompileConfig().as_dict(), "record_cap": value})
+        CompileConfig.from_dict({**CompileConfig().as_dict(), "max_key_len": value})
 
 
 @pytest.mark.parametrize(
     "name, value",
-    [("fingerprint_bits", 0), ("fingerprint_bits", 33), ("filter_seed", -1), ("filter_seed", 2**64),
-     ("state_cap", 0), ("max_key_len", 1), ("max_key_prob", 0), ("max_key_prob", float("nan")),
+    [("max_key_len", 1), ("max_key_prob", 0), ("max_key_prob", float("nan")),
      ("max_key_prob", "1e-4"), ("long_pop_threshold", 1.5)],
 )
 def test_config_from_dict_rejects_out_of_range(name, value):
@@ -244,7 +259,7 @@ def test_config_from_dict_rejects_out_of_range(name, value):
 
 
 def test_config_from_dict_accepts_what_compile_writes():
-    for config in (CompileConfig(), CompileConfig(max_key_prob=1, long_pop_threshold=-5, record_cap=1)):
+    for config in (CompileConfig(), CompileConfig(max_key_prob=1, long_pop_threshold=-5, max_key_len=2)):
         assert CompileConfig.from_dict(json.loads(json.dumps(config.as_dict()))) == config
     with pytest.raises(ValueError):
         CompileConfig.from_dict([])
@@ -280,8 +295,8 @@ def test_trailing_gap_end_is_a_match_end(rule, packet, end):
 @pytest.mark.parametrize(
     "rules, size, sha_prefix",
     [
-        (mixed_rules(), 1_182_945, "62c917f087baab7b"),
-        (list(PAPER_RULES), 521_570, "554131a70287fac1"),
+        (mixed_rules(), 1_126_188, "b5a5cf77d552778b"),
+        (list(PAPER_RULES), 503_521, "072f62bba10af182"),
     ],
     ids=["mixed", "paper"],
 )

@@ -31,16 +31,21 @@ def assert_lookup_equal(stt: CompressedStt, dfa: Dfa):
         assert [lookup(s, b) for b in range(256)] == row
 
 
-# --- reference: bitmap test + popcount rank over the compressed arrays -----
+# --- reference: bitmap test + popcount rank over the bitmap alone ----------
 
 
 def rank_lookup(stt: CompressedStt, state: int, byte: int) -> int:
-    word = int(stt.bitmap[state, byte >> 6])
+    """The successor of `(state, byte)` read off the stored arrays without
+    `rows`: a set bit's successor index is the number of set bits before
+    it, counting every earlier word of the flattened bitmap."""
+    words = stt.bitmap.reshape(-1)
+    index = state * 4 + (byte >> 6)
+    word = int(words[index])
     bit = byte & 63
     if not (word >> bit) & 1:
         return DEAD
-    rank = int(stt.prefix[state, byte >> 6]) + (word & ((1 << bit) - 1)).bit_count()
-    return int(stt.successors[int(stt.offsets[state]) + rank])
+    rank = int(np.bitwise_count(words[:index]).sum()) + (word & ((1 << bit) - 1)).bit_count()
+    return int(stt.successors[rank])
 
 
 def reference_run_thread(stt, data, start_offset, direction, state=None):
@@ -108,9 +113,9 @@ class TestCompress:
     def test_dead_only_ratio_is_fixed_overhead(self):
         dfa = Dfa(table=np.zeros((1, 256), dtype=np.uint32), accepts=(frozenset(),), start=0)
         stt = compress(dfa)
-        # bitmap 32B + prefix 8B + offsets 4B per state, no successors
-        assert stt.compressed_bytes == 44
-        assert stt.compression_ratio == pytest.approx(44 / 512)
+        # bitmap 32B per state, no successors
+        assert stt.compressed_bytes == 32
+        assert stt.compression_ratio == pytest.approx(32 / 512)
 
     def test_ratio_improves_on_sparse_automata(self):
         fragments = [(i, tree_of(f"{chr(97 + i)}{chr(97 + (i * 7) % 26)}")) for i in range(20)]
@@ -218,8 +223,8 @@ class TestSerialization:
     def test_inconsistent_arrays_raise_value_error(self):
         stt = compress(build_forward_dfa([(3, tree_of("[a-f]{4}")), (8, tree_of("xy?z"))]))
         bad = [
-            replace(stt, offsets=stt.offsets + np.uint32(1)),
-            replace(stt, prefix=stt.prefix[::-1].copy()),
+            replace(stt, successors=stt.successors[:-1]),
+            replace(stt, successors=np.append(stt.successors, stt.successors[:1])),
             replace(stt, successors=np.append(stt.successors[:-1], np.uint16(stt.n_states))),
             replace(stt, start=stt.n_states),
             replace(stt, entries={**stt.entries, 3: stt.n_states}),
@@ -231,6 +236,14 @@ class TestSerialization:
     def test_bad_magic(self):
         with pytest.raises(ValueError):
             CompressedStt.from_bytes(b"JUNKJUNKJUNK" + b"\x00" * 64)
+
+    def test_version_1_header_raises_value_error(self):
+        # version 1 tables also stored per-word rank prefixes and per-state
+        # offsets after the bitmap; they are not read as version 2
+        blob = compress(build_forward_dfa([(3, tree_of("[a-f]{4}"))])).to_bytes()
+        assert blob[4:6] == (2).to_bytes(2, "little")
+        with pytest.raises(ValueError, match="unsupported transition table version 1"):
+            CompressedStt.from_bytes(blob[:4] + (1).to_bytes(2, "little") + blob[6:])
 
     def test_truncated_or_padded_blob_raises_value_error(self):
         blob = compress(build_forward_dfa([(3, tree_of("[a-f]{4}")), (8, tree_of("xy?z"))])).to_bytes()

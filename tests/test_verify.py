@@ -11,6 +11,7 @@ from anchorscan.verify import (
     INTERIOR,
     LEADING,
     PREFIX,
+    RECORD_CAP,
     SUFFIX,
     TRAILING,
     ClassGap,
@@ -30,9 +31,9 @@ def tree(pattern):
     return parse(pattern).tree
 
 
-def state_for(gaps, data, *, n=2, anchored_end=False, cap=64, rule_id=7):
+def state_for(gaps, data, *, n=2, anchored_end=False, rule_id=7):
     rc = RuleChecks(rule_id=rule_id, n_fragments=n, gaps=tuple(gaps), anchored_end=anchored_end)
-    return VerificationState([rc], data, record_cap=cap)
+    return VerificationState([rc], data)
 
 
 def ev(k, s, e):
@@ -445,15 +446,16 @@ def test_earliest_only_for_unbounded_dot():
 def test_record_cap_saturation():
     gaps = [
         classify_gap(None, LEADING),
-        classify_gap(tree(".{0,100}"), INTERIOR),  # bounded: every record kept
+        classify_gap(tree(".{0,200}"), INTERIOR),  # bounded: every record kept
         classify_gap(None, TRAILING),
     ]
-    st = state_for(gaps, b"ab" * 10 + b"cd", cap=2)
-    for s in range(0, 10, 2):
+    events = RECORD_CAP + 3
+    st = state_for(gaps, b"ab" * events + b"cd")
+    for s in range(0, 2 * events, 2):
         st.on_fragment_match(ev(0, s, s + 1))
-    assert st.records[(0, 0)] == [1, 3]
+    assert st.records[(0, 0)] == list(range(1, 2 * RECORD_CAP, 2))
     assert st.saturated == 3
-    assert st.on_fragment_match(ev(1, 20, 21)) == [(7, 21)]
+    assert st.on_fragment_match(ev(1, 2 * events, 2 * events + 1)) == [(7, 2 * events + 1)]
 
 
 def test_bounded_gap_needs_matching_record():
