@@ -83,7 +83,7 @@ def bench_statecount(ks: list[int], cap: int = 1_000_000) -> list[dict]:
 
 
 def bench_compression(ks: list[int]) -> list[dict]:
-    """Sparse transition-table footprint against the dense equivalent."""
+    """Compressed transition-table footprint against the dense equivalent."""
     rows = []
     for k in ks:
         db, _ = compile_rules(dotstar_family(k))

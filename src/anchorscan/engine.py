@@ -19,7 +19,7 @@ from pathlib import Path
 from .automata import build_forward_dfa, build_reverse_dfa
 from .blob import BlobReader
 from .config import CompileConfig
-from .decompose import UnsupportedRuleError, decompose_rule
+from .decompose import FilterKey, UnsupportedRuleError, decompose_rule
 from .parser import PatternError, parse
 from .prefilter import FilterBank, build_filter_bank
 from .stt import FORWARD, REVERSE, CompressedStt, compress, run_thread
@@ -246,7 +246,7 @@ def compile_rules(
 
     # global split numbering across surviving rules
     split_meta: list[SplitMeta] = []
-    keyed: list[tuple[int, object]] = []
+    keys: list[FilterKey] = []
     rev_in: list[tuple[int, object]] = []
     fwd_in: list[tuple[int, object]] = []
     for rule_idx, (_, dec, _) in enumerate(survivors):
@@ -254,13 +254,13 @@ def compile_rules(
             for sp in frag.splits:
                 sid = len(split_meta)
                 split_meta.append(SplitMeta(rule_idx, frag.index - 1, sp.back is not None))
-                keyed.append((sid, sp.key))
+                keys.append(sp.key)
                 rev_in.append((sid, sp.front))
                 if sp.back is not None:
                     fwd_in.append((sid, sp.back))
 
     t0 = time.perf_counter()
-    bank = build_filter_bank(keyed)
+    bank = build_filter_bank(keys)
     timings["filter_build"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -417,7 +417,7 @@ class FilterBank:
 
 
 def build_filter_bank(
-    keyed_splits: list[tuple[int, FilterKey]],
+    keys: list[FilterKey],
     fp_bits: int = 8,
     seed: int = 0x5EED,
     attempts: int = 100,
@@ -425,7 +425,7 @@ def build_filter_bank(
     """Expand every split's key, plant the strings in the right unit and
     their first and last two bytes in that unit's gates."""
     by_len: dict[int, set[bytes]] = {2: set(), 4: set(), 8: set()}
-    for _split_id, key in keyed_splits:
+    for key in keys:
         by_len[key.length].update(key.expand())
 
     unit4 = build_xor_unit(sorted(by_len[4]), 4, fp_bits, splitmix64(seed ^ 4), attempts)

@@ -1,9 +1,12 @@
-"""Bitmap-compressed state transition tables and bounded thread runs.
+"""Default-plus-exception state transition tables and bounded thread runs.
 
-A dense DFA row stores 256 successor ids, nearly all of them the dead
-state. The stored form keeps one 256-bit occupancy bitmap per state and a
-packed array of the non-dead successors, in state-then-byte order; it is
-what databases hold on disk and what `compressed_bytes` measures.
+A dense DFA row stores 256 successor ids, and nearly all of them are one
+id: the dead state in a literal's row, the next link in a counted
+any-byte run's. The stored form keeps, per state, that default successor
+(the row's most frequent one, the smallest id on a tie), a 256-bit bitmap
+of the bytes whose successor differs from it, and a packed array of those
+exception successors in state-then-byte order. It is what databases hold
+on disk and what `compressed_bytes` measures.
 
 Scanning steps through dense rows instead: one flat array indexed by
 `(state << 8) | byte`, derived from the compressed arrays on first use and
@@ -25,14 +28,15 @@ FORWARD = "forward"
 REVERSE = "reverse"
 
 _MAGIC = b"ASTT"
-_VERSION = 2
+_VERSION = 3
 
 
 @dataclass
 class CompressedStt:
     n_states: int
     start: int
-    bitmap: np.ndarray      # (S, 4) uint64, little bit order within words
+    defaults: np.ndarray    # (S,) default successor per state, successor dtype
+    bitmap: np.ndarray      # (S, 4) uint64 exception bits, little bit order within words
     successors: np.ndarray  # (nnz,) uint16 or uint32, one per set bitmap bit
     accepts: tuple[frozenset[int], ...]
     entries: dict[int, int] = field(default_factory=dict)
@@ -41,12 +45,12 @@ class CompressedStt:
     def rows(self) -> memoryview:
         """Flat dense successor rows: `rows[(state << 8) | byte]`.
 
-        Built from the bitmap and the packed successors on first use, so
-        compiling never holds them; the dead state is 0, so absent
-        transitions are the zero fill.
+        Built from the defaults and the exceptions on first use, so
+        compiling never holds them: each row starts as its default and the
+        bitmap's set bits take the packed successors in order.
         """
         present = np.unpackbits(self.bitmap.astype("<u8").view(np.uint8), bitorder="little")
-        dense = np.zeros(self.n_states * 256, dtype=self.successors.dtype)
+        dense = np.repeat(self.defaults, 256)
         dense[present.view(bool)] = self.successors
         return memoryview(dense)
 
@@ -64,7 +68,7 @@ class CompressedStt:
 
     @property
     def compressed_bytes(self) -> int:
-        return self.bitmap.nbytes + self.successors.nbytes
+        return self.defaults.nbytes + self.bitmap.nbytes + self.successors.nbytes
 
     @property
     def compression_ratio(self) -> float:
@@ -79,6 +83,7 @@ class CompressedStt:
             and self.entries == other.entries
             and self.accepts == other.accepts
             and self.successors.dtype == other.successors.dtype
+            and np.array_equal(self.defaults, other.defaults)
             and np.array_equal(self.bitmap, other.bitmap)
             and np.array_equal(self.successors, other.successors)
         )
@@ -103,6 +108,7 @@ class CompressedStt:
         for ids in self.accepts:
             out.append(struct.pack("<H", len(ids)))
             out.extend(struct.pack("<I", i) for i in sorted(ids))
+        out.append(self.defaults.astype(f"<u{self.succ_width}").tobytes())
         out.append(self.bitmap.astype("<u8").tobytes())
         out.append(self.successors.astype(f"<u{self.succ_width}").tobytes())
         return b"".join(out)
@@ -125,41 +131,65 @@ class CompressedStt:
         for _ in range(n_states):
             (count,) = r.unpack("<H")
             accepts.append(frozenset(r.unpack(f"<{count}I")))
+        defaults = r.array(f"<u{width}", n_states)
         bitmap = r.array("<u8", n_states * 4).reshape(n_states, 4).astype(np.uint64)
         successors = r.array(f"<u{width}", nnz)
         r.finish()
         if (
             nnz != int(np.bitwise_count(bitmap).sum(dtype=np.int64))
-            or max(start, *entries.values(), int(successors.max(initial=0))) >= n_states
+            or max(start, *entries.values(), int(defaults.max(initial=0)), int(successors.max(initial=0))) >= n_states
         ):
             raise ValueError("inconsistent transition table")
+        dtype = np.uint16 if width == 2 else np.uint32
         return CompressedStt(
             n_states=n_states,
             start=start,
+            defaults=defaults.astype(dtype),
             bitmap=bitmap,
-            successors=successors.astype(np.uint16 if width == 2 else np.uint32),
+            successors=successors.astype(dtype),
             accepts=tuple(accepts),
             entries=entries,
         )
 
 
 def compress(dfa: Dfa) -> CompressedStt:
-    """Bitmap-encode a dense DFA; lookups stay exactly equivalent."""
-    table = dfa.table
-    n = table.shape[0]
-    nz = table != DEAD
-    packed = np.packbits(nz, axis=1, bitorder="little")  # (S, 32) uint8
-    bitmap = packed.view("<u8").astype(np.uint64).reshape(n, 4)
-    dtype = np.uint16 if n <= 0x10000 else np.uint32
-    successors = table[nz].astype(dtype)
+    """Encode a dense DFA as per-state defaults plus exceptions; lookups
+    stay exactly equivalent."""
+    n = dfa.table.shape[0]
+    table = dfa.table.astype(np.uint16 if n <= 0x10000 else np.uint32)
+    # a successor held by more than half of a sorted row is its middle
+    # element; only rows without such a majority need their runs counted
+    ordered = np.sort(table, axis=1)
+    defaults = ordered[:, 128].copy()
+    exceptions = table != defaults[:, None]
+    no_majority = np.flatnonzero(np.count_nonzero(exceptions, axis=1) >= 128)
+    if len(no_majority):
+        defaults[no_majority] = _modes(ordered[no_majority])
+        exceptions[no_majority] = table[no_majority] != defaults[no_majority, None]
+    bitmap = np.packbits(exceptions, axis=1, bitorder="little").view("<u8").astype(np.uint64)
     return CompressedStt(
         n_states=n,
         start=dfa.start,
+        defaults=defaults,
         bitmap=bitmap,
-        successors=successors,
+        successors=table[exceptions],
         accepts=dfa.accepts,
         entries=dict(dfa.entries),
     )
+
+
+def _modes(ordered: np.ndarray) -> np.ndarray:
+    """The most frequent value of each sorted 256-wide row, the smallest on
+    a tie: the first of the row's longest runs."""
+    starts = np.ones(ordered.shape, dtype=bool)
+    starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    at = np.flatnonzero(starts)
+    lengths = np.diff(at, append=ordered.size)
+    row = at >> 8
+    longest = np.maximum.reduceat(lengths, np.searchsorted(row, np.arange(len(ordered))))
+    best = at[lengths == longest[row]]
+    _, first = np.unique(best >> 8, return_index=True)
+    return ordered.ravel()[best[first]]
 
 
 def run_thread(

@@ -265,6 +265,21 @@ _CHAIN_CLASSES = (
 )
 
 
+def _counted_chain():
+    """One to four counted repetitions `cls{lo,lo+extra}`; only the last
+    may be unbounded (`extra` None). A long counted run after an unbounded
+    one of an overlapping class makes the subset construction exponential
+    in the run's length, past `determinize`'s 1 000 000-state cap. With the
+    unbounded one last, replaying hypothesis seeds 0-19 drew at most 41 911
+    states and up to 50 refinement rounds."""
+    def part(extra):
+        return st.tuples(st.sampled_from(_CHAIN_CLASSES), st.integers(0, 12), extra)
+
+    return st.tuples(st.lists(part(st.integers(0, 8)), max_size=3), part(st.none() | st.integers(0, 8))).map(
+        lambda chain: [*chain[0], chain[1]]
+    )
+
+
 def assert_same_dfa(got: Dfa, want: Dfa) -> None:
     assert got.table.dtype == want.table.dtype == np.uint32
     assert np.array_equal(got.table, want.table)
@@ -281,18 +296,7 @@ class TestMinimizeEqualsReference:
         assert_same_dfa(minimize(dfa), reference_minimize(dfa))
         assert np.array_equal(dfa.table, before)
 
-    @given(
-        st.lists(
-            st.lists(
-                st.tuples(st.sampled_from(_CHAIN_CLASSES), st.integers(0, 12), st.none() | st.integers(0, 8)),
-                min_size=1,
-                max_size=4,
-            ),
-            min_size=1,
-            max_size=3,
-        ),
-        st.booleans(),
-    )
+    @given(st.lists(_counted_chain(), min_size=1, max_size=3), st.booleans())
     @settings(max_examples=100, deadline=None)
     def test_counted_chains(self, patterns, with_entries):
         # unrolled counted repetitions split one link per refinement round,

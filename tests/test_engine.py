@@ -295,8 +295,8 @@ def test_trailing_gap_end_is_a_match_end(rule, packet, end):
 @pytest.mark.parametrize(
     "rules, size, sha_prefix",
     [
-        (mixed_rules(), 1_126_188, "b5a5cf77d552778b"),
-        (list(PAPER_RULES), 503_521, "072f62bba10af182"),
+        (mixed_rules(), 208_068, "69d27f0c3168b04f"),
+        (list(PAPER_RULES), 84_795, "fd7909e047d606cc"),
     ],
     ids=["mixed", "paper"],
 )

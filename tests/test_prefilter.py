@@ -34,7 +34,7 @@ def key_of(text: bytes) -> FilterKey:
 
 
 def bank_of(*keys: bytes) -> FilterBank:
-    return build_filter_bank([(i, key_of(k)) for i, k in enumerate(keys)])
+    return build_filter_bank([key_of(k) for k in keys])
 
 
 def reference_query(bank: FilterBank, window: bytes) -> bool:
@@ -245,7 +245,7 @@ class TestXorUnit:
     def test_fingerprints_stored_at_real_width(self, fp_bits, dtype):
         rng = random.Random(fp_bits)
         keys = [rng.randbytes(8) for _ in range(200)]
-        bank = build_filter_bank([(i, key_of(k)) for i, k in enumerate(keys)], fp_bits=fp_bits)
+        bank = build_filter_bank([key_of(k) for k in keys], fp_bits=fp_bits)
         assert bank.unit8.fingerprints.dtype == dtype
         back = FilterBank.from_bytes(bank.to_bytes())
         assert back.unit8.fingerprints.dtype == dtype
@@ -306,7 +306,7 @@ class TestBankScan:
 
     def test_class_keys_expand(self):
         (split,) = pick_filter_key(parse("x[ab]yz").tree)
-        bank = build_filter_bank([(0, split.key)])
+        bank = build_filter_bank([split.key])
         # key covers both expansions
         assert reference_query(bank, b"xayz") and reference_query(bank, b"xbyz")
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -36,16 +37,37 @@ def assert_lookup_equal(stt: CompressedStt, dfa: Dfa):
 
 def rank_lookup(stt: CompressedStt, state: int, byte: int) -> int:
     """The successor of `(state, byte)` read off the stored arrays without
-    `rows`: a set bit's successor index is the number of set bits before
-    it, counting every earlier word of the flattened bitmap."""
+    `rows`: an unset bit takes the state's default, and a set bit's
+    successor index is the number of set bits before it, counting every
+    earlier word of the flattened bitmap."""
     words = stt.bitmap.reshape(-1)
     index = state * 4 + (byte >> 6)
     word = int(words[index])
     bit = byte & 63
     if not (word >> bit) & 1:
-        return DEAD
+        return int(stt.defaults[state])
     rank = int(np.bitwise_count(words[:index]).sum()) + (word & ((1 << bit) - 1)).bit_count()
     return int(stt.successors[rank])
+
+
+def reference_mode(row: list[int]) -> int:
+    """A row's most frequent successor, the smallest id on a tie."""
+    counts = Counter(row)
+    return min(counts, key=lambda v: (-counts[v], v))
+
+
+@st.composite
+def _defaulted_tables(draw):
+    """Dense tables whose rows mostly repeat one successor that need not be
+    dead, with up to 200 exceptions per row so that some rows have no
+    majority and some tie."""
+    n = draw(st.integers(1, 12))
+    table = np.zeros((n, 256), dtype=np.uint32)
+    for s in range(n):
+        table[s] = draw(st.integers(0, n - 1))
+        for b in draw(st.lists(st.integers(0, 255), max_size=200, unique=True)):
+            table[s, b] = draw(st.integers(0, n - 1))
+    return Dfa(table=table, accepts=tuple(frozenset() for _ in range(n)), start=draw(st.integers(0, n - 1)))
 
 
 def reference_run_thread(stt, data, start_offset, direction, state=None):
@@ -113,9 +135,46 @@ class TestCompress:
     def test_dead_only_ratio_is_fixed_overhead(self):
         dfa = Dfa(table=np.zeros((1, 256), dtype=np.uint32), accepts=(frozenset(),), start=0)
         stt = compress(dfa)
-        # bitmap 32B per state, no successors
-        assert stt.compressed_bytes == 32
-        assert stt.compression_ratio == pytest.approx(32 / 512)
+        # bitmap 32B plus one 2B default per state, no successors
+        assert stt.compressed_bytes == 34
+        assert stt.compression_ratio == pytest.approx(34 / 512)
+
+    def test_default_is_the_most_frequent_successor(self):
+        table = np.zeros((4, 256), dtype=np.uint32)
+        table[1] = 3
+        table[1, :10] = 2  # a majority
+        table[2, :128] = 3
+        table[2, 128:] = 1  # a tie goes to the smaller id
+        table[3, :100] = 2
+        table[3, 100:200] = 3
+        table[3, 200:] = 1  # no majority: 2 and 3 tie at 100
+        stt = compress(Dfa(table=table, accepts=(frozenset(),) * 4))
+        assert stt.defaults.tolist() == [0, 3, 1, 2]
+        assert np.bitwise_count(stt.bitmap).sum(axis=1).tolist() == [0, 10, 128, 156]
+        for s in range(4):
+            assert [rank_lookup(stt, s, b) for b in range(256)] == table[s].tolist()
+
+    @given(_defaulted_tables())
+    @settings(max_examples=150, deadline=None)
+    def test_defaults_and_round_trip_on_defaulted_tables(self, dfa):
+        stt = compress(dfa)
+        assert stt.defaults.tolist() == [reference_mode(row) for row in dfa.table.tolist()]
+        assert_lookup_equal(stt, dfa)
+        for s in range(dfa.n_states):
+            assert [rank_lookup(stt, s, b) for b in range(256)] == dfa.table[s].tolist()
+        back = CompressedStt.from_bytes(stt.to_bytes())
+        assert back == stt
+        assert_lookup_equal(back, dfa)
+
+    @pytest.mark.parametrize("suffix", ["POST /.{0,40}login", r"[^\n]{0,60}x", "id=[^&]{2,30}&"])
+    def test_counted_run_forward_table_is_small(self, suffix):
+        # each link of a counted any-byte or class run moves to the next
+        # link on nearly every byte, so its row is one default and a few
+        # exceptions where the dead-state bitmap stored every byte
+        dfa = build_forward_dfa([(0, tree_of(suffix))])
+        stt = compress(dfa)
+        assert_lookup_equal(stt, dfa)
+        assert stt.compression_ratio <= 0.10
 
     def test_ratio_improves_on_sparse_automata(self):
         fragments = [(i, tree_of(f"{chr(97 + i)}{chr(97 + (i * 7) % 26)}")) for i in range(20)]
@@ -228,6 +287,7 @@ class TestSerialization:
             replace(stt, successors=np.append(stt.successors[:-1], np.uint16(stt.n_states))),
             replace(stt, start=stt.n_states),
             replace(stt, entries={**stt.entries, 3: stt.n_states}),
+            replace(stt, defaults=np.append(stt.defaults[:-1], np.uint16(stt.n_states))),
         ]
         for table in bad:
             with pytest.raises(ValueError):
@@ -239,11 +299,26 @@ class TestSerialization:
 
     def test_version_1_header_raises_value_error(self):
         # version 1 tables also stored per-word rank prefixes and per-state
-        # offsets after the bitmap; they are not read as version 2
+        # offsets after the bitmap; they are not read as version 3
         blob = compress(build_forward_dfa([(3, tree_of("[a-f]{4}"))])).to_bytes()
-        assert blob[4:6] == (2).to_bytes(2, "little")
+        assert blob[4:6] == (3).to_bytes(2, "little")
         with pytest.raises(ValueError, match="unsupported transition table version 1"):
             CompressedStt.from_bytes(blob[:4] + (1).to_bytes(2, "little") + blob[6:])
+
+    def test_version_2_header_raises_value_error(self):
+        # version 2 tables had no defaults: every unset bit meant the dead state
+        blob = compress(build_forward_dfa([(3, tree_of("[a-f]{4}"))])).to_bytes()
+        with pytest.raises(ValueError, match="unsupported transition table version 2"):
+            CompressedStt.from_bytes(blob[:4] + (2).to_bytes(2, "little") + blob[6:])
+
+    def test_truncated_defaults_raise_value_error(self):
+        # one default short, with the bitmap and successors intact
+        stt = compress(build_forward_dfa([(3, tree_of("[a-f]{4}")), (8, tree_of("x.{0,9}z"))]))
+        blob = stt.to_bytes()
+        at = len(blob) - stt.compressed_bytes + stt.defaults.nbytes
+        assert blob[at - stt.defaults.nbytes : at] == stt.defaults.astype("<u2").tobytes()
+        with pytest.raises(ValueError):
+            CompressedStt.from_bytes(blob[: at - 2] + blob[at:])
 
     def test_truncated_or_padded_blob_raises_value_error(self):
         blob = compress(build_forward_dfa([(3, tree_of("[a-f]{4}")), (8, tree_of("xy?z"))])).to_bytes()
