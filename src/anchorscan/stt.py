@@ -157,15 +157,8 @@ def compress(dfa: Dfa) -> CompressedStt:
     stay exactly equivalent."""
     n = dfa.table.shape[0]
     table = dfa.table.astype(np.uint16 if n <= 0x10000 else np.uint32)
-    # a successor held by more than half of a sorted row is its middle
-    # element; only rows without such a majority need their runs counted
-    ordered = np.sort(table, axis=1)
-    defaults = ordered[:, 128].copy()
+    defaults = _modes(np.sort(table, axis=1))
     exceptions = table != defaults[:, None]
-    no_majority = np.flatnonzero(np.count_nonzero(exceptions, axis=1) >= 128)
-    if len(no_majority):
-        defaults[no_majority] = _modes(ordered[no_majority])
-        exceptions[no_majority] = table[no_majority] != defaults[no_majority, None]
     bitmap = np.packbits(exceptions, axis=1, bitorder="little").view("<u8").astype(np.uint64)
     return CompressedStt(
         n_states=n,
