@@ -15,7 +15,6 @@ to count past a million states.
 """
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from hashlib import blake2b
 
@@ -297,13 +296,6 @@ class Dfa:
     def n_states(self) -> int:
         return int(self.table.shape[0])
 
-    def run(self, data: bytes, state: int | None = None) -> int:
-        s = self.start if state is None else state
-        table = self.table
-        for byte in data:
-            s = int(table[s, byte])
-        return s
-
 
 def determinize(
     nfa: Nfa,
@@ -376,28 +368,24 @@ def subset_state_count(nfa: Nfa, cap: int = 1_000_000) -> int:
 
     Subsets are deduplicated by 64-bit blake2b digests, so a collision
     would undercount (about 3e-8 odds at a million subsets), and queued as
-    packed arrays of their non-core NFA state ids. Raises
+    their int masks. A subset's non-core state ids are taken only when it
+    is expanded: most subsets found before the cap never are. Raises
     StateExplosionError past `cap`.
     """
     space = _SubsetSpace(nfa)
     not_core = ~space.core
     key_len = (nfa.n + 7) // 8
-    # the queue holds one packed id array per unexpanded subset, and a big
-    # subset holds hundreds of ids: `anchorscan bench --suite statecount
-    # --k 300` (capped at 1 000 001 subsets) peaked at 743 MB RSS
-    idx_width = "H" if nfa.n <= 0xFFFF else "I"
+    # a queued mask costs about nfa.n / 8 bytes: `anchorscan bench --suite
+    # statecount --k 300` (2 701 NFA states, capped at 1 000 001 subsets)
+    # peaks near 470 MB RSS
 
     def digest(subset: int) -> int:
         raw = blake2b(subset.to_bytes(key_len, "little"), digest_size=8).digest()
         return int.from_bytes(raw, "little")
 
-    def pack(subset: int) -> bytes:
-        ids = _bits(subset & not_core)
-        return struct.pack(f"<{len(ids)}{idx_width}", *ids)
-
     start_subset = space.closures[nfa.start]
     seen = {digest(start_subset)}
-    queue: list[bytes | None] = [pack(start_subset)]
+    queue: list[int | None] = [start_subset]
     count = 1
 
     pos = 0
@@ -405,15 +393,14 @@ def subset_state_count(nfa: Nfa, cap: int = 1_000_000) -> int:
         entry = queue[pos]
         queue[pos] = None  # expanded subsets are never revisited
         pos += 1
-        succ = space.successors(memoryview(entry).cast(idx_width))
-        for subset in succ:
+        for subset in space.successors(_bits(entry & not_core)):
             d = digest(subset)
             if d not in seen:
                 seen.add(d)
                 count += 1
                 if count > cap:
                     raise StateExplosionError(cap, count)
-                queue.append(pack(subset))
+                queue.append(subset)
     return count
 
 

@@ -44,6 +44,13 @@ def _parse_k_range(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part]
 
 
+def _worker_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def _print_csv(rows: list[dict], out=None) -> None:
     if not rows:
         return
@@ -313,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="scan a corpus against a compiled database")
     p.add_argument("--db", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_worker_count, default=1, help="scanning processes, capped at the usable CPUs")
     p.add_argument("--json", help="write the full JSON report here")
     p.set_defaults(func=_cmd_scan)
 
@@ -327,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="emit experiment CSV rows")
     p.add_argument("--suite", required=True, choices=["statecount", "compression", "filterfp", "overheads"])
     p.add_argument("--k", help="comma-separated family sizes")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_worker_count, default=1, help="scanning processes, capped at the usable CPUs")
     p.add_argument("--out", help="also write the CSV here")
     p.set_defaults(func=_cmd_bench)
 

@@ -9,9 +9,17 @@ counters along the way.
 """
 from __future__ import annotations
 
+import gc
 import json
+import multiprocessing as mp
+import os
+import signal
+import socket
 import struct
+import threading
 import time
+import traceback
+import weakref
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -430,13 +438,175 @@ class ScanReport:
         return ",".join(cols) + "\n" + ",".join(vals) + "\n"
 
 
-def _scan_shard(db: CompiledDatabase, shard: list[tuple[int, bytes]]) -> tuple[ScanStats, list]:
+def _scan_range(
+    db: CompiledDatabase, packets: list[bytes], start: int, stop: int, base: int, stats: ScanStats, matches: list
+) -> None:
+    """Scan packets[start:stop], reporting packet `i` as `base + i`."""
+    for idx in range(start, stop):
+        for rule_id, end in scan_packet(db, packets[idx], stats):
+            matches.append((base + idx, rule_id, end))
+
+
+def _scan_chunks(db: CompiledDatabase, packets: list[bytes], base: int, size: int, next_chunk) -> tuple[ScanStats, list]:
+    """Scan chunks of `size` packets, claiming each from the shared counter
+    `next_chunk`, until every chunk is claimed."""
     stats = ScanStats()
-    matches = []
-    for idx, packet in shard:
-        for rule_id, end in scan_packet(db, packet, stats):
-            matches.append((idx, rule_id, end))
-    return stats, matches
+    matches: list = []
+    lock = next_chunk.get_lock()
+    while True:
+        with lock:
+            start = next_chunk.value * size
+            if start >= len(packets):
+                return stats, matches
+            next_chunk.value += 1
+        _scan_range(db, packets, start, min(start + size, len(packets)), base, stats, matches)
+
+
+def _windows(packets: list[bytes], limit: int):
+    """Consecutive `(start, stop)` runs of packets, each of at most `limit`
+    bytes or a single packet."""
+    start = nbytes = 0
+    for i, packet in enumerate(packets):
+        if nbytes + len(packet) > limit and i > start:
+            yield start, i
+            start, nbytes = i, 0
+        nbytes += len(packet)
+    if start < len(packets):
+        yield start, len(packets)
+
+
+def _serve(db: CompiledDatabase, next_chunk, conn, inherited: list) -> None:
+    """Worker loop: for each `(packets, base, size)` received on `conn`, scan
+    the chunks it claims and send back their `(ScanStats, matches)`, or the
+    traceback text if the scan raised. Returns, ending the process, once
+    the parent's end of `conn` is closed."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's to handle
+    for other in inherited:  # the parent's ends, so that only the parent holds them open
+        other.close()
+    while True:
+        try:
+            packets, base, size = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = _scan_chunks(db, packets, base, size, next_chunk)
+        except Exception:
+            reply = traceback.format_exc()
+        conn.send(reply)
+
+
+class _WorkerPool:
+    """`n - 1` forked processes that scan packets alongside the calling
+    process, against the database they inherited.
+
+    A call goes in rounds of at most `WINDOW_BYTES` of packets. Each round
+    sends every child the round's packets and cuts them into
+    `CHUNKS_PER_PROCESS * n` chunks, which the calling process and the
+    children claim one at a time from a shared counter: a process that runs
+    slower, because other work holds its CPU, claims fewer chunks.
+
+    The database reaches the children through the fork, never pickled.
+    Pipes, read and written by the calling thread, rather than
+    `multiprocessing.Pool`, whose helper threads would contend for the GIL
+    with the chunks scanned here. The children are forked, not spawned,
+    because inheriting the database is the point; the engine starts no
+    threads that a fork could break. They are daemonic: they are terminated
+    at interpreter exit, and exit on their own once the parent's end of
+    their pipe closes.
+    """
+
+    CHUNKS_PER_PROCESS = 8
+    WINDOW_BYTES = 4 << 20  # bounds the copies a round makes; fits the send buffer below
+
+    def __init__(self, db: CompiledDatabase, n: int):
+        self.db = weakref.ref(db)
+        self.pid = os.getpid()
+        self.conns: list = []
+        self.procs: list = []
+        ctx = mp.get_context("fork")
+        self.next_chunk = ctx.Value("q", 0)
+        try:
+            for _ in range(n - 1):
+                here, there = ctx.Pipe()
+                with socket.fromfd(here.fileno(), socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+                    # room for a whole round (as far as net.core.wmem_max allows),
+                    # so that sending it does not wait for the child to wake and read
+                    sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, self.WINDOW_BYTES)
+                proc = ctx.Process(
+                    target=_serve, args=(db, self.next_chunk, there, [*self.conns, here]), daemon=True
+                )
+                # frozen at the fork, the inherited objects are never scanned by
+                # the child's collector, which keeps more of their pages shared
+                gc.freeze()
+                try:
+                    proc.start()
+                finally:
+                    gc.unfreeze()
+                there.close()
+                self.conns.append(here)
+                self.procs.append(proc)
+        except BaseException:
+            self.close()
+            raise
+
+    def serves(self, db: CompiledDatabase, n: int) -> bool:
+        return self.db() is db and len(self.procs) == n - 1 and self.pid == os.getpid()
+
+    def scan(self, db: CompiledDatabase, packets: list[bytes]) -> tuple[ScanStats, list]:
+        total, matches = ScanStats(), []
+        for start, stop in _windows(packets, self.WINDOW_BYTES):
+            window = packets[start:stop]
+            size = -(-len(window) // (self.CHUNKS_PER_PROCESS * (len(self.procs) + 1)))
+            self.next_chunk.value = 0  # no child is claiming: each answered the last round
+            for k, conn in enumerate(self.conns):
+                try:
+                    conn.send((window, start, size))
+                except OSError as exc:
+                    raise self._exited(k) from exc
+            replies = [_scan_chunks(db, window, start, size, self.next_chunk)]
+            for k, conn in enumerate(self.conns):
+                try:
+                    replies.append(conn.recv())
+                except (EOFError, OSError) as exc:
+                    raise self._exited(k) from exc
+                if isinstance(replies[-1], str):
+                    raise RuntimeError(f"worker process {self.procs[k].pid} failed:\n{replies[-1]}")
+            for stats, found in replies:
+                total.merge(stats)
+                matches.extend(found)
+        return total, matches
+
+    def _exited(self, k: int) -> RuntimeError:
+        return RuntimeError(f"worker process {self.procs[k].pid} exited")
+
+    def close(self) -> None:
+        for conn in self.conns:
+            conn.close()
+        for proc in self.procs:
+            proc.terminate()
+            proc.join()
+
+
+_pool: _WorkerPool | None = None  # the processes serving the last database scanned in parallel
+_pool_lock = threading.Lock()  # one parallel scan at a time on the pool's pipes
+
+
+def _scan_parallel(db: CompiledDatabase, packets: list[bytes], n: int) -> tuple[ScanStats, list]:
+    global _pool
+    with _pool_lock:
+        if _pool is not None and not _pool.serves(db, n):
+            if _pool.pid == os.getpid():  # a forked copy of another process's pool is not ours to close
+                _pool.close()
+            _pool = None
+        if _pool is None:
+            _pool = _WorkerPool(db, n)
+        try:
+            return _pool.scan(db, packets)
+        except BaseException:
+            # a failed call leaves replies unread or a child gone: start afresh next time
+            _pool.close()
+            _pool = None
+            raise
 
 
 def scan_corpus(
@@ -444,19 +614,27 @@ def scan_corpus(
     packets: list[bytes],
     workers: int = 1,
 ) -> ScanReport:
-    """Scan packets in `workers` interleaved shards, one shard after
-    another in this thread, and merge their counters and matches; the
-    report is worker-count invariant."""
-    indexed = list(enumerate(packets))
-    shards = [indexed[i::workers] for i in range(workers)] if workers > 1 else [indexed]
-    total = ScanStats()
-    matches: list[tuple[int, int, int]] = []
-    for shard in shards:
-        stats, shard_matches = _scan_shard(db, shard)
-        total.merge(stats)
-        matches.extend(shard_matches)
+    """Scan packets with `n = min(workers, usable CPUs)` processes and merge
+    their counters and matches; the report does not depend on n.
+
+    With n = 1 the corpus is scanned in this thread. Otherwise this process
+    and n - 1 forked worker processes share the packets out in chunks. The
+    workers are started on the first such call for a database and kept for
+    later calls with the same database object and n; another database or n
+    starts new ones. A scan that raises in a worker, or a worker that dies,
+    makes the call raise `RuntimeError`, and the next call starts new
+    workers.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    n = min(workers, len(os.sched_getaffinity(0)))
+    if n == 1:
+        stats, matches = ScanStats(), []
+        _scan_range(db, packets, 0, len(packets), 0, stats, matches)
+    else:
+        stats, matches = _scan_parallel(db, packets, n)
     matches.sort()
-    return ScanReport(stats=total, matches=matches)
+    return ScanReport(stats=stats, matches=matches)
 
 
 # --- corpus readers -----------------------------------------------------------

@@ -54,14 +54,6 @@ class CompressedStt:
         dense[present.view(bool)] = self.successors
         return memoryview(dense)
 
-    def lookup(self, state: int, byte: int) -> int:
-        return self.rows[(state << 8) | byte]
-
-    def lookup_many(self, states: np.ndarray, bytes_: np.ndarray) -> np.ndarray:
-        """Vectorized lookup over parallel (state, byte) arrays."""
-        index = (np.asarray(states, dtype=np.int64) << 8) | np.asarray(bytes_, dtype=np.int64)
-        return np.asarray(self.rows)[index].astype(np.int64)
-
     @property
     def succ_width(self) -> int:
         return self.successors.dtype.itemsize

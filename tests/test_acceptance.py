@@ -31,6 +31,7 @@ from anchorscan.synth import (
     filter_stress_ruleset,
     random_packets,
 )
+from test_stt import lookup_many
 
 STATE_CAP = 1_000_000
 
@@ -237,7 +238,7 @@ def test_criterion_6_stt_compression(capsys):
         states = np.repeat(np.arange(dfa.n_states), 256)
         bytes_ = np.tile(np.arange(256), dfa.n_states)
         dense = dfa.table[states, bytes_]
-        assert np.array_equal(stt.lookup_many(states, bytes_), dense)
+        assert np.array_equal(lookup_many(stt, states, bytes_), dense)
         checked.append(dfa.n_states)
 
     rows = bench_compression([2, 6, 10, 14, 20])

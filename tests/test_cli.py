@@ -208,6 +208,17 @@ def test_usage_exit_codes():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", [["scan", "--db", "db.bin", "--corpus", "c.pkts"], ["bench", "--suite", "overheads"]])
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_worker_counts_below_one_are_usage_errors(command, workers, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run([*command, "--workers", workers])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"--workers: must be at least 1, got {workers}" in err
+    assert "Traceback" not in err
+
+
 def test_bench_statecount(tmp_path, capsys):
     out = tmp_path / "rows.csv"
     assert run(["bench", "--suite", "statecount", "--k", "2,4", "--out", str(out)]) == 0

@@ -1,11 +1,18 @@
 """Compile/scan orchestration, serialization, reports, differential sanity."""
 import hashlib
 import json
+import multiprocessing
+import os
 import random
+import signal
 import struct
+import subprocess
 import sys
+import textwrap
 import threading
+import time
 import zlib
+from contextlib import contextmanager
 from dataclasses import replace
 from itertools import accumulate
 from pathlib import Path
@@ -31,7 +38,7 @@ from anchorscan.parser import parse
 from anchorscan.verify import DotGap, EmptyGap
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-from workloads import PAPER_RULES, mixed_rules  # noqa: E402
+from workloads import PAPER_RULES, WORKLOADS, mixed_rules  # noqa: E402
 
 
 def scan_once(db, data):
@@ -443,20 +450,199 @@ def test_worker_count_invariance():
     assert reports[0] == reports[1] == reports[2]
 
 
-def test_shards_run_in_the_calling_thread(monkeypatch):
-    db, _ = compile_rules(["ab.*cd", "user=[a-z]{1,8}"])
-    packets = [b"xxab12cd", b"user=abc", b"", b"zz"] * 5
-    threads = set()
+# --- parallel scans in worker processes ------------------------------------------
+
+
+@contextmanager
+def deadline(seconds: float):
+    """Raise TimeoutError in this thread if the block runs past `seconds`."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def cpus(monkeypatch, count: int) -> None:
+    """Pretend this process may run on `count` CPUs."""
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def no_processes(monkeypatch) -> None:
+    def refuse(*args):
+        raise AssertionError("a serial scan started worker processes")
+
+    monkeypatch.setattr(engine, "_WorkerPool", refuse)
+
+
+def worker_pids() -> set[int]:
+    return {proc.pid for proc in multiprocessing.active_children()}
+
+
+def process_gone(pid: int) -> bool:
+    try:
+        state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return True
+    return state in ("Z", "X")  # exited; waits only to be reaped
+
+
+SMALL_RULES = ["ab.*cd", "user=[a-z]{1,8}"]
+SMALL_PACKETS = [b"xxab12cd", b"user=abc", b"", b"zz"] * 5
+
+
+@pytest.fixture(scope="module")
+def mixed_db():
+    return compile_rules(mixed_rules())[0]
+
+
+@pytest.mark.parametrize(
+    "workload, count",
+    [("clean", 40), ("planted", 400), ("hitdense", 40)],
+)
+def test_reports_identical_at_any_worker_count(mixed_db, workload, count):
+    packets = WORKLOADS[workload].make(mixed_rules(), 3)[:count]
+    reports = [scan_corpus(mixed_db, packets, workers=w).to_json() for w in (1, 2, 4, 8)]
+    assert reports[1:] == reports[:1] * 3
+
+
+def test_packets_are_scanned_here_or_in_child_processes(monkeypatch, tmp_path):
+    db, _ = compile_rules(SMALL_RULES)
+    log = tmp_path / "scans.txt"
     real = engine.scan_packet
 
     def spy(db, data, stats):
-        threads.add(threading.get_ident())
+        with open(log, "a") as fh:  # children log here too; their memory is their own
+            fh.write(f"{os.getpid()} {threading.get_ident()}\n")
+        time.sleep(0.02)  # so that every process gets to claim chunks
         return real(db, data, stats)
 
     monkeypatch.setattr(engine, "scan_packet", spy)
-    reports = [scan_corpus(db, packets, workers=w).to_json() for w in (1, 3)]
-    assert threads == {threading.get_ident()}
-    assert reports[0] == reports[1]
+    here = f"{os.getpid()} {threading.get_ident()}"
+    serial = scan_corpus(db, SMALL_PACKETS, workers=1).to_json()
+
+    with monkeypatch.context() as m:
+        no_processes(m)
+        assert scan_corpus(db, SMALL_PACKETS, workers=1).to_json() == serial
+        cpus(m, 1)  # one usable CPU: any worker count scans serially
+        assert scan_corpus(db, SMALL_PACKETS, workers=4).to_json() == serial
+    assert set(log.read_text().splitlines()) == {here}
+
+    log.unlink()
+    cpus(monkeypatch, 3)
+    assert scan_corpus(db, SMALL_PACKETS, workers=3).to_json() == serial
+    lines = log.read_text().splitlines()
+    assert len(lines) == len(SMALL_PACKETS) and here in lines
+    children = {int(line.split()[0]) for line in lines if line != here}
+    assert len(children) == 2 and children <= worker_pids()
+
+
+def test_rounds_merge_like_one_scan(monkeypatch):
+    db, _ = compile_rules(SMALL_RULES)
+    serial = scan_corpus(db, SMALL_PACKETS, workers=1).to_json()
+    cpus(monkeypatch, 2)
+    monkeypatch.setattr(engine._WorkerPool, "WINDOW_BYTES", 20)  # rounds of 4 packets, 18 B
+    assert list(engine._windows(SMALL_PACKETS, 20)) == [(i, i + 4) for i in range(0, 20, 4)]
+    assert list(engine._windows([b"x" * 50, b"y"], 20)) == [(0, 1), (1, 2)]
+    assert scan_corpus(db, SMALL_PACKETS, workers=2).to_json() == serial
+
+
+def test_worker_count_must_be_positive():
+    db, _ = compile_rules(SMALL_RULES)
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="at least 1"):
+            scan_corpus(db, SMALL_PACKETS, workers=workers)
+
+
+def test_worker_count_is_capped_at_the_usable_cpus(monkeypatch):
+    db, _ = compile_rules(SMALL_RULES)
+    serial = scan_corpus(db, SMALL_PACKETS, workers=1).to_json()
+    cpus(monkeypatch, 2)
+    assert scan_corpus(db, SMALL_PACKETS, workers=10_000).to_json() == serial
+    assert len(worker_pids()) == 1
+
+
+def test_workers_are_kept_for_a_database_and_renewed_for_another():
+    db, _ = compile_rules(SMALL_RULES)
+    first = scan_corpus(db, SMALL_PACKETS, workers=2).to_json()
+    pids = worker_pids()
+    assert pids
+    assert scan_corpus(db, SMALL_PACKETS, workers=2).to_json() == first
+    assert worker_pids() == pids
+
+    other, _ = compile_rules(SMALL_RULES)
+    assert scan_corpus(other, SMALL_PACKETS, workers=2).to_json() == first
+    renewed = worker_pids()
+    assert renewed and not renewed & pids
+    assert all(process_gone(pid) for pid in pids)
+
+
+def test_a_scan_that_raises_in_a_worker_surfaces_as_runtime_error(monkeypatch):
+    parent = os.getpid()
+    real = engine.scan_packet
+
+    def fails_in_children(db, data, stats):
+        if os.getpid() != parent:
+            raise KeyError("injected")
+        time.sleep(0.02)  # leaves chunks for the child to claim
+        return real(db, data, stats)
+
+    monkeypatch.setattr(engine, "scan_packet", fails_in_children)
+    db, _ = compile_rules(SMALL_RULES)  # a new database, so the workers fork with the patch
+    with deadline(30), pytest.raises(RuntimeError, match=r"failed:(.|\n)*KeyError: 'injected'"):
+        scan_corpus(db, SMALL_PACKETS, workers=2)
+
+
+def test_a_killed_worker_fails_one_call_and_the_next_starts_afresh():
+    db, _ = compile_rules(SMALL_RULES)
+    serial = scan_corpus(db, SMALL_PACKETS, workers=1).to_json()
+    assert scan_corpus(db, SMALL_PACKETS, workers=2).to_json() == serial
+    (victim,) = multiprocessing.active_children()
+    os.kill(victim.pid, signal.SIGKILL)
+    victim.join(timeout=10)
+    assert not victim.is_alive()
+    with deadline(30):
+        with pytest.raises(RuntimeError, match="exited"):
+            scan_corpus(db, SMALL_PACKETS, workers=2)
+        assert scan_corpus(db, SMALL_PACKETS, workers=2).to_json() == serial
+    assert victim.pid not in worker_pids()
+
+
+@pytest.mark.parametrize("ending", ["exit", "sigkill"])
+def test_no_worker_outlives_its_parent(ending):
+    script = textwrap.dedent(
+        f"""
+        import multiprocessing, sys, time
+        from anchorscan.engine import compile_rules, scan_corpus
+        db, _ = compile_rules({SMALL_RULES!r})
+        scan_corpus(db, {SMALL_PACKETS!r}, workers=2)
+        print(*[p.pid for p in multiprocessing.active_children()], flush=True)
+        if {ending!r} == "sigkill":
+            time.sleep(60)
+        """
+    )
+    src = Path(engine.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, text=True, env=env)
+    try:
+        pids = [int(pid) for pid in proc.stdout.readline().split()]
+        if ending == "sigkill":
+            proc.kill()
+        assert proc.wait(timeout=60) == (0 if ending == "exit" else -signal.SIGKILL)
+    finally:
+        proc.kill()
+        proc.stdout.close()
+    assert len(pids) == min(2, len(os.sched_getaffinity(0))) - 1
+    end = time.monotonic() + 10
+    while not all(process_gone(pid) for pid in pids) and time.monotonic() < end:
+        time.sleep(0.05)
+    assert all(process_gone(pid) for pid in pids)
 
 
 # --- leading gaps that accept every interval -----------------------------------

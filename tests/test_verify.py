@@ -25,6 +25,7 @@ from anchorscan.verify import (
     gap_from_bytes,
     gap_to_bytes,
 )
+from test_stt import lookup
 
 
 def tree(pattern):
@@ -190,7 +191,7 @@ def reference_dfa_check(gap, data, gs, ge):
         return True, 0
     span = range(ge, gs - 1, -1) if gap.mode == SUFFIX else range(gs, ge + 1)
     for consumed, pos in enumerate(span, 1):
-        state = stt.lookup(state, data[pos])
+        state = lookup(stt, state, data[pos])
         if state == 0:
             return False, consumed
         if not exact and stt.accepts[state]:
