@@ -5,10 +5,12 @@ import argparse
 import csv
 import io
 import json
+import multiprocessing
 import random
 import resource
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .automata import StateExplosionError, classic_state_count
@@ -100,6 +102,8 @@ def bench_compression(ks: list[int]) -> list[dict]:
                     "k": k,
                     "side": side,
                     "states": stt.n_states,
+                    "runs": len(stt.run_succ),
+                    "accept_pairs": sum(map(len, stt.accepts)),
                     "dense_bytes": stt.n_states * 256 * stt.succ_width,
                     "compressed_bytes": stt.compressed_bytes,
                     "ratio": round(stt.compression_ratio, 4),
@@ -147,7 +151,17 @@ def bench_overheads(
     workers: int = 1,
     seed: int = 0x0E,
 ) -> list[dict]:
-    """Compile cost plus scan-side work ratios on uniform random traffic."""
+    """Compile cost plus scan-side work ratios on uniform random traffic.
+
+    The compile and the scan run in a fresh spawned interpreter, so its
+    `maxrss_mb` is their own peak, not that of whatever ran in this
+    process before.
+    """
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        return [pool.submit(_overheads, n_rules, corpus_bytes, workers, seed).result()]
+
+
+def _overheads(n_rules: int, corpus_bytes: int, workers: int, seed: int) -> dict:
     rules = filter_stress_ruleset(n_rules, seed)
     t0 = time.perf_counter()
     db, report = compile_rules(rules)
@@ -157,21 +171,38 @@ def bench_overheads(
     scan = scan_corpus(db, packets, workers=workers)
     scan_s = time.perf_counter() - t0
     d = scan.to_dict()
-    return [
-        {
-            "rules": n_rules,
-            "corpus_bytes": d["bytes"],
-            "compile_s": round(compile_s, 3),
-            "scan_s": round(scan_s, 3),
-            "throughput_mb_s": round(d["bytes"] / 1e6 / scan_s, 2) if scan_s else 0.0,
-            "db_bytes": len(db.to_bytes()),
-            "maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
-            "filter_hit_ratio": round(d["filter_hit_ratio"], 6),
-            "adfa_byte_ratio": round(d["adfa_byte_ratio"], 6),
-            "escalated_ratio": round(d["escalated_ratio"], 6),
-            "verify_byte_ratio": round(d["verify_byte_ratio"], 6),
-        }
-    ]
+    return {
+        "rules": n_rules,
+        "corpus_bytes": d["bytes"],
+        "compile_s": round(compile_s, 3),
+        "scan_s": round(scan_s, 3),
+        "throughput_mb_s": round(d["bytes"] / 1e6 / scan_s, 2) if scan_s else 0.0,
+        "db_bytes": len(db.to_bytes()),
+        "maxrss_mb": round(_own_peak_rss_mb(), 1),
+        "filter_hit_ratio": round(d["filter_hit_ratio"], 6),
+        "adfa_byte_ratio": round(d["adfa_byte_ratio"], 6),
+        "escalated_ratio": round(d["escalated_ratio"], 6),
+        "verify_byte_ratio": round(d["verify_byte_ratio"], 6),
+    }
+
+
+def _own_peak_rss_mb() -> float:
+    """Peak resident set of this process's own address space, in MB.
+
+    Linux's `ru_maxrss` also counts the peak of the address space that an
+    exec replaced, and a child started through vfork, as `spawn` is,
+    execs from its parent's: it would report the parent's peak. `VmHWM`
+    starts afresh at the exec. `ru_maxrss` is the fallback where there is
+    no /proc.
+    """
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 # --- commands -------------------------------------------------------------------

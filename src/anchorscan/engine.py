@@ -46,6 +46,11 @@ _MAGIC = b"ASDB"
 _VERSION = 3
 
 
+def _json(obj) -> bytes:
+    """The one byte form a database stores a JSON section in."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+
+
 class CompileError(ValueError):
     """No rule survived compilation."""
 
@@ -119,8 +124,8 @@ class CompiledDatabase:
             out.append(struct.pack("<Q", len(b)))
             out.append(b)
 
-        blob(json.dumps(self.config.as_dict(), sort_keys=True, separators=(",", ":")).encode())
-        blob(json.dumps(self.manifest, sort_keys=True, separators=(",", ":")).encode())
+        blob(_json(self.config.as_dict()))
+        blob(_json(self.manifest))
         blob(self.bank.to_bytes())
         blob(self.reverse_stt.to_bytes())
         blob(self.forward_stt.to_bytes())
@@ -157,8 +162,14 @@ class CompiledDatabase:
         if zlib.crc32(memoryview(buf)[:-4]) != crc:
             raise ValueError("rule database checksum mismatch")
 
-        config = CompileConfig.from_dict(json.loads(r.blob()))
-        manifest = json.loads(r.blob())
+        raw = r.blob()
+        config = CompileConfig.from_dict(json.loads(raw))
+        if _json(config.as_dict()) != raw:
+            raise ValueError("rule database config is not in canonical form")
+        raw = r.blob()
+        manifest = json.loads(raw)
+        if _json(manifest) != raw:
+            raise ValueError("rule database manifest is not in canonical form")
         bank = FilterBank.from_bytes(r.blob())
         reverse_stt = CompressedStt.from_bytes(r.blob())
         forward_stt = CompressedStt.from_bytes(r.blob())
@@ -167,12 +178,16 @@ class CompiledDatabase:
         splits = []
         for _ in range(n_splits):
             rule_idx, frag_k, has_back = r.unpack("<IIB")
+            if has_back > 1:
+                raise ValueError(f"split {len(splits)} has flag {has_back}, not 0 or 1")
             splits.append(SplitMeta(rule_idx, frag_k, bool(has_back)))
 
         (n_rules,) = r.unpack("<I")
         checks = []
         for _ in range(n_rules):
             rule_id, n_frag, anchored_end = r.unpack("<IIB")
+            if anchored_end > 1:
+                raise ValueError(f"rule {rule_id} has end flag {anchored_end}, not 0 or 1")
             (n_gaps,) = r.unpack("<I")
             gaps = []
             for _ in range(n_gaps):

@@ -126,7 +126,10 @@ class DirectFilterUnit:
     def read(r: BlobReader) -> "DirectFilterUnit":
         (tag,) = r.unpack("<B")
         if tag == DirectFilterUnit._RAW:
-            return DirectFilterUnit(r.array("u1", 8192))
+            unit = DirectFilterUnit(r.array("u1", 8192))
+            if unit.key_count <= DirectFilterUnit._MAX_LIST:
+                raise ValueError(f"pair set of {unit.key_count} members is a bitmap where a list is shorter")
+            return unit
         if tag != DirectFilterUnit._LIST:
             raise ValueError(f"unknown pair-set encoding {tag}")
         (count,) = r.unpack("<H")

@@ -1,15 +1,19 @@
-"""Default-plus-exception state transition tables and bounded thread runs.
+"""Default-plus-run state transition tables and bounded thread runs.
 
 A dense DFA row stores 256 successor ids, and nearly all of them are one
 id: the dead state in a literal's row, the next link in a counted
 any-byte run's. The stored form keeps, per state, that default successor
-(the row's most frequent one, the smallest id on a tie), a 256-bit bitmap
-of the bytes whose successor differs from it, and a packed array of those
-exception successors in state-then-byte order. It is what databases hold
-on disk and what `compressed_bytes` measures.
+(the row's most frequent one, the smallest id on a tie) and the bytes
+whose successor differs from it as byte-range runs: a maximal stretch of
+consecutive bytes that all go to one successor other than the default,
+stored as its first byte, its last byte and that successor. A class or
+counted gap sends whole byte ranges to one next link, so a row's
+exceptions are far fewer runs than bytes. Accept labels are stored as
+sorted `(state, label)` pairs. This is what databases hold on disk and
+what `compressed_bytes` measures.
 
 Scanning steps through dense rows instead: one flat array indexed by
-`(state << 8) | byte`, derived from the compressed arrays on first use and
+`(state << 8) | byte`, derived from the stored arrays on first use and
 never serialized. The rows cost `n_states * 256 * succ_width` bytes, no
 more than the dense `(S, 256)` uint32 table compile already held.
 """
@@ -28,16 +32,18 @@ FORWARD = "forward"
 REVERSE = "reverse"
 
 _MAGIC = b"ASTT"
-_VERSION = 3
+_VERSION = 4
 
 
 @dataclass
 class CompressedStt:
     n_states: int
     start: int
-    defaults: np.ndarray    # (S,) default successor per state, successor dtype
-    bitmap: np.ndarray      # (S, 4) uint64 exception bits, little bit order within words
-    successors: np.ndarray  # (nnz,) uint16 or uint32, one per set bitmap bit
+    defaults: np.ndarray    # (S,) default successor per state, uint16 or uint32
+    run_counts: np.ndarray  # (S,) uint8 runs per state; a row has at most 255 exception bytes
+    run_first: np.ndarray   # (R,) uint8 first byte of each run, state-then-byte order
+    run_last: np.ndarray    # (R,) uint8 last byte of each run
+    run_succ: np.ndarray    # (R,) successor of every byte in the run, the defaults' dtype
     accepts: tuple[frozenset[int], ...]
     entries: dict[int, int] = field(default_factory=dict)
 
@@ -45,22 +51,33 @@ class CompressedStt:
     def rows(self) -> memoryview:
         """Flat dense successor rows: `rows[(state << 8) | byte]`.
 
-        Built from the defaults and the exceptions on first use, so
-        compiling never holds them: each row starts as its default and the
-        bitmap's set bits take the packed successors in order.
+        Built from the defaults and the runs on first use, so compiling
+        never holds them: each row starts as its default and every run
+        overwrites its byte range with its successor.
         """
-        present = np.unpackbits(self.bitmap.astype("<u8").view(np.uint8), bitorder="little")
+        lengths = self.run_last.astype(np.intp) - self.run_first + 1
+        starts = (np.repeat(np.arange(self.n_states, dtype=np.intp), self.run_counts) << 8) + self.run_first
+        # run i covers starts[i] .. starts[i] + lengths[i] - 1; laid end to
+        # end from 0, its bytes are shifted by starts[i] minus their offset
+        offsets = np.cumsum(lengths) - lengths
+        at = np.arange(int(lengths.sum())) + np.repeat(starts - offsets, lengths)
         dense = np.repeat(self.defaults, 256)
-        dense[present.view(bool)] = self.successors
+        dense[at] = np.repeat(self.run_succ, lengths)
         return memoryview(dense)
 
     @property
     def succ_width(self) -> int:
-        return self.successors.dtype.itemsize
+        return self.defaults.dtype.itemsize
 
     @property
     def compressed_bytes(self) -> int:
-        return self.defaults.nbytes + self.bitmap.nbytes + self.successors.nbytes
+        return (
+            self.defaults.nbytes
+            + self.run_counts.nbytes
+            + self.run_first.nbytes
+            + self.run_last.nbytes
+            + self.run_succ.nbytes
+        )
 
     @property
     def compression_ratio(self) -> float:
@@ -74,90 +91,130 @@ class CompressedStt:
             and self.start == other.start
             and self.entries == other.entries
             and self.accepts == other.accepts
-            and self.successors.dtype == other.successors.dtype
+            and self.defaults.dtype == other.defaults.dtype
             and np.array_equal(self.defaults, other.defaults)
-            and np.array_equal(self.bitmap, other.bitmap)
-            and np.array_equal(self.successors, other.successors)
+            and np.array_equal(self.run_counts, other.run_counts)
+            and np.array_equal(self.run_first, other.run_first)
+            and np.array_equal(self.run_last, other.run_last)
+            and np.array_equal(self.run_succ, other.run_succ)
         )
 
     # --- serialization -------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        out = [
-            _MAGIC,
-            struct.pack(
-                "<HBIIQI",
-                _VERSION,
-                self.succ_width,
-                self.n_states,
-                self.start,
-                len(self.successors),
-                len(self.entries),
-            ),
-        ]
-        for key in sorted(self.entries):
-            out.append(struct.pack("<II", key, self.entries[key]))
-        for ids in self.accepts:
-            out.append(struct.pack("<H", len(ids)))
-            out.extend(struct.pack("<I", i) for i in sorted(ids))
-        out.append(self.defaults.astype(f"<u{self.succ_width}").tobytes())
-        out.append(self.bitmap.astype("<u8").tobytes())
-        out.append(self.successors.astype(f"<u{self.succ_width}").tobytes())
-        return b"".join(out)
+        width = f"<u{self.succ_width}"
+        pairs = [(s, label) for s, labels in enumerate(self.accepts) for label in sorted(labels)]
+        keys = sorted(self.entries)
+        return b"".join(
+            [
+                _MAGIC,
+                struct.pack(
+                    "<HBIIQII",
+                    _VERSION,
+                    self.succ_width,
+                    self.n_states,
+                    self.start,
+                    len(self.run_succ),
+                    len(keys),
+                    len(pairs),
+                ),
+                np.array([(k, self.entries[k]) for k in keys], dtype="<u4").tobytes(),
+                np.array([s for s, _ in pairs], dtype=width).tobytes(),
+                np.array([label for _, label in pairs], dtype="<u4").tobytes(),
+                self.defaults.astype(width).tobytes(),
+                self.run_counts.tobytes(),
+                self.run_first.tobytes(),
+                self.run_last.tobytes(),
+                self.run_succ.astype(width).tobytes(),
+            ]
+        )
 
     @staticmethod
     def from_bytes(blob: bytes) -> "CompressedStt":
+        """Load a table, refusing with ValueError any blob that `compress`
+        could not have written in this form, so every table it accepts
+        re-serializes byte for byte."""
         r = BlobReader(blob, "transition table")
         if r.take(4) != _MAGIC:
             raise ValueError("not a transition table blob")
-        version, width, n_states, start, nnz, n_entries = r.unpack("<HBIIQI")
+        version, width, n_states, start, n_runs, n_entries, n_pairs = r.unpack("<HBIIQII")
         if version != _VERSION:
             raise ValueError(f"unsupported transition table version {version}")
         if width not in (2, 4):
             raise ValueError(f"unsupported successor width {width}")
-        entries = {}
-        for _ in range(n_entries):
-            key, state = r.unpack("<II")
-            entries[key] = state
-        accepts = []
-        for _ in range(n_states):
-            (count,) = r.unpack("<H")
-            accepts.append(frozenset(r.unpack(f"<{count}I")))
-        defaults = r.array(f"<u{width}", n_states)
-        bitmap = r.array("<u8", n_states * 4).reshape(n_states, 4).astype(np.uint64)
-        successors = r.array(f"<u{width}", nnz)
+        ids = f"<u{width}"
+        entries = r.array("<u4", 2 * n_entries).reshape(n_entries, 2).astype(np.int64)
+        pair_states = r.array(ids, n_pairs).astype(np.int64)
+        pair_labels = r.array("<u4", n_pairs).astype(np.int64)
+        defaults = r.array(ids, n_states)
+        run_counts = r.array("u1", n_states)
+        run_first = r.array("u1", n_runs)
+        run_last = r.array("u1", n_runs)
+        run_succ = r.array(ids, n_runs)
         r.finish()
-        if (
-            nnz != int(np.bitwise_count(bitmap).sum(dtype=np.int64))
-            or max(start, *entries.values(), int(defaults.max(initial=0)), int(successors.max(initial=0))) >= n_states
-        ):
-            raise ValueError("inconsistent transition table")
+        if max(start, int(entries[:, 1].max(initial=0)), int(pair_states.max(initial=0)),
+               int(defaults.max(initial=0)), int(run_succ.max(initial=0))) >= n_states:
+            raise ValueError("transition table names a state it does not have")
+        if np.any(entries[1:, 0] <= entries[:-1, 0]):
+            raise ValueError("transition table entries are not strictly increasing")
+        step = np.diff(pair_states)
+        if np.any((step < 0) | ((step == 0) & (np.diff(pair_labels) <= 0))):
+            raise ValueError("transition table accept pairs are not strictly increasing")
+        if int(run_counts.sum(dtype=np.int64)) != n_runs:
+            raise ValueError("transition table run counts do not sum to its run count")
+        run_state = np.repeat(np.arange(n_states), run_counts)
+        if np.any(run_first > run_last):
+            raise ValueError("transition table run ends before it starts")
+        if np.any(run_succ == defaults[run_state]):
+            raise ValueError("transition table run repeats its state's default")
+        same_row = run_state[1:] == run_state[:-1]
+        gap = run_first[1:].astype(np.int64) - run_last[:-1]
+        if np.any(same_row & (gap <= 0)):
+            raise ValueError("transition table runs overlap or are out of order")
+        if np.any(same_row & (gap == 1) & (run_succ[1:] == run_succ[:-1])):
+            raise ValueError("transition table splits one run in two")
+        labels: dict[int, list[int]] = {}
+        for s, label in zip(pair_states.tolist(), pair_labels.tolist()):
+            labels.setdefault(s, []).append(label)
         dtype = np.uint16 if width == 2 else np.uint32
         return CompressedStt(
             n_states=n_states,
             start=start,
             defaults=defaults.astype(dtype),
-            bitmap=bitmap,
-            successors=successors.astype(dtype),
-            accepts=tuple(accepts),
-            entries=entries,
+            run_counts=run_counts.copy(),
+            run_first=run_first.copy(),
+            run_last=run_last.copy(),
+            run_succ=run_succ.astype(dtype),
+            accepts=tuple(frozenset(labels.get(s, ())) for s in range(n_states)),
+            entries=dict(entries.tolist()),
         )
 
 
 def compress(dfa: Dfa) -> CompressedStt:
-    """Encode a dense DFA as per-state defaults plus exceptions; lookups
-    stay exactly equivalent."""
+    """Encode a dense DFA as per-state defaults plus byte-range runs;
+    lookups stay exactly equivalent."""
     n = dfa.table.shape[0]
     table = dfa.table.astype(np.uint16 if n <= 0x10000 else np.uint32)
     defaults = _modes(np.sort(table, axis=1))
-    exceptions = table != defaults[:, None]
-    bitmap = np.packbits(exceptions, axis=1, bitorder="little").view("<u8").astype(np.uint64)
+    exceptions = (table != defaults[:, None]).ravel()
+    flat = table.ravel()
+    # edges[p]: byte p - 1 and byte p lie in different rows or go to
+    # different successors. A run starts at an exception byte with an edge
+    # before it and ends at one with an edge after it; a neighbour across
+    # no edge has the same successor, so it is an exception in the same run
+    edges = np.ones(flat.size + 1, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=edges[1:-1])
+    edges[::256] = True
+    firsts = np.flatnonzero(exceptions & edges[:-1])
+    lasts = np.flatnonzero(exceptions & edges[1:])
     return CompressedStt(
         n_states=n,
         start=dfa.start,
         defaults=defaults,
-        bitmap=bitmap,
-        successors=table[exceptions],
+        run_counts=np.bincount(firsts >> 8, minlength=n).astype(np.uint8),
+        run_first=(firsts & 0xFF).astype(np.uint8),
+        run_last=(lasts & 0xFF).astype(np.uint8),
+        run_succ=flat[firsts],
         accepts=dfa.accepts,
         entries=dict(dfa.entries),
     )
@@ -165,7 +222,7 @@ def compress(dfa: Dfa) -> CompressedStt:
 
 def _modes(ordered: np.ndarray) -> np.ndarray:
     """The most frequent value of each sorted 256-wide row, the smallest on
-    a tie: the first of the row's longest runs."""
+    a tie: the first of the row's longest stretches of one value."""
     starts = np.ones(ordered.shape, dtype=bool)
     starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
     at = np.flatnonzero(starts)

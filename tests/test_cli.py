@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import json
+import resource
 
 import pytest
 
@@ -235,6 +236,8 @@ def test_bench_compression(capsys):
     assert sides == {"reverse", "forward"}
     rev = next(r for r in rows if r["side"] == "reverse")
     assert float(rev["ratio"]) < 0.15
+    assert int(rev["accept_pairs"]) > 0
+    assert 0 < int(rev["runs"]) <= 255 * int(rev["states"])  # a row has at most 255 runs
 
 
 def test_bench_filterfp(capsys):
@@ -242,6 +245,15 @@ def test_bench_filterfp(capsys):
     row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
     rate = float(row["fp_rate"])
     assert float(row["band_low"]) <= rate <= float(row["band_high"])
+
+
+def test_bench_overheads_reports_its_own_peak():
+    # a peak this process reached before the bench must not show in it
+    buf = b"\x01" * (150 << 20)  # repetition writes every byte, so the pages count
+    del buf
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024 >= 150
+    row = bench_overheads(n_rules=6, corpus_bytes=200_000, workers=1)[0]
+    assert 0 < row["maxrss_mb"] < 150
 
 
 def test_bench_overheads_small():

@@ -35,7 +35,8 @@ from anchorscan.engine import (
 )
 from anchorscan.oracle import oracle_match
 from anchorscan.parser import parse
-from anchorscan.verify import DotGap, EmptyGap
+from anchorscan.verify import DfaGap, DotGap, EmptyGap
+from test_stt import corruptions
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import PAPER_RULES, WORKLOADS, mixed_rules  # noqa: E402
@@ -196,6 +197,51 @@ def test_every_bit_flip_raises_value_error():
             flipped[i] ^= 1 << bit
 
 
+#: every gap kind: empty, `.*`, a counted class and a gap automaton
+FUZZ_RULES = ["user=[a-z]{2,8}x", "GET /.*admin", r"ab[^\n]{60,70}cdef", r"abcd[^\n]*=[0-9]{3,}"]
+FUZZ_BODY = compile_rules(FUZZ_RULES)[0].to_bytes()[:-4]
+
+
+@given(corruptions([FUZZ_BODY]))
+@settings(max_examples=300, deadline=None)
+def test_corrupt_database_with_a_good_checksum_fails_cleanly_or_round_trips(body):
+    # past the checksum, every section's own checks must refuse the damage
+    # with ValueError, or the database is one that compile could write
+    blob = resealed(body)
+    try:
+        db = CompiledDatabase.from_bytes(blob)
+    except ValueError:
+        return
+    assert db.to_bytes() == blob
+    gap_tables = [gap.stt for rc in db.checks for gap in rc.gaps if isinstance(gap, DfaGap)]
+    for stt in (db.reverse_stt, db.forward_stt, *gap_tables):
+        assert max(stt.rows) < stt.n_states
+
+
+def resealed(body: bytes) -> bytes:
+    """A database body with its checksum appended."""
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+@pytest.mark.parametrize("section", ["config", "manifest"])
+def test_non_canonical_json_section_raises_value_error(section):
+    # json.loads takes spacing and key orders that would not survive a
+    # re-save, and the config drops keys it does not know, so a load
+    # compares each section with its one stored form
+    db, _ = compile_rules(XREF_RULES)
+    body = db.to_bytes()[:-4]
+    data = db.config.as_dict() if section == "config" else db.manifest
+    stored = json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
+    at = body.index(struct.pack("<Q", len(stored)) + stored)
+    variants = [json.dumps(data, sort_keys=True).encode(), stored[:-1] + b',"a":1}']
+    if section == "config":
+        variants.append(stored[:-1] + b',"zz":1}')
+    for variant in variants:
+        forged = body[:at] + struct.pack("<Q", len(variant)) + variant + body[at + 8 + len(stored) :]
+        with pytest.raises(ValueError, match=f"{section} is not in canonical form"):
+            CompiledDatabase.from_bytes(resealed(forged))
+
+
 # --- load-time validation of config and cross-references ---------------------
 
 XREF_RULES = ["ab.*cd", r"user=[a-z]{1,8}\.cgi"]  # splits 0, 1 end rule 0; split 2 continues forward
@@ -222,12 +268,15 @@ def forgeries(db):
         "reverse label not a split": dict(reverse_stt=replace(db.reverse_stt, accepts=tuple(accepts))),
         "continued split without entry": dict(forward_stt=replace(db.forward_stt, entries={})),
         "gap count not fragments + 1": dict(checks=(replace(rc0, gaps=rc0.gaps[:-1]), *db.checks[1:])),
+        "split flag 2": dict(splits=(*db.splits[:2], replace(db.splits[2], has_back=2))),
+        "rule end flag 2": dict(checks=(replace(rc0, anchored_end=2), *db.checks[1:])),
     }
 
 
 FORGERIES = (
     "max_key_len 1", "split rule_idx 99", "split frag_k past the rule",
     "reverse label not a split", "continued split without entry", "gap count not fragments + 1",
+    "split flag 2", "rule end flag 2",
 )
 
 
@@ -302,8 +351,8 @@ def test_trailing_gap_end_is_a_match_end(rule, packet, end):
 @pytest.mark.parametrize(
     "rules, size, sha_prefix",
     [
-        (mixed_rules(), 208_068, "69d27f0c3168b04f"),
-        (list(PAPER_RULES), 84_795, "fd7909e047d606cc"),
+        (mixed_rules(), 85_253, "c34633f7a7b56131"),
+        (list(PAPER_RULES), 25_471, "136d32f9526da796"),
     ],
     ids=["mixed", "paper"],
 )

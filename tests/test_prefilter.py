@@ -122,6 +122,16 @@ class TestPairSetEncoding:
         with pytest.raises(ValueError):
             self.decode(blob)
 
+    @pytest.mark.parametrize("count", [0, 4094])
+    def test_raw_bitmap_a_list_would_beat_raises_value_error(self, count):
+        # a set this small is written as a list, so a raw bitmap of it
+        # would not re-serialize as the same bytes
+        members = np.zeros(65536, dtype=np.uint8)
+        members[:count] = 1
+        blob = struct.pack("<B", 0) + np.packbits(members, bitorder="little").tobytes()
+        with pytest.raises(ValueError, match="bitmap where a list is shorter"):
+            self.decode(blob)
+
 
 def reference_build_xor_unit(keys, width, fp_bits, base_seed, attempts=100) -> XorFilterUnit:
     """The scalar build that `build_xor_unit` replaced: every key hashed

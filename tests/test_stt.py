@@ -42,22 +42,27 @@ def assert_lookup_equal(stt: CompressedStt, dfa: Dfa):
         assert [lookup(stt, s, b) for b in range(256)] == row
 
 
-# --- reference: bitmap test + popcount rank over the bitmap alone ----------
+# --- reference: a run search over the stored arrays alone ------------------
 
 
-def rank_lookup(stt: CompressedStt, state: int, byte: int) -> int:
+def run_lookup(stt: CompressedStt, state: int, byte: int) -> int:
     """The successor of `(state, byte)` read off the stored arrays without
-    `rows`: an unset bit takes the state's default, and a set bit's
-    successor index is the number of set bits before it, counting every
-    earlier word of the flattened bitmap."""
-    words = stt.bitmap.reshape(-1)
-    index = state * 4 + (byte >> 6)
-    word = int(words[index])
-    bit = byte & 63
-    if not (word >> bit) & 1:
-        return int(stt.defaults[state])
-    rank = int(np.bitwise_count(words[:index]).sum()) + (word & ((1 << bit) - 1)).bit_count()
-    return int(stt.successors[rank])
+    `rows`: the state's runs follow the runs of every earlier state, and
+    the byte takes the successor of the last run starting at or before it
+    if that run reaches it, or else the state's default."""
+    lo = int(stt.run_counts[:state].sum())
+    firsts = stt.run_first[lo : lo + int(stt.run_counts[state])]
+    i = int(np.searchsorted(firsts, byte, side="right")) - 1
+    if i >= 0 and byte <= stt.run_last[lo + i]:
+        return int(stt.run_succ[lo + i])
+    return int(stt.defaults[state])
+
+
+def runs_of(stt: CompressedStt, state: int) -> list[tuple[int, int, int]]:
+    """`(first, last, successor)` for each of a state's runs."""
+    lo = int(stt.run_counts[:state].sum())
+    at = slice(lo, lo + int(stt.run_counts[state]))
+    return list(zip(stt.run_first[at].tolist(), stt.run_last[at].tolist(), stt.run_succ[at].tolist()))
 
 
 def reference_mode(row: list[int]) -> int:
@@ -69,12 +74,16 @@ def reference_mode(row: list[int]) -> int:
 @st.composite
 def _defaulted_tables(draw):
     """Dense tables whose rows mostly repeat one successor that need not be
-    dead, with up to 200 exceptions per row so that some rows have no
+    dead, with class-like stretches of one successor, some touching, and
+    up to 200 single exceptions per row, so that some rows have no
     majority and some tie."""
     n = draw(st.integers(1, 12))
     table = np.zeros((n, 256), dtype=np.uint32)
     for s in range(n):
         table[s] = draw(st.integers(0, n - 1))
+        stretch = st.tuples(st.integers(0, 255), st.integers(1, 96), st.integers(0, n - 1))
+        for first, size, succ in draw(st.lists(stretch, max_size=6)):
+            table[s, first : first + size] = succ
         for b in draw(st.lists(st.integers(0, 255), max_size=200, unique=True)):
             table[s, b] = draw(st.integers(0, n - 1))
     return Dfa(table=table, accepts=tuple(frozenset() for _ in range(n)), start=draw(st.integers(0, n - 1)))
@@ -89,7 +98,7 @@ def reference_run_thread(stt, data, start_offset, direction, state=None):
     depth = 0
     pos = start_offset
     while 0 <= pos < len(data):
-        s = rank_lookup(stt, s, data[pos])
+        s = run_lookup(stt, s, data[pos])
         depth += 1
         if s == DEAD:
             break
@@ -111,10 +120,10 @@ class TestCompress:
             assert stt.accepts == dfa.accepts
 
     def test_dead_only_table(self):
-        # a forward table with no back parts has one state and zero successors
+        # a forward table with no back parts has one state and no runs
         dfa = build_forward_dfa([])
         stt = compress(dfa)
-        assert stt.successors.size == 0
+        assert stt.run_succ.size == 0
         assert_lookup_equal(stt, dfa)
         assert lookup(stt, 0, 65) == 0
 
@@ -129,7 +138,7 @@ class TestCompress:
         stt = compress(dfa)
         for _ in range(10_000):
             s, b = rng.randrange(n), rng.randrange(256)
-            assert lookup(stt, s, b) == rank_lookup(stt, s, b) == int(table[s, b])
+            assert lookup(stt, s, b) == run_lookup(stt, s, b) == int(table[s, b])
         assert_lookup_equal(stt, dfa)
 
     def test_scalar_matches_vector(self):
@@ -145,9 +154,9 @@ class TestCompress:
     def test_dead_only_ratio_is_fixed_overhead(self):
         dfa = Dfa(table=np.zeros((1, 256), dtype=np.uint32), accepts=(frozenset(),), start=0)
         stt = compress(dfa)
-        # bitmap 32B plus one 2B default per state, no successors
-        assert stt.compressed_bytes == 34
-        assert stt.compression_ratio == pytest.approx(34 / 512)
+        # one 2B default and one 1B run count per state, no runs
+        assert stt.compressed_bytes == 3
+        assert stt.compression_ratio == pytest.approx(3 / 512)
 
     def test_default_is_the_most_frequent_successor(self):
         table = np.zeros((4, 256), dtype=np.uint32)
@@ -160,9 +169,9 @@ class TestCompress:
         table[3, 200:] = 1  # no majority: 2 and 3 tie at 100
         stt = compress(Dfa(table=table, accepts=(frozenset(),) * 4))
         assert stt.defaults.tolist() == [0, 3, 1, 2]
-        assert np.bitwise_count(stt.bitmap).sum(axis=1).tolist() == [0, 10, 128, 156]
+        assert [runs_of(stt, s) for s in range(4)] == [[], [(0, 9, 2)], [(0, 127, 3)], [(100, 199, 3), (200, 255, 1)]]
         for s in range(4):
-            assert [rank_lookup(stt, s, b) for b in range(256)] == table[s].tolist()
+            assert [run_lookup(stt, s, b) for b in range(256)] == table[s].tolist()
 
     @given(_defaulted_tables())
     @settings(max_examples=150, deadline=None)
@@ -171,9 +180,16 @@ class TestCompress:
         assert stt.defaults.tolist() == [reference_mode(row) for row in dfa.table.tolist()]
         assert_lookup_equal(stt, dfa)
         for s in range(dfa.n_states):
-            assert [rank_lookup(stt, s, b) for b in range(256)] == dfa.table[s].tolist()
-        back = CompressedStt.from_bytes(stt.to_bytes())
+            assert [run_lookup(stt, s, b) for b in range(256)] == dfa.table[s].tolist()
+            runs = runs_of(stt, s)
+            # sorted, disjoint and maximal: touching runs go to different
+            # successors, and no run goes to the default
+            assert all(a[1] < b[0] and (a[1] + 1 < b[0] or a[2] != b[2]) for a, b in zip(runs, runs[1:]))
+            assert all(succ != stt.defaults[s] for _, _, succ in runs)
+        blob = stt.to_bytes()
+        back = CompressedStt.from_bytes(blob)
         assert back == stt
+        assert back.to_bytes() == blob
         assert_lookup_equal(back, dfa)
 
     @pytest.mark.parametrize("suffix", ["POST /.{0,40}login", r"[^\n]{0,60}x", "id=[^&]{2,30}&"])
@@ -197,7 +213,7 @@ class TestCompress:
         table[69999, 255] = 65536
         dfa = Dfa(table=table, accepts=tuple(frozenset() for _ in range(70000)))
         stt = compress(dfa)
-        assert stt.successors.dtype == np.uint32
+        assert stt.run_succ.dtype == np.uint32
         assert lookup(stt, 1, 5) == 69999
         assert stt.rows.format == "I"
         assert_lookup_equal(stt, dfa)
@@ -207,7 +223,7 @@ class TestCompress:
 
     def test_narrow_rows_match_successor_width(self):
         stt = compress(build_reverse_dfa([(0, tree_of("user="))]))
-        assert stt.successors.dtype == np.uint16
+        assert stt.run_succ.dtype == np.uint16
         assert stt.rows.format == "H"
         assert len(stt.rows) == stt.n_states * 256
 
@@ -274,6 +290,36 @@ class TestRunThread:
             run_thread(stt, b"ab", 0, "sideways")
 
 
+#: header bytes: magic, version, width, states, start, runs, entries, pairs
+_HEADER = 31
+
+
+def _pairs_at(stt: CompressedStt) -> int:
+    """Offset of the accept pairs' states: after the header and entries."""
+    return _HEADER + 8 * len(stt.entries)
+
+
+def _with(stt: CompressedStt, **arrays) -> CompressedStt:
+    """`stt` with some stored arrays replaced, each in its field's dtype."""
+    return replace(stt, **{k: np.array(v, dtype=getattr(stt, k).dtype) for k, v in arrays.items()})
+
+
+def _runs_dfa() -> Dfa:
+    table = np.zeros((4, 256), dtype=np.uint32)
+    table[1, 10:20] = 2
+    table[1, 20:30] = 3
+    table[1, 40] = 2
+    table[2] = 2
+    table[2, :5] = 1
+    accepts = (frozenset(), frozenset(), frozenset({5, 7}), frozenset({1}))
+    return Dfa(table=table, accepts=accepts, start=1, entries={8: 2, 3: 1})
+
+
+#: four states with several runs in one row, two labels on one state and
+#: two entries, small enough to corrupt by hand
+_RUNS_TABLE = compress(_runs_dfa())
+
+
 class TestSerialization:
     def test_round_trip(self):
         dfa = build_forward_dfa([(3, tree_of("[a-f]{4}")), (8, tree_of("xy?z"))])
@@ -292,9 +338,8 @@ class TestSerialization:
     def test_inconsistent_arrays_raise_value_error(self):
         stt = compress(build_forward_dfa([(3, tree_of("[a-f]{4}")), (8, tree_of("xy?z"))]))
         bad = [
-            replace(stt, successors=stt.successors[:-1]),
-            replace(stt, successors=np.append(stt.successors, stt.successors[:1])),
-            replace(stt, successors=np.append(stt.successors[:-1], np.uint16(stt.n_states))),
+            replace(stt, run_succ=stt.run_succ[:-1]),
+            replace(stt, run_first=np.append(stt.run_first, stt.run_first[:1])),
             replace(stt, start=stt.n_states),
             replace(stt, entries={**stt.entries, 3: stt.n_states}),
             replace(stt, defaults=np.append(stt.defaults[:-1], np.uint16(stt.n_states))),
@@ -303,15 +348,87 @@ class TestSerialization:
             with pytest.raises(ValueError):
                 CompressedStt.from_bytes(table.to_bytes())
 
+    def test_run_successor_out_of_range_raises_value_error(self):
+        stt = _RUNS_TABLE
+        with pytest.raises(ValueError, match="names a state it does not have"):
+            CompressedStt.from_bytes(_with(stt, run_succ=[2, 3, 2, stt.n_states]).to_bytes())
+
+    def test_accept_state_out_of_range_raises_value_error(self):
+        blob = bytearray(_RUNS_TABLE.to_bytes())
+        at = _pairs_at(_RUNS_TABLE)
+        assert blob[at + 4 : at + 6] == (3).to_bytes(2, "little")  # the last pair's state
+        blob[at + 4 : at + 6] = (4).to_bytes(2, "little")
+        with pytest.raises(ValueError, match="names a state it does not have"):
+            CompressedStt.from_bytes(bytes(blob))
+
+    def test_run_counts_must_sum_to_the_run_count(self):
+        with pytest.raises(ValueError, match="do not sum"):
+            CompressedStt.from_bytes(_with(_RUNS_TABLE, run_counts=[0, 3, 1, 1]).to_bytes())
+
+    def test_run_ending_before_it_starts_raises_value_error(self):
+        with pytest.raises(ValueError, match="ends before it starts"):
+            CompressedStt.from_bytes(_with(_RUNS_TABLE, run_first=[19, 20, 40, 0], run_last=[10, 29, 40, 4]).to_bytes())
+
+    def test_run_to_the_default_raises_value_error(self):
+        # state 2's default is 2
+        with pytest.raises(ValueError, match="repeats its state's default"):
+            CompressedStt.from_bytes(_with(_RUNS_TABLE, run_succ=[2, 3, 2, 2]).to_bytes())
+
+    @pytest.mark.parametrize(
+        "first, last",
+        [([20, 10, 40, 0], [29, 19, 40, 4]), ([10, 20, 40, 0], [22, 29, 40, 4]), ([10, 19, 40, 0], [19, 29, 40, 4])],
+        ids=["unsorted", "overlapping", "sharing a byte"],
+    )
+    def test_unsorted_or_overlapping_runs_raise_value_error(self, first, last):
+        with pytest.raises(ValueError, match="overlap or are out of order"):
+            CompressedStt.from_bytes(_with(_RUNS_TABLE, run_first=first, run_last=last).to_bytes())
+
+    def test_touching_runs_to_one_successor_raise_value_error(self):
+        # state 1's run 10..19 -> 2 cut in two
+        split = _with(
+            _RUNS_TABLE, run_counts=[0, 4, 1, 0], run_first=[10, 15, 20, 40, 0], run_last=[14, 19, 29, 40, 4],
+            run_succ=[2, 2, 3, 2, 1],
+        )
+        assert np.array_equal(np.asarray(split.rows), np.asarray(_RUNS_TABLE.rows))
+        with pytest.raises(ValueError, match="splits one run in two"):
+            CompressedStt.from_bytes(split.to_bytes())
+
+    @pytest.mark.parametrize("labels", [(7, 5), (5, 5)], ids=["decreasing", "repeated"])
+    def test_accept_pairs_must_strictly_increase(self, labels):
+        blob = bytearray(_RUNS_TABLE.to_bytes())
+        at = _pairs_at(_RUNS_TABLE) + 3 * 2  # the labels follow the three u16 states
+        assert blob[at : at + 12] == np.array([5, 7, 1], dtype="<u4").tobytes()
+        blob[at : at + 8] = np.array(labels, dtype="<u4").tobytes()
+        with pytest.raises(ValueError, match="accept pairs are not strictly increasing"):
+            CompressedStt.from_bytes(bytes(blob))
+
+    @pytest.mark.parametrize("keys", [(8, 3), (3, 3)], ids=["decreasing", "repeated"])
+    def test_entries_must_strictly_increase(self, keys):
+        # a repeated key would load as one entry and re-serialize shorter
+        blob = bytearray(_RUNS_TABLE.to_bytes())
+        assert blob[_HEADER : _HEADER + 16] == np.array([3, 1, 8, 2], dtype="<u4").tobytes()
+        blob[_HEADER : _HEADER + 4] = keys[0].to_bytes(4, "little")
+        blob[_HEADER + 8 : _HEADER + 12] = keys[1].to_bytes(4, "little")
+        with pytest.raises(ValueError, match="entries are not strictly increasing"):
+            CompressedStt.from_bytes(bytes(blob))
+
+    def test_hand_built_table_round_trips(self):
+        stt = _RUNS_TABLE
+        assert [runs_of(stt, s) for s in range(4)] == [[], [(10, 19, 2), (20, 29, 3), (40, 40, 2)], [(0, 4, 1)], []]
+        blob = stt.to_bytes()
+        assert CompressedStt.from_bytes(blob).to_bytes() == blob
+        assert len(blob) == _HEADER + 16 + 3 * (2 + 4) + stt.compressed_bytes
+        assert stt.compressed_bytes == 4 * 2 + 4 + 4 * (1 + 1 + 2)
+
     def test_bad_magic(self):
         with pytest.raises(ValueError):
             CompressedStt.from_bytes(b"JUNKJUNKJUNK" + b"\x00" * 64)
 
     def test_version_1_header_raises_value_error(self):
         # version 1 tables also stored per-word rank prefixes and per-state
-        # offsets after the bitmap; they are not read as version 3
+        # offsets after a bitmap; they are not read as version 4
         blob = compress(build_forward_dfa([(3, tree_of("[a-f]{4}"))])).to_bytes()
-        assert blob[4:6] == (3).to_bytes(2, "little")
+        assert blob[4:6] == (4).to_bytes(2, "little")
         with pytest.raises(ValueError, match="unsupported transition table version 1"):
             CompressedStt.from_bytes(blob[:4] + (1).to_bytes(2, "little") + blob[6:])
 
@@ -321,8 +438,15 @@ class TestSerialization:
         with pytest.raises(ValueError, match="unsupported transition table version 2"):
             CompressedStt.from_bytes(blob[:4] + (2).to_bytes(2, "little") + blob[6:])
 
+    def test_version_3_header_raises_value_error(self):
+        # version 3 tables marked exceptions in a 256-bit bitmap per state
+        # and counted accept labels per state
+        blob = compress(build_forward_dfa([(3, tree_of("[a-f]{4}"))])).to_bytes()
+        with pytest.raises(ValueError, match="unsupported transition table version 3"):
+            CompressedStt.from_bytes(blob[:4] + (3).to_bytes(2, "little") + blob[6:])
+
     def test_truncated_defaults_raise_value_error(self):
-        # one default short, with the bitmap and successors intact
+        # one default short, with the run counts and runs intact
         stt = compress(build_forward_dfa([(3, tree_of("[a-f]{4}")), (8, tree_of("x.{0,9}z"))]))
         blob = stt.to_bytes()
         at = len(blob) - stt.compressed_bytes + stt.defaults.nbytes
@@ -360,6 +484,9 @@ def _packet_and_offset(draw):
 
 
 class TestRunThreadAgainstRankReference:
+    """`run_thread` against `reference_run_thread`, which steps through
+    `run_lookup`."""
+
     @given(_packet_and_offset())
     @settings(max_examples=300, deadline=None)
     def test_reverse(self, packet_offset):
@@ -395,3 +522,29 @@ class TestRunThreadAgainstRankReference:
                 assert run_thread(_FORWARD, packet, offset, FORWARD, state) == reference_run_thread(
                     _FORWARD, packet, offset, FORWARD, state
                 )
+
+
+@st.composite
+def corruptions(draw, blobs):
+    """One of `blobs` cut short, or with one to three bytes flipped."""
+    blob = draw(st.sampled_from(blobs))
+    if draw(st.booleans()):
+        return blob[: draw(st.integers(0, len(blob) - 1))]
+    out = bytearray(blob)
+    for _ in range(draw(st.integers(1, 3))):
+        out[draw(st.integers(0, len(out) - 1))] ^= draw(st.integers(1, 255))
+    return bytes(out)
+
+
+class TestCorruptTables:
+    @given(corruptions([_RUNS_TABLE.to_bytes(), _REVERSE.to_bytes(), _FORWARD.to_bytes()]))
+    @settings(max_examples=500, deadline=None)
+    def test_fails_cleanly_or_round_trips(self, blob):
+        # a corrupt table is refused with ValueError, or it is a table in
+        # the one form compress writes, whose every successor is a state
+        try:
+            stt = CompressedStt.from_bytes(blob)
+        except ValueError:
+            return
+        assert stt.to_bytes() == blob
+        assert int(np.asarray(stt.rows).max()) < stt.n_states
