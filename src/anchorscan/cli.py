@@ -7,7 +7,6 @@ import io
 import json
 import multiprocessing
 import random
-import resource
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -192,17 +191,13 @@ def _own_peak_rss_mb() -> float:
     Linux's `ru_maxrss` also counts the peak of the address space that an
     exec replaced, and a child started through vfork, as `spawn` is,
     execs from its parent's: it would report the parent's peak. `VmHWM`
-    starts afresh at the exec. `ru_maxrss` is the fallback where there is
-    no /proc.
+    starts afresh at the exec.
     """
-    try:
-        with open("/proc/self/status") as status:
-            for line in status:
-                if line.startswith("VmHWM:"):
-                    return int(line.split()[1]) / 1024
-    except OSError:
-        pass
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024
+    raise RuntimeError("/proc/self/status has no VmHWM line")
 
 
 # --- commands -------------------------------------------------------------------

@@ -142,6 +142,8 @@ class CompressedStt:
             raise ValueError(f"unsupported transition table version {version}")
         if width not in (2, 4):
             raise ValueError(f"unsupported successor width {width}")
+        if (width == 4) != (n_states > 0x10000):
+            raise ValueError(f"successor width {width} is not the one for {n_states} states")
         ids = f"<u{width}"
         entries = r.array("<u4", 2 * n_entries).reshape(n_entries, 2).astype(np.int64)
         pair_states = r.array(ids, n_pairs).astype(np.int64)
@@ -173,6 +175,19 @@ class CompressedStt:
             raise ValueError("transition table runs overlap or are out of order")
         if np.any(same_row & (gap == 1) & (run_succ[1:] == run_succ[:-1])):
             raise ValueError("transition table splits one run in two")
+        # each default is its row's mode, the smallest id on a tie: no
+        # successor's runs cover more bytes than the default keeps, nor as
+        # many with a smaller id
+        if n_runs:
+            lengths = run_last.astype(np.int64) - run_first + 1
+            kept = 256 - np.bincount(run_state, weights=lengths, minlength=n_states).astype(np.int64)
+            order = np.lexsort((run_succ, run_state))
+            state, succ = run_state[order], run_succ[order].astype(np.int64)
+            group = np.flatnonzero((np.diff(state, prepend=-1) != 0) | (np.diff(succ, prepend=-1) != 0))
+            covered = np.add.reduceat(lengths[order], group)
+            state, succ = state[group], succ[group]
+            if np.any((covered > kept[state]) | ((covered == kept[state]) & (succ < defaults[state]))):
+                raise ValueError("transition table default is not its row's most frequent successor")
         labels: dict[int, list[int]] = {}
         for s, label in zip(pair_states.tolist(), pair_labels.tolist()):
             labels.setdefault(s, []).append(label)

@@ -393,6 +393,44 @@ class TestSerialization:
         with pytest.raises(ValueError, match="splits one run in two"):
             CompressedStt.from_bytes(split.to_bytes())
 
+    def test_default_that_is_not_the_mode_raises_value_error(self):
+        # state 2 with default 1 and a run 5..255 -> 2: the same row, but 1
+        # keeps 5 bytes where 2 covers 251
+        flipped = _with(
+            _RUNS_TABLE, defaults=[0, 0, 1, 0], run_first=[10, 20, 40, 5], run_last=[19, 29, 40, 255],
+            run_succ=[2, 3, 2, 2],
+        )
+        assert np.array_equal(np.asarray(flipped.rows), np.asarray(_RUNS_TABLE.rows))
+        with pytest.raises(ValueError, match="not its row's most frequent successor"):
+            CompressedStt.from_bytes(flipped.to_bytes())
+
+    def test_default_that_loses_a_tie_raises_value_error(self):
+        # state 2 half 1, half 2: the tie goes to 1, the smaller id
+        tied = _with(_RUNS_TABLE, run_first=[10, 20, 40, 0], run_last=[19, 29, 40, 127])
+        with pytest.raises(ValueError, match="not its row's most frequent successor"):
+            CompressedStt.from_bytes(tied.to_bytes())
+        table = np.asarray(tied.rows).reshape(4, 256)
+        again = compress(Dfa(table=table, accepts=tied.accepts, start=tied.start, entries=tied.entries))
+        assert int(again.defaults[2]) == 1
+        assert CompressedStt.from_bytes(again.to_bytes()) == again
+
+    def test_wide_ids_for_a_small_table_raise_value_error(self):
+        stt = _RUNS_TABLE
+        wide = replace(stt, defaults=stt.defaults.astype(np.uint32), run_succ=stt.run_succ.astype(np.uint32))
+        assert wide.succ_width == 4
+        with pytest.raises(ValueError, match="successor width 4 is not the one for 4 states"):
+            CompressedStt.from_bytes(wide.to_bytes())
+
+    def test_narrow_ids_for_a_large_table_raise_value_error(self):
+        n = 0x10001
+        narrow = CompressedStt(
+            n_states=n, start=0, defaults=np.zeros(n, np.uint16), run_counts=np.zeros(n, np.uint8),
+            run_first=np.zeros(0, np.uint8), run_last=np.zeros(0, np.uint8), run_succ=np.zeros(0, np.uint16),
+            accepts=(frozenset(),) * n,
+        )
+        with pytest.raises(ValueError, match="successor width 2 is not the one for 65537 states"):
+            CompressedStt.from_bytes(narrow.to_bytes())
+
     @pytest.mark.parametrize("labels", [(7, 5), (5, 5)], ids=["decreasing", "repeated"])
     def test_accept_pairs_must_strictly_increase(self, labels):
         blob = bytearray(_RUNS_TABLE.to_bytes())
@@ -547,4 +585,7 @@ class TestCorruptTables:
         except ValueError:
             return
         assert stt.to_bytes() == blob
-        assert int(np.asarray(stt.rows).max()) < stt.n_states
+        rows = np.asarray(stt.rows)
+        assert int(rows.max()) < stt.n_states
+        dense = Dfa(table=rows.reshape(-1, 256), accepts=stt.accepts, start=stt.start, entries=stt.entries)
+        assert compress(dense).to_bytes() == blob
