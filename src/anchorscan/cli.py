@@ -22,6 +22,7 @@ from .engine import (
     read_corpus,
     scan_corpus,
     scan_packet,
+    worker_pids,
     write_corpus,
 )
 from .oracle import oracle_match
@@ -152,9 +153,10 @@ def bench_overheads(
 ) -> list[dict]:
     """Compile cost plus scan-side work ratios on uniform random traffic.
 
-    The compile and the scan run in a fresh spawned interpreter, so its
+    The compile and the scan run in a fresh spawned interpreter, so
     `maxrss_mb` is their own peak, not that of whatever ran in this
-    process before.
+    process before. With `workers > 1` it adds the peak of each scan
+    worker that interpreter forked.
     """
     with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
         return [pool.submit(_overheads, n_rules, corpus_bytes, workers, seed).result()]
@@ -169,6 +171,7 @@ def _overheads(n_rules: int, corpus_bytes: int, workers: int, seed: int) -> dict
     t0 = time.perf_counter()
     scan = scan_corpus(db, packets, workers=workers)
     scan_s = time.perf_counter() - t0
+    pids = ["self", *worker_pids()] if workers > 1 else ["self"]
     d = scan.to_dict()
     return {
         "rules": n_rules,
@@ -177,7 +180,7 @@ def _overheads(n_rules: int, corpus_bytes: int, workers: int, seed: int) -> dict
         "scan_s": round(scan_s, 3),
         "throughput_mb_s": round(d["bytes"] / 1e6 / scan_s, 2) if scan_s else 0.0,
         "db_bytes": len(db.to_bytes()),
-        "maxrss_mb": round(_own_peak_rss_mb(), 1),
+        "maxrss_mb": round(sum(_peak_rss_mb(pid) for pid in pids), 1),
         "filter_hit_ratio": round(d["filter_hit_ratio"], 6),
         "adfa_byte_ratio": round(d["adfa_byte_ratio"], 6),
         "escalated_ratio": round(d["escalated_ratio"], 6),
@@ -185,19 +188,20 @@ def _overheads(n_rules: int, corpus_bytes: int, workers: int, seed: int) -> dict
     }
 
 
-def _own_peak_rss_mb() -> float:
-    """Peak resident set of this process's own address space, in MB.
+def _peak_rss_mb(pid: int | str = "self") -> float:
+    """Peak resident set of a process's own address space, in MB.
 
     Linux's `ru_maxrss` also counts the peak of the address space that an
     exec replaced, and a child started through vfork, as `spawn` is,
     execs from its parent's: it would report the parent's peak. `VmHWM`
-    starts afresh at the exec.
+    starts afresh at the exec. A forked child's starts at the resident
+    set it shares with its parent at the fork.
     """
-    with open("/proc/self/status") as status:
+    with open(f"/proc/{pid}/status") as status:
         for line in status:
             if line.startswith("VmHWM:"):
                 return int(line.split()[1]) / 1024
-    raise RuntimeError("/proc/self/status has no VmHWM line")
+    raise RuntimeError(f"/proc/{pid}/status has no VmHWM line")
 
 
 # --- commands -------------------------------------------------------------------

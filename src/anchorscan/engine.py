@@ -624,6 +624,12 @@ def _scan_parallel(db: CompiledDatabase, packets: list[bytes], n: int) -> tuple[
             raise
 
 
+def worker_pids() -> list[int]:
+    """Process ids of the workers this process keeps for parallel scans."""
+    pool = _pool
+    return [proc.pid for proc in pool.procs] if pool is not None and pool.pid == os.getpid() else []
+
+
 def scan_corpus(
     db: CompiledDatabase,
     packets: list[bytes],

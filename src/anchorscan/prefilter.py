@@ -12,11 +12,16 @@ maps every 2-byte window of a packet to one flag byte (the direct unit's bit
 and the four gate bits) with a single gather, reports the direct hits, and
 hashes a 4- or 8-byte window only when its head and tail pairs both pass
 their gates. Every key passes its own gates, so the gates cost no false
-negatives; on clean traffic most packets make no hash call at all. Windows
-are read in place as big-endian integers through one-byte-stride views of
-the packet. A unit with a few gated windows hashes them one by one with the
-scalar `contains`; more go through one vectorized `hit_mask` call. Tests
-hold `scan` to a brute-force per-window query that applies the same gates.
+negatives; on clean traffic most packets make no hash call at all.
+
+Only lead windows, those with the direct bit or a head-gate bit, can start
+a hit. A packet with few of them (a 1500-byte random packet has about 6) is
+finished by one Python pass over its lead windows; one with many is tested
+with numpy over all windows. Windows are read in place through one-byte-
+stride views of the packet. A unit with a few gated windows hashes them one
+by one with the scalar `contains`; more go through one vectorized
+`hit_mask` call. Tests hold `scan` to a brute-force per-window query that
+applies the same gates.
 """
 from __future__ import annotations
 
@@ -44,14 +49,31 @@ _TAIL4 = 0x02
 _HEAD4 = 0x04
 _TAIL8 = 0x08
 _HEAD8 = 0x10
+#: the bits that make a window a lead window, one that can start a key
+_LEAD = _DIRECT | _HEAD4 | _HEAD8
 
 #: gated windows per unit up to which `scan` hashes each window with the
 #: scalar `XorFilterUnit.contains` instead of one vectorized `hit_mask` call.
-#: `hit_mask` costs a fixed ~40 numpy dispatches (about 50 us on a 2-core
+#: `hit_mask` costs a fixed ~40 numpy dispatches (about 29 us on a 2-core
 #: x86 host, numpy 2.4) whatever its length; one `contains` costs about
-#: 4.5-5 us there, so the two break even near 10-12 windows. 8 stays below
-#: that, where a scalar run can never cost much more than the call it saves.
+#: 1.8 us there, so the two break even near 15 windows. 8 stays below that,
+#: where a scalar run can never cost much more than the call it saves; 10,
+#: 12 and 14 scanned the benchmark corpora no faster.
 _SCALAR_WINDOWS = 8
+
+#: lead windows per packet up to which `scan` visits each in Python instead
+#: of testing the gates over every window with numpy. On 1500-byte packets
+#: the Python pass costs about 0.25 us per lead window and the numpy test a
+#: near-fixed 18-25 us; with hashing they break even at 56-64 lead windows
+#: (48-56 without). A packet of the benchmark corpora has at most 52 lead
+#: windows, or at least 179.
+_SPARSE_LEADS = 64
+
+# the result of a packet without hits, shared: read-only, so that no caller
+# can change it for the next
+_NO_ENDS = np.zeros(0, dtype=np.int64)
+_NO_CODES = np.zeros(0, dtype=np.uint8)
+_NO_ENDS.flags.writeable = _NO_CODES.flags.writeable = False
 
 
 def splitmix64(x: int) -> int:
@@ -303,11 +325,12 @@ class FilterBank:
     tail4: DirectFilterUnit
     head8: DirectFilterUnit
     tail8: DirectFilterUnit
-    #: 2-byte window value -> direct and gate bits; derived, not serialized
+    #: little-endian 2-byte window value -> direct and gate bits; derived,
+    #: not serialized
     flags: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.flags = np.zeros(65536, dtype=np.uint8)
+        flags = np.zeros(65536, dtype=np.uint8)
         for bit, pair_set in (
             (_DIRECT, self.unit2),
             (_TAIL4, self.tail4),
@@ -315,7 +338,10 @@ class FilterBank:
             (_TAIL8, self.tail8),
             (_HEAD8, self.head8),
         ):
-            self.flags |= pair_set.members() * np.uint8(bit)
+            flags |= pair_set.members() * np.uint8(bit)
+        # the pair sets index a window by its big-endian value; `scan`
+        # reads windows little-endian, with its first byte low
+        self.flags = np.ascontiguousarray(flags.reshape(256, 256).T).ravel()
 
     @property
     def key_count(self) -> int:
@@ -329,36 +355,68 @@ class FilterBank:
         """
         n = len(data)
         if n < 2:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint8)
-        # every w-byte window read in place as a big-endian integer: element
-        # k of a view with a one-byte stride is bytes k..k+w-1
-        flags = self.flags[np.ndarray((n - 1,), ">u2", data, 0, (1,))]
-        direct = (flags & _DIRECT).nonzero()[0] + 1  # window k ends at k + 1
+            return _NO_ENDS, _NO_CODES
+        # every 2-byte window read in place as a little-endian integer:
+        # element k of a view with a one-byte stride is bytes k..k+1
+        flags = self.flags.take(np.ndarray((n - 1,), "<u2", data, 0, (1,)))
+        leads = flags & _LEAD
+        if np.count_nonzero(leads) > _SPARSE_LEADS:  # counting many is cheaper than listing them
+            return self._scan_dense(data, flags)
+        fb = flags.tobytes()
+        hits = []
+        starts4, starts8 = [], []
+        for k in leads.nonzero()[0].tolist():
+            f = fb[k]
+            if f & _DIRECT:
+                hits.append((k + 1, UNIT_DIRECT))  # window k ends at k + 1
+            # a w-byte window at k passes when its tail pair, window
+            # k + w - 2, passes its gate too
+            if f & _HEAD4 and k + 2 < n - 1 and fb[k + 2] & _TAIL4:
+                starts4.append(k)
+            if f & _HEAD8 and k + 6 < n - 1 and fb[k + 6] & _TAIL8:
+                starts8.append(k)
+        for code, starts in ((UNIT_XOR4, starts4), (UNIT_XOR8, starts8)):
+            if starts:
+                hits += ((end, code) for end in self._hashed_ends(data, code, starts))
+        if not hits:
+            return _NO_ENDS, _NO_CODES
+        hits.sort()
+        ends, codes = zip(*hits)
+        return np.array(ends, dtype=np.int64), np.array(codes, dtype=np.uint8)
+
+    def _scan_dense(self, data: bytes, flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`scan` for a packet with many lead windows: the gates are
+        tested over all windows at once, on the flags `scan` gathered."""
+        direct = (flags & _DIRECT).nonzero()[0] + 1
         heads = flags >> 1  # head gate bits moved onto their tail bits
         offs, codes = [direct], [UNIT_DIRECT]
-        for unit, tail_bit, code, dtype in (
-            (self.unit4, _TAIL4, UNIT_XOR4, ">u4"),
-            (self.unit8, _TAIL8, UNIT_XOR8, ">u8"),
-        ):
-            w = unit.width
-            # window k passes when its head pair (flags[k]) and its tail pair
-            # (flags[k + w - 2]) both pass their gates
-            starts = (heads[: 2 - w] & flags[w - 2 :] & tail_bit).nonzero()[0]
-            if len(starts) > _SCALAR_WINDOWS:
-                values = np.ndarray((n - w + 1,), dtype, data, 0, (1,))[starts]
-                offs.append(starts[unit.hit_mask(values)] + (w - 1))
+        for code, tail_bit in ((UNIT_XOR4, _TAIL4), (UNIT_XOR8, _TAIL8)):
+            # window k passes when its head pair (flags[k]) and its tail
+            # pair (flags[k + w - 2]) both pass their gates; w is the code
+            starts = (heads[: 2 - code] & flags[code - 2 :] & tail_bit).nonzero()[0]
+            ends = self._hashed_ends(data, code, starts)
+            if len(ends):
+                offs.append(np.asarray(ends, dtype=np.int64))
                 codes.append(code)
-            elif len(starts):
-                hit = [k + w - 1 for k in starts.tolist() if unit.contains(data[k : k + w])]
-                if hit:
-                    offs.append(np.array(hit, dtype=np.int64))
-                    codes.append(code)
         if len(offs) == 1:
             return direct, np.full(len(direct), UNIT_DIRECT, dtype=np.uint8)
         end = np.concatenate(offs)
         unit = np.repeat(np.array(codes, dtype=np.uint8), [len(e) for e in offs])
         order = np.lexsort((unit, end))
         return end[order], unit[order]
+
+    def _hashed_ends(self, data: bytes, code: int, starts) -> list[int] | np.ndarray:
+        """End offsets of the gated windows at `starts` (ints, ascending)
+        that the xor unit `code` holds: hashed one by one up to
+        `_SCALAR_WINDOWS` windows, in one vectorized call above."""
+        unit = self.unit4 if code == UNIT_XOR4 else self.unit8
+        w = unit.width
+        if len(starts) > _SCALAR_WINDOWS:
+            starts = np.asarray(starts)
+            # each w-byte window read in place as a big-endian integer
+            values = np.ndarray((len(data) - w + 1,), f">u{w}", data, 0, (1,))[starts]
+            return starts[unit.hit_mask(values)] + (w - 1)
+        return [k + w - 1 for k in map(int, starts) if unit.contains(data[k : k + w])]
 
     def __eq__(self, other) -> bool:
         return (

@@ -7,9 +7,9 @@ import resource
 
 import pytest
 
-from anchorscan.cli import bench_overheads, read_rules_file, run
-from anchorscan.engine import CompiledDatabase, compile_rules, read_corpus
-from test_engine import XREF_RULES, FORGERIES, forged_blob, forgeries
+from anchorscan.cli import _overheads, _peak_rss_mb, bench_overheads, read_rules_file, run
+from anchorscan.engine import CompiledDatabase, compile_rules, read_corpus, worker_pids
+from test_engine import XREF_RULES, FORGERIES, cpus, forged_blob, forgeries
 
 
 def test_rules_file_parsing(tmp_path):
@@ -254,6 +254,23 @@ def test_bench_overheads_reports_its_own_peak():
     assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024 >= 150
     row = bench_overheads(n_rules=6, corpus_bytes=200_000, workers=1)[0]
     assert 0 < row["maxrss_mb"] < 150
+
+
+def test_bench_overheads_counts_its_scan_workers(monkeypatch):
+    # run here rather than spawned, so that two usable CPUs can be pretended
+    # and workers=2 forks one scan worker on any host
+    cpus(monkeypatch, 2)
+    before = _peak_rss_mb()
+    two = _overheads(6, 200_000, 2, 0x0E)
+    (pid,) = worker_pids()
+    worker = _peak_rss_mb(pid)
+    assert worker > 1
+    assert before + worker - 0.1 <= two["maxrss_mb"] <= _peak_rss_mb() + worker + 0.1
+    # the worker is kept after the parallel scan, but a serial one does not count it
+    one = _overheads(6, 200_000, 1, 0x0E)
+    assert worker_pids() == [pid]
+    assert before - 0.1 <= one["maxrss_mb"] <= _peak_rss_mb() + 0.1
+    assert one["corpus_bytes"] == two["corpus_bytes"] == 200_000
 
 
 def test_bench_overheads_small():

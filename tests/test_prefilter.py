@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anchorscan import prefilter
 from anchorscan.blob import BlobReader
 from anchorscan.decompose import FilterKey, pick_filter_key
 from anchorscan.chars import ByteClass
@@ -24,6 +25,7 @@ from anchorscan.prefilter import (
     build_xor_unit,
     splitmix64,
     _SCALAR_WINDOWS,
+    _SPARSE_LEADS,
     _fp_dtype,
     _splitmix64_vec,
 )
@@ -447,6 +449,60 @@ class TestHashingThreshold:
         for packet in (k4 + k8, k8 + k4, b"a\x01" + k4 + k4, k4[:2] + k8[-2:] + k8):
             self.assert_scan_is_brute(packet[:length])
             self.assert_scan_is_brute(packet[len(packet) - length :])
+
+
+class TestLeadWindowThreshold:
+    """`scan` visits up to _SPARSE_LEADS lead windows of a packet (those
+    whose pair has the direct bit or a head-gate bit) one by one, and tests
+    the gates of a packet with more over all its windows at once; both
+    paths must give the same hits."""
+
+    key = b"ABCDEFGH"
+    # lead pairs: AB (both head gates), EF (a 4-key head), GH (the 2-key)
+    bank = bank_of(b"GH", b"ABCD", b"EFGH", key)
+
+    def lead_windows(self, packet: bytes) -> int:
+        sets = (self.bank.unit2, self.bank.head4, self.bank.head8)
+        return sum(any(s.contains(packet[k : k + 2]) for s in sets) for k in range(len(packet) - 1))
+
+    def packet(self, leads: int) -> bytes:
+        """`leads` lead windows, with a key of every width in the first and
+        the last windows, direct hits between, and gated 4- and 8-byte
+        windows that are not keys."""
+        middle = b"\x00GH\x00ABGH\x00AB\x01\x02\x03\x04GH\x00EF\x05GH\x00"
+        top = leads - self.lead_windows(self.key + middle + self.key)
+        assert top >= 0
+        return self.key + middle + b"AB\x00" * top + self.key
+
+    def assert_scan_is_brute(self, packet: bytes) -> list[tuple[int, int]]:
+        ends, units = self.bank.scan(packet)
+        assert ends.dtype == np.int64 and units.dtype == np.uint8
+        hits = list(zip(ends.tolist(), units.tolist()))
+        assert hits == brute_hits(self.bank, packet)
+        return hits
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_sparse_and_dense_paths(self, extra, monkeypatch):
+        calls = []
+        dense = FilterBank._scan_dense
+        monkeypatch.setattr(FilterBank, "_scan_dense", lambda bank, *a: calls.append(1) or dense(bank, *a))
+        packet = self.packet(_SPARSE_LEADS + extra)
+        assert self.lead_windows(packet) == _SPARSE_LEADS + extra
+        hits = self.assert_scan_is_brute(packet)
+        assert calls == ([1] if extra else [])
+        end = len(packet) - 1
+        assert {(3, UNIT_XOR4), (7, UNIT_XOR8)} <= set(hits)  # the first windows
+        assert {(end, UNIT_DIRECT), (end, UNIT_XOR4), (end, UNIT_XOR8)} <= set(hits)  # the last
+
+    @pytest.mark.parametrize("dense", [False, True])
+    @pytest.mark.parametrize("length", range(10))
+    def test_short_packets(self, length, dense, monkeypatch):
+        if dense:  # every packet of two bytes or more takes the dense path
+            monkeypatch.setattr(prefilter, "_SPARSE_LEADS", -1)
+        packet = self.packet(_SPARSE_LEADS)
+        # the prefixes end in head pairs whose tail pairs are cut off
+        self.assert_scan_is_brute(packet[:length])
+        self.assert_scan_is_brute(packet[len(packet) - length :])
 
 
 class TestSerialization:
