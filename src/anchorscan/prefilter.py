@@ -36,6 +36,9 @@ from .decompose import FilterKey
 
 _M64 = (1 << 64) - 1
 _CHUNK = 0x1FFFFF  # 21-bit index chunks from one 64-bit hash
+_CHUNK_U64 = np.uint64(_CHUNK)
+_CHUNK_SHIFTS = np.array([[0], [21], [42]], dtype=np.uint64)  # per slot, its chunk
+_THIRDS = np.array([[0], [1], [2]], dtype=np.uint64)  # per slot, its block
 
 #: unit codes; also the tie-break order for hits at the same end offset
 UNIT_DIRECT = 2
@@ -54,11 +57,11 @@ _LEAD = _DIRECT | _HEAD4 | _HEAD8
 
 #: gated windows per unit up to which `scan` hashes each window with the
 #: scalar `XorFilterUnit.contains` instead of one vectorized `hit_mask` call.
-#: `hit_mask` costs a fixed ~40 numpy dispatches (about 29 us on a 2-core
+#: `hit_mask` costs a fixed ~30 numpy dispatches (about 25-29 us on a 2-core
 #: x86 host, numpy 2.4) whatever its length; one `contains` costs about
-#: 1.8 us there, so the two break even near 15 windows. 8 stays below that,
-#: where a scalar run can never cost much more than the call it saves; 10,
-#: 12 and 14 scanned the benchmark corpora no faster.
+#: 1.8-2.1 us there, so the two break even near 14 windows. 8 stays below
+#: that, where a scalar run can never cost much more than the call it
+#: saves; 10, 12 and 14 scanned the benchmark corpora no faster.
 _SCALAR_WINDOWS = 8
 
 #: lead windows per packet up to which `scan` visits each in Python instead
@@ -83,11 +86,22 @@ def splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _splitmix64_vec(x: np.ndarray) -> np.ndarray:
-    x = (x + np.uint64(0x9E3779B97F4A7C15)).astype(np.uint64)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX_STEPS = ((np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)), (np.uint64(27), np.uint64(0x94D049BB133111EB)))
+_LAST_SHIFT = np.uint64(31)
+
+
+def _splitmix64_vec(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """`splitmix64` over an array, into `out` (which may be `x` itself) or
+    one new uint64 array; every later step works in place on it, through
+    one temporary array for the shifts."""
+    x = np.add(x, _GOLDEN, out=out, dtype=np.uint64)
+    shifted = np.empty_like(x)
+    for shift, mul in _MIX_STEPS:
+        x ^= np.right_shift(x, shift, out=shifted)
+        x *= mul
+    x ^= np.right_shift(x, _LAST_SHIFT, out=shifted)
+    return x
 
 
 class FilterBuildError(RuntimeError):
@@ -211,24 +225,26 @@ class XorFilterUnit:
         slots = self.slot_view
         return slots[i0] ^ slots[i1] ^ slots[i2] == fp
 
-    def _mix_vec(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """`_mix` over a uint64 array: three int64 slot arrays and the
-        uint64 fingerprints."""
-        h = _splitmix64_vec(values ^ np.uint64(self.seed))
+    def _mix_vec(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`_mix` over a uint64 array: a `(3, n)` int64 array of the three
+        slots per value, and the uint64 fingerprints. Each step works in
+        place on one array per result, so a call makes few dispatches."""
+        h = np.bitwise_xor(values, np.uint64(self.seed), dtype=np.uint64)
+        _splitmix64_vec(h, out=h)
+        fp = _splitmix64_vec(h)
+        fp &= np.uint64((1 << self.fp_bits) - 1)
         bl = np.uint64(self.block_len)
-        chunk = np.uint64(_CHUNK)
-        i0 = (h & chunk) % bl
-        i1 = ((h >> np.uint64(21)) & chunk) % bl + bl
-        i2 = ((h >> np.uint64(42)) & chunk) % bl + np.uint64(2) * bl
-        fp = _splitmix64_vec(h) & np.uint64((1 << self.fp_bits) - 1)
-        return i0.astype(np.int64), i1.astype(np.int64), i2.astype(np.int64), fp
+        slots = np.right_shift(h, _CHUNK_SHIFTS)  # one 21-bit chunk per row
+        slots &= _CHUNK_U64
+        slots %= bl
+        slots += _THIRDS * bl
+        return slots.view(np.int64), fp  # every slot is below 2^63
 
     def hit_mask(self, values: np.ndarray) -> np.ndarray:
         if self.is_empty:
             return np.zeros(len(values), dtype=bool)
-        i0, i1, i2, fp = self._mix_vec(values)
-        slots = self.fingerprints
-        return (slots[i0] ^ slots[i1] ^ slots[i2]).astype(np.uint64) == fp
+        slots, fp = self._mix_vec(values)
+        return np.bitwise_xor.reduce(self.fingerprints[slots], axis=0) == fp
 
     def __eq__(self, other) -> bool:
         return (
@@ -266,8 +282,8 @@ def build_xor_unit(
 
     for attempt in range(attempts):
         unit.seed = splitmix64(base_seed ^ (attempt * 0x9E3779B97F4A7C15 & _M64))
-        i0, i1, i2, fp = unit._mix_vec(values)
-        triples = list(zip(i0.tolist(), i1.tolist(), i2.tolist()))
+        slots, fp = unit._mix_vec(values)
+        triples = list(zip(*slots.tolist()))
         order = _peel(triples, 3 * unit.block_len)
         if order is None:
             continue

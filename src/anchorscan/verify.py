@@ -19,14 +19,46 @@ edge (the whole interval in exact mode); on failure it is the number of
 bytes read before the gap was rejected. Gaps that examine bytes add `n` to
 the verifier's byte count either way; for a trailing gap, `n` is how far
 past the last fragment the rule's match ends.
+
+An interior gap finds a matching record of the fragment before it without
+checking every record's interval anew, so verification stays
+linear in the packet length:
+
+- Empty, any-byte and class gaps accept an interval by its length and, for
+  a class, the membership of every byte in it. Records arrive in `pos_e`
+  order, so `bisect` finds the latest one that leaves at least `lo` bytes;
+  its interval is the shortest the bounds allow and lies inside every
+  longer one, so it matches if any record does, and it is the only one
+  checked. These records are never capped.
+- A gap language L is *left-absorbing* when Σ*L = L: a record earlier than
+  a matching one matches too, so only the earliest record is kept. `.{lo,}`
+  is; a gap automaton is tested when its rule is built or loaded
+  (`DfaGap.absorbing`), within a fixed number of steps.
+- An automaton gap runs forward from each kept record, and each run is
+  kept and resumed by the next event, so a packet reads each byte at most
+  once per record. A gap that is also *right-absorbing* (LΣ* = L), the
+  `.*X.*` shape that decomposition leaves around an unkeyable fragment,
+  stops at its first accept: every later interval matches, so each later
+  check is one comparison.
+- `RECORD_CAP` bounds only the records of automaton gaps that are not
+  left-absorbing, the one kind that keeps more than one record to run.
+
+`RuleChecks` holds what the verifier needs per event, derived once per
+rule: the last fragment index, how each interior gap finds its record and
+how many records it keeps, and whether the edge gaps accept without a
+check.
 """
 from __future__ import annotations
 
 import struct
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import length_hint
 from typing import NamedTuple
+
+import numpy as np
 
 from .automata import (
     DEAD,
@@ -52,9 +84,16 @@ PREFIX = "prefix"  # gap may match any prefix of the interval (trailing edge)
 
 _INF = 0xFFFFFFFF
 
-#: fragment records kept per (rule, fragment) in one packet; a record past
-#: the cap is dropped and counted in `saturated`
+#: records kept per (rule, fragment) in one packet when the next gap is an
+#: automaton that is not left-absorbing, the one kind that checks each
+#: record in turn; a record past the cap is dropped and counted in
+#: `saturated`. Other gaps keep every record, or only the earliest.
 RECORD_CAP = 64
+
+#: work allowed per gap automaton when deciding left absorption: state
+#: pairs visited, each counted once per byte class; a gap past it counts as
+#: neither left- nor right-absorbing, so no table can stall a load
+ABSORB_STEPS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -152,6 +191,16 @@ class DfaGap:
     stt: CompressedStt
     mode: str
 
+    @cached_property
+    def absorbing(self) -> tuple[bool, bool]:
+        """Whether the exact-mode gap language L is left-absorbing (Σ*L =
+        L) and right-absorbing (LΣ* = L), as `(left, right)`; derived from
+        the table on first use, not serialized. Other modes count as
+        neither."""
+        if self.mode != EXACT:
+            return False, False
+        return _absorbing(self.stt)
+
     def check(self, data: bytes, gs: int, ge: int) -> tuple[bool, int]:
         length = ge - gs + 1
         if length < 0:
@@ -183,6 +232,54 @@ class DfaGap:
 
 
 Gap = EmptyGap | DotGap | ClassGap | DfaGap
+
+
+def _absorbing(stt: CompressedStt) -> tuple[bool, bool]:
+    """`(left, right)` absorption of the language an exact-mode table
+    accepts, where state 0 is dead whatever its row says, as in `check`.
+
+    Right: the accepting states are closed under every byte, so a run that
+    has accepted accepts at every later byte. Left: Σ*L = L holds exactly
+    when bL ⊆ L for every byte b (induction on the prefix), that is when
+    the language of the start state is included in that of each state one
+    byte on. A depth-first walk over the pairs of states reachable from
+    those `(start, next)` pairs by the same bytes looks for an accepting
+    first state whose partner does not accept; past `ABSORB_STEPS` it gives
+    up and the gap counts as neither.
+    """
+    start = stt.start
+    if start == DEAD:
+        return False, False
+    rows = stt.rows
+    accepts = [bool(labels) for labels in stt.accepts]
+    accepts[DEAD] = False
+    # every row is constant between run edges: one byte per stretch suffices
+    edges = {0, *stt.run_first.tolist(), *(int(b) + 1 for b in stt.run_last.tolist())}
+    reps = sorted(b for b in edges if b < 256)
+    todo = [(start, rows[(start << 8) | b]) for b in reps]
+    seen = set(todo)
+    steps = 0
+    while todo:
+        p, q = todo.pop()
+        if p == q or p == DEAD:
+            continue  # equal languages, or an empty one
+        if accepts[p] and not accepts[q]:
+            return False, _accept_closed(stt, accepts, reps)
+        steps += len(reps)
+        if steps > ABSORB_STEPS:
+            return False, False
+        for b in reps:
+            pair = (rows[(p << 8) | b], DEAD if q == DEAD else rows[(q << 8) | b])
+            if pair not in seen:
+                seen.add(pair)
+                todo.append(pair)
+    return True, _accept_closed(stt, accepts, reps)
+
+
+def _accept_closed(stt: CompressedStt, accepts: list[bool], reps: list[int]) -> bool:
+    acc = np.array(accepts, dtype=bool)
+    succ = np.asarray(stt.rows).reshape(stt.n_states, 256)[acc][:, reps]
+    return bool(acc[succ].all())
 
 
 def classify_gap(
@@ -273,25 +370,77 @@ class MatchEvent(NamedTuple):
     pos_e: int   # last byte of the fragment match
 
 
+#: how an interior gap finds a matching record of the fragment before it
+_LOOKUP = 0  # the latest record that leaves `lo` bytes, by position (`bisect`)
+_RUNS = 1    # each kept record's automaton run, resumed where it stopped
+_LOOP = 2    # every kept record's `check` in turn
+
+
 @dataclass(frozen=True)
 class RuleChecks:
-    """Verifier-side view of one compiled rule."""
+    """Verifier-side view of one compiled rule.
+
+    The fields after `anchored_end` are the rule's plan, derived from the
+    gaps when it is built or loaded and never serialized, so that the
+    verifier reads them per event instead of deciding them again.
+    """
 
     rule_id: int
     n_fragments: int
     gaps: tuple[Gap, ...]  # length n_fragments + 1
     anchored_end: bool
-    #: the leading gap accepts any first fragment without a check; derived
-    #: from `gaps[0]`, not serialized
+    #: the leading gap accepts any first fragment without a check
     free_lead: bool = field(init=False, repr=False, compare=False)
+    #: the trailing gap accepts any last fragment, with an empty window,
+    #: without a check
+    free_trail: bool = field(init=False, repr=False, compare=False)
+    #: index of the last fragment
+    last: int = field(init=False, repr=False, compare=False)
+    #: per gap index k, for interior gaps: `(how, gap, a, b)`, how gap k
+    #: finds a record of fragment k - 1; `a, b` are the length bounds for
+    #: `_LOOKUP`, and `a` says whether the gap is right-absorbing for `_RUNS`
+    links: tuple[tuple | None, ...] = field(init=False, repr=False, compare=False)
+    #: per fragment k before the last: how many of its records to keep,
+    #: 1 when the earliest dominates the rest, `RECORD_CAP`, or None for all
+    limits: tuple[int | None, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # a rule with no gaps at all is refused when its database loads
-        object.__setattr__(self, "free_lead", bool(self.gaps) and _accepts_any_lead(self.gaps[0]))
+        # a rule whose gaps do not fit its fragments is refused when its
+        # database loads, so only a well-formed rule is ever scanned
+        gaps = self.gaps
+        interior = [_link(gap) for gap in gaps[1:-1]]
+        derived = {
+            "free_lead": bool(gaps) and _accepts_any_lead(gaps[0]),
+            "free_trail": bool(gaps) and _accepts_any_trail(gaps[-1]),
+            "last": self.n_fragments - 1,
+            "links": (None, *(link for link, _ in interior)),
+            "limits": tuple(limit for _, limit in interior),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
 def _keeps_earliest_only(gap: Gap) -> bool:
-    return isinstance(gap, DotGap) and gap.lo == 0 and gap.hi is None
+    """True when the gap language is left-absorbing, so that the earliest
+    record matches whenever a later one does: `.{lo,}`, or an automaton
+    found to be."""
+    if isinstance(gap, DotGap):
+        return gap.hi is None
+    return isinstance(gap, DfaGap) and gap.absorbing[0]
+
+
+def _link(gap: Gap) -> tuple[tuple, int | None]:
+    """`(link, limit)` for an interior gap: how it finds a record, and how
+    many records of the fragment before it to keep."""
+    earliest = _keeps_earliest_only(gap)
+    if gap.mode == EXACT:
+        if isinstance(gap, EmptyGap):
+            return (_LOOKUP, gap, 0, 0), None
+        if isinstance(gap, (DotGap, ClassGap)):
+            return (_LOOKUP, gap, gap.lo, gap.hi), 1 if earliest else None
+        if isinstance(gap, DfaGap) and gap.stt.start != DEAD:
+            return (_RUNS, gap, gap.absorbing[1], None), 1 if earliest else RECORD_CAP
+    return (_LOOP, gap, 0, None), 1 if earliest else RECORD_CAP
 
 
 def _accepts_any_lead(gap: Gap) -> bool:
@@ -299,7 +448,16 @@ def _accepts_any_lead(gap: Gap) -> bool:
     without reading a byte: no pattern on an unanchored edge, or `.*`."""
     if isinstance(gap, EmptyGap):
         return gap.mode != EXACT
-    return _keeps_earliest_only(gap)
+    return isinstance(gap, DotGap) and gap.lo == 0 and gap.hi is None
+
+
+def _accepts_any_trail(gap: Gap) -> bool:
+    """True when the trailing gap's check returns `(True, 0)` for every
+    interval without reading a byte: no pattern, or `.{0,hi}`, on an
+    unanchored edge."""
+    if gap.mode == EXACT:
+        return False
+    return isinstance(gap, EmptyGap) or (isinstance(gap, DotGap) and gap.lo == 0)
 
 
 class VerificationState:
@@ -313,6 +471,9 @@ class VerificationState:
         self.checks = checks
         self.data = data
         self.records: dict[tuple[int, int], list[int]] = {}  # (rule_idx, k) -> pos_e list
+        #: (rule_idx, k) -> per record of fragment k, `(state, next byte)`:
+        #: how far the automaton of the gap after it has run from it
+        self.runs: dict[tuple[int, int], list[tuple[int, int]]] = {}
         self.emitted: set[tuple[int, int]] = set()
         self.saturated = 0
         self.verify_bytes = 0
@@ -323,59 +484,122 @@ class VerificationState:
         same fields, and return the rule matches it completes."""
         rule_idx, k, pos_s, pos_e = ev
         rule = self.checks[rule_idx]
-        gaps = rule.gaps
-        data = self.data
 
         # gaps that examine bytes escalate the packet and count what they read
-        if k == 0:
-            if rule.free_lead:
-                ok = True
-            else:
-                gap = gaps[0]
-                ok, n = gap.check(data, 0, pos_s - 1)
-                if gap.examines_bytes:
-                    self.escalated = True
+        if k:
+            key = (rule_idx, k - 1)
+            ends = self.records.get(key)
+            if not ends:
+                return []
+            how, gap, a, b = rule.links[k]
+            examines = gap.examines_bytes
+            if examines:
+                self.escalated = True
+            last = pos_s - 1  # the gap's last byte; it starts after a record
+            if how == _LOOKUP:
+                # the latest record that leaves lo bytes has the shortest
+                # interval the bounds allow, inside every longer one
+                i = bisect_right(ends, last - a) - 1
+                if i < 0 or (b is not None and ends[i] < last - b):
+                    return []
+                if examines:
+                    ok, n = gap.check(self.data, ends[i] + 1, last)
                     self.verify_bytes += n
-        else:
-            ok = False
-            prev_ends = self.records.get((rule_idx, k - 1))
-            if prev_ends:
-                gap = gaps[k]
-                check = gap.check
-                examines = gap.examines_bytes
-                for prev_end in prev_ends:
-                    ok, n = check(data, prev_end + 1, pos_s - 1)
+                    if not ok:
+                        return []
+            elif how == _RUNS:
+                if not self._run_accepts(key, gap.stt, a, ends, last):
+                    return []
+            else:
+                check, data = gap.check, self.data
+                for prev_end in ends:
+                    ok, n = check(data, prev_end + 1, last)
                     if examines:
-                        self.escalated = True
                         self.verify_bytes += n
                     if ok:
                         break
-        if not ok:
-            return []
-
-        n_fragments = rule.n_fragments
-        if k < n_fragments - 1:
-            key = (rule_idx, k)
-            kept = self.records.setdefault(key, [])
-            if kept and _keeps_earliest_only(gaps[k + 1]):
-                return []  # earliest record already suffices for a 0..inf gap
-            if len(kept) >= RECORD_CAP:
-                self.saturated += 1
+                else:
+                    return []
+        elif not rule.free_lead:
+            gap = rule.gaps[0]
+            ok, n = gap.check(self.data, 0, pos_s - 1)
+            if gap.examines_bytes:
+                self.escalated = True
+                self.verify_bytes += n
+            if not ok:
                 return []
-            kept.append(pos_e)
+
+        if k < rule.last:
+            key = (rule_idx, k)
+            kept = self.records.get(key)
+            if kept is None:
+                self.records[key] = [pos_e]
+            else:
+                limit = rule.limits[k]
+                if limit is None or len(kept) < limit:
+                    kept.append(pos_e)
+                elif limit == RECORD_CAP:
+                    self.saturated += 1
             return []
 
         # last fragment: the trailing gap decides, and the match ends at the
         # packet end for `$`, else after the gap's shortest window
-        gap = gaps[n_fragments]
-        ok, gap_len = gap.check(data, pos_e + 1, len(data) - 1)
-        if gap.examines_bytes:
-            self.escalated = True
-            self.verify_bytes += gap_len
-        if not ok:
+        if rule.free_trail:
+            end = len(self.data) - 1 if rule.anchored_end else pos_e
+        else:
+            gap, data = rule.gaps[-1], self.data
+            ok, gap_len = gap.check(data, pos_e + 1, len(data) - 1)
+            if gap.examines_bytes:
+                self.escalated = True
+                self.verify_bytes += gap_len
+            if not ok:
+                return []
+            end = len(data) - 1 if rule.anchored_end else pos_e + gap_len
+        found = (rule.rule_id, end)
+        if found in self.emitted:
             return []
-        end = len(data) - 1 if rule.anchored_end else pos_e + gap_len
-        if (rule.rule_id, end) in self.emitted:
-            return []
-        self.emitted.add((rule.rule_id, end))
-        return [(rule.rule_id, end)]
+        self.emitted.add(found)
+        return [found]
+
+    def _run_accepts(self, key: tuple[int, int], stt: CompressedStt, right: bool, ends: list[int], last: int) -> bool:
+        """Whether an exact-mode gap automaton accepts `[r + 1, last]` for
+        some record r in `ends`, trying them in order like `check` would.
+
+        Each record's run is kept in `runs[key]` and resumed where it
+        stopped, so while gap ends move forward a packet reads each byte at
+        most once per record. A run settles for good at the dead state and,
+        when the gap is right-absorbing, at its first accept, which holds
+        for every later end. An interval that ends before the byte a run
+        has reached is run again from its record, and that run not kept.
+        """
+        runs = self.runs.get(key)
+        if runs is None:
+            runs = self.runs[key] = []
+        rows, accepts, data = stt.rows, stt.accepts, self.data
+        for i, r in enumerate(ends):
+            if r > last:
+                return False  # this record and every later one overlap the fragment
+            if i < len(runs):
+                state, pos = runs[i]
+                keep = pos <= last + 1
+                if not keep:
+                    state, pos = stt.start, r + 1
+            else:
+                state, pos, keep = stt.start, r + 1, True
+                runs.append((state, pos))
+            if pos <= last and state != DEAD and not (right and accepts[state]):
+                window = data[pos : last + 1]
+                it = iter(window)
+                for byte in it:
+                    state = rows[(state << 8) | byte]
+                    if state == DEAD or (right and accepts[state]):
+                        break
+                read = len(window) - length_hint(it)
+                self.verify_bytes += read
+                pos += read
+            if keep:
+                runs[i] = (state, pos)
+            # a live run has reached `last`, or settled in the accept sink
+            if state != DEAD and accepts[state]:
+                return True
+        return False

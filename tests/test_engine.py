@@ -363,7 +363,7 @@ def test_compiled_bytes_are_pinned(rules, size, sha_prefix):
     assert (len(blob), hashlib.sha256(blob).hexdigest()[:16]) == (size, sha_prefix)
 
 
-#: 100 "ab" records overflow the 64-record cap, which keeps the earliest;
+#: 100 "ab" records, more than the 64 that a capped record list would keep;
 #: only the last five end within 70 bytes of "cdef"
 SATURATING_RULE = r"ab[^\n]{60,70}cdef"
 SATURATING_PACKET = b"ab" * 100 + b"z" * 61 + b"cdef"
@@ -373,11 +373,6 @@ def test_saturating_case_oracle_end():
     assert oracle_match(parse(SATURATING_RULE, 0), SATURATING_PACKET).ends == (264,)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the 64-record cap drops the record that the match needs "
-    "(saturated_records == 36); remove this mark once records are pruned by dominance",
-)
 def test_bounded_class_gap_survives_record_saturation():
     db, _ = compile_rules([SATURATING_RULE])
     assert scan_once(db, SATURATING_PACKET) == [(0, 264)]
@@ -559,6 +554,46 @@ def test_reports_identical_at_any_worker_count(mixed_db, workload, count):
     packets = WORKLOADS[workload].make(mixed_rules(), 3)[:count]
     reports = [scan_corpus(mixed_db, packets, workers=w).to_json() for w in (1, 2, 4, 8)]
     assert reports[1:] == reports[:1] * 3
+
+
+
+# --- long packets ---------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def hitdense_bytes():
+    """The seed-1 `hitdense` corpus as one byte string."""
+    return b"".join(WORKLOADS["hitdense"].make(mixed_rules(), 1))
+
+
+def test_long_hitdense_packet_agrees_with_the_oracle(mixed_db, hitdense_bytes):
+    # records pile up behind first fragments far past any cap a packet of
+    # 1500 bytes would reach
+    packet = hitdense_bytes[:100_000]
+    found: dict[int, set[int]] = {}
+    for rule_id, end in scan_once(mixed_db, packet):
+        found.setdefault(rule_id, set()).add(end)
+    rules = mixed_rules()
+    for rc in mixed_db.checks:
+        want = oracle_match(parse(rules[rc.rule_id], rc.rule_id), packet)
+        got = found.get(rc.rule_id, set())
+        assert bool(got) == bool(want), rules[rc.rule_id]
+        assert got <= set(want.ends), rules[rc.rule_id]
+
+
+def test_verify_bytes_grow_linearly_with_packet_length(mixed_db, hitdense_bytes):
+    half, whole = ScanStats(), ScanStats()
+    scan_packet(mixed_db, hitdense_bytes[:100_000], half)
+    scan_packet(mixed_db, hitdense_bytes[:200_000], whole)
+    assert 0 < whole.verify_bytes <= 2.5 * half.verify_bytes
+    assert whole.saturated_records == 0
+
+
+def test_random_megabyte_packet_reads_little_in_verification(mixed_db):
+    packet = random.Random(7).randbytes(1 << 20)
+    stats = ScanStats()
+    scan_packet(mixed_db, packet, stats)
+    assert stats.verify_bytes <= len(packet) // 100
 
 
 def test_packets_are_scanned_here_or_in_child_processes(monkeypatch, tmp_path):

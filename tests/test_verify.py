@@ -1,8 +1,12 @@
 """Gap checking and per-packet verification state."""
+import time
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anchorscan.automata import Dfa
 from anchorscan.chars import ByteClass
 from anchorscan.decompose import UnsupportedRuleError
 from anchorscan.parser import parse
@@ -25,6 +29,7 @@ from anchorscan.verify import (
     gap_from_bytes,
     gap_to_bytes,
 )
+from anchorscan.stt import compress
 from test_stt import lookup
 
 
@@ -447,7 +452,7 @@ def test_earliest_only_for_unbounded_dot():
 def test_record_cap_saturation():
     gaps = [
         classify_gap(None, LEADING),
-        classify_gap(tree(".{0,200}"), INTERIOR),  # bounded: every record kept
+        classify_gap(tree("(ab)*"), INTERIOR),  # an automaton, not left-absorbing: capped
         classify_gap(None, TRAILING),
     ]
     events = RECORD_CAP + 3
@@ -456,6 +461,22 @@ def test_record_cap_saturation():
         st.on_fragment_match(ev(0, s, s + 1))
     assert st.records[(0, 0)] == list(range(1, 2 * RECORD_CAP, 2))
     assert st.saturated == 3
+    assert st.on_fragment_match(ev(1, 2 * events, 2 * events + 1)) == [(7, 2 * events + 1)]
+
+
+@pytest.mark.parametrize("pattern", [".{0,200}", "[ab]{0,200}", "[ab]{2,}"])
+def test_length_and_class_gaps_keep_every_record(pattern):
+    gaps = [
+        classify_gap(None, LEADING),
+        classify_gap(tree(pattern), INTERIOR),
+        classify_gap(None, TRAILING),
+    ]
+    events = RECORD_CAP + 3
+    st = state_for(gaps, b"ab" * events + b"cd")
+    for s in range(0, 2 * events, 2):
+        st.on_fragment_match(ev(0, s, s + 1))
+    assert st.records[(0, 0)] == list(range(1, 2 * events, 2))
+    assert st.saturated == 0
     assert st.on_fragment_match(ev(1, 2 * events, 2 * events + 1)) == [(7, 2 * events + 1)]
 
 
@@ -565,3 +586,180 @@ def test_gap_stream_roundtrip():
     assert out[0] == gaps[0]
     assert out[1] == gaps[1]
     assert out[2].stt == gaps[2].stt
+
+
+# --- absorbing gaps ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "pattern, expected",
+    [
+        (".*(u|ey).*", (True, True)),
+        ("(a|.)*", (True, True)),  # every string, the empty one included
+        (".*a", (True, False)),
+        ("a.*", (False, True)),
+        ("[^\\n]{60,}\\n[^\\n]{60,}", (False, False)),
+        ("(cd|ef)*gh", (False, False)),
+        ("(ab)*", (False, False)),
+    ],
+)
+def test_absorbing(pattern, expected):
+    gap = classify_gap(tree(pattern), INTERIOR)
+    assert isinstance(gap, DfaGap)
+    assert gap.absorbing == expected
+    # derived: not serialized, rebuilt for a loaded gap
+    assert gap_from_bytes(gap_to_bytes(gap), 0)[0].absorbing == expected
+
+
+def test_edge_gaps_are_not_absorbing():
+    assert classify_gap(tree(".*(u|ey).*"), LEADING).absorbing == (False, False)
+    assert classify_gap(tree(".*(u|ey).*"), TRAILING).absorbing == (False, False)
+
+
+@pytest.mark.parametrize("pattern", [".*(a|bz).*", ".*a", "a.*", "(ab)*", "[ab]*b", "a\\n*b", "(..)+", "(.*a)?b"])
+def test_absorbing_flags_hold_on_short_words(pattern):
+    """A flag is only ever set where it holds: every short word of L stays
+    in L with a byte put before it (left) or after it (right)."""
+    gap = classify_gap(tree(pattern), INTERIOR)
+    left, right = gap.absorbing
+
+    def accepts(word):
+        return gap.check(word, 0, len(word) - 1)[0]
+
+    alphabet = b"abz\n"
+    words = [b""]
+    for _ in range(4):
+        words += [w + bytes([c]) for w in words if len(w) == _ for c in alphabet]
+    for word in filter(accepts, words):
+        for c in alphabet:
+            assert not left or accepts(bytes([c]) + word), (word, c)
+            assert not right or accepts(word + bytes([c])), (word, c)
+
+
+def forged_gap(n: int, accepting: bool = True) -> DfaGap:
+    """An exact-mode gap over states 1..n - 1 (x + 1 for x in Z_(n-1)):
+    byte a adds one, byte b triples, the rest stay. Every state accepts,
+    so the language is every string, and for a prime n - 1 the state pairs
+    one byte apart reach about n^2 more pairs."""
+    m = n - 1
+    table = np.zeros((n, 256), dtype=np.uint32)
+    for x in range(m):
+        table[x + 1] = x + 1
+        table[x + 1, ord("a")] = (x + 1) % m + 1
+        table[x + 1, ord("b")] = (3 * x) % m + 1
+    accepts = tuple(frozenset({0}) if s and accepting else frozenset() for s in range(n))
+    return DfaGap(compress(Dfa(table, accepts)), EXACT)
+
+
+def test_forged_gap_past_the_pair_cap_loads_quickly_and_is_not_absorbing():
+    assert forged_gap(6).absorbing == (True, True)  # few pairs: decided exactly
+    gap, _ = gap_from_bytes(gap_to_bytes(forged_gap(600)), 0)
+    t0 = time.perf_counter()
+    rc = RuleChecks(1, 2, (EmptyGap(SUFFIX), gap, EmptyGap(PREFIX)), False)
+    elapsed = time.perf_counter() - t0
+    assert gap.absorbing == (False, False)
+    assert rc.limits == (RECORD_CAP,)
+    # the walk stops after ABSORB_STEPS steps; about 360 000 pairs lie beyond
+    assert elapsed < 5.0
+
+
+# --- records found by position and resumed runs ------------------------------
+
+
+def reference_record_check(gap, data, ends, pos_s):
+    """The per-record loop the verifier used to run: `check` from every
+    record in turn until one matches, as `(ok, bytes read)`."""
+    read = 0
+    for end in ends:
+        ok, n = gap.check(data, end + 1, pos_s - 1)
+        if gap.examines_bytes:
+            read += n
+        if ok:
+            return True, read
+    return False, read
+
+
+_INTERIOR_DFAS = [
+    classify_gap(tree(pattern), INTERIOR)
+    for pattern in (".*(a|bz).*", ".*a", "a.*", "(ab)*", "a\\n*b", "x[0-9]{1,3}", "[ab]*9?", "(a|bz)*0")
+]
+
+
+@st.composite
+def _interior_gap(draw):
+    kind = draw(st.sampled_from(["empty", "dot", "class", "dfa"]))
+    if kind == "empty":
+        return EmptyGap(EXACT)
+    if kind == "dfa":
+        return draw(st.sampled_from(_INTERIOR_DFAS))
+    lo = draw(st.integers(0, 6))
+    hi = draw(st.none() | st.integers(lo, lo + 10))
+    if kind == "dot":
+        return DotGap(lo, hi, EXACT)
+    members = draw(st.sets(st.sampled_from(_ALPHABET), min_size=1))
+    return ClassGap(ByteClass.from_bytes(bytes(members)), lo, hi, EXACT)
+
+
+@st.composite
+def _events(draw):
+    """A packet and the fragment events a scan would feed the verifier for
+    a two-fragment rule: distinct, in (pos_e, k, pos_s) order."""
+    data = bytes(draw(st.lists(st.sampled_from(_ALPHABET), min_size=1, max_size=120)))
+    n = len(data)
+    raw = draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, n - 1), st.integers(0, 3)), max_size=100))
+    events = {(min(s + length, n - 1), k, s) for k, s, length in raw}
+    return data, [(k, s, e) for e, k, s in sorted(events)]
+
+
+@given(_interior_gap(), _events())
+@settings(max_examples=400, deadline=None)
+def test_record_lookups_equal_the_per_record_loop(gap, packet):
+    data, events = packet
+    st = state_for([EmptyGap(SUFFIX), gap, EmptyGap(PREFIX)], data)
+    capped = st.checks[0].limits[0] == RECORD_CAP
+    assert capped == (isinstance(gap, DfaGap) and not gap.absorbing[0])
+    ends = []  # every fragment-0 record, uncapped: the free lead accepts all
+    emitted = set()
+    escalated = False
+    for k, s, e in events:
+        before = st.verify_bytes
+        got = st.on_fragment_match(ev(k, s, e))
+        if k == 0:
+            ends.append(e)
+            assert got == []
+            continue
+        ok, read = reference_record_check(gap, data, ends[:RECORD_CAP] if capped else ends, s)
+        want = [(7, e)] if ok and (7, e) not in emitted else []
+        emitted.update(want)
+        assert got == want, (k, s, e)
+        assert st.verify_bytes - before <= read
+        escalated |= bool(ends) and gap.examines_bytes
+    assert st.escalated == escalated
+    assert st.saturated == (max(0, len(ends) - RECORD_CAP) if capped else 0)
+
+
+def test_runs_resume_and_are_not_taken_back():
+    gaps = [classify_gap(None, LEADING), classify_gap(tree("(ab)*"), INTERIOR), classify_gap(None, TRAILING)]
+    data = b"xx" + b"ab" * 50 + b"cd"
+    st = state_for(gaps, data)
+    st.on_fragment_match(ev(0, 0, 1))
+    assert st.on_fragment_match(ev(1, 102, 103)) == [(7, 103)]
+    assert st.verify_bytes == 100
+    # an end before the run's: run again from the record, and not kept
+    assert st.on_fragment_match(ev(1, 12, 13)) == [(7, 13)]
+    assert st.verify_bytes == 110
+    assert st.runs[(0, 0)] == [(st.checks[0].gaps[1].stt.start, 102)]
+
+
+def test_sink_runs_read_each_byte_once():
+    gaps = [classify_gap(None, LEADING), classify_gap(tree(".*(u|ey).*"), INTERIOR), classify_gap(None, TRAILING)]
+    data = b"tb" + b"x" * 50 + b"ey" + b"x" * 50 + b"rh" * 20
+    st = state_for(gaps, data)
+    st.on_fragment_match(ev(0, 0, 1))
+    st.on_fragment_match(ev(0, 60, 61))  # a later record: the earliest dominates
+    assert st.records[(0, 0)] == [1]
+    assert st.on_fragment_match(ev(1, 30, 31)) == []
+    assert st.verify_bytes == 28
+    out = [st.on_fragment_match(ev(1, s, s + 1)) for s in range(104, 144, 2)]
+    assert out == [[(7, s + 1)] for s in range(104, 144, 2)]
+    assert st.verify_bytes == 52  # bytes 2-53: stopped in the accept sink at the y
