@@ -367,7 +367,7 @@ def scan_packet(db: CompiledDatabase, data: bytes, stats: ScanStats) -> list[tup
     fwd_runs: dict[int, list[tuple[int, int, int]]] = {}  # entry -> records at this trigger
     triggers = fwd_threads = steps = 0
     last_pos = -1
-    for pos in ends.tolist():
+    for pos in ends:
         if pos == last_pos:
             continue  # one escalation per trigger offset, whatever units fired
         last_pos = pos

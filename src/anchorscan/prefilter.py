@@ -4,7 +4,11 @@ Three units, one per supported key length. Length-2 keys live in an exact
 2^16-bit bitmap (no false positives). Length-4 and length-8 keys live in
 3-way xor filters: per key, three slots chosen by hash must xor to the key's
 fingerprint. Lookups cost three loads and never miss a member; non-members
-pass at roughly 2^-k for k fingerprint bits.
+pass at roughly 2^-k for k fingerprint bits. A window is hashed with one
+`splitmix64` round; each slot maps a 21-bit chunk of that hash into its
+block by multiply-shift, and the fingerprint is the top k bits of the hash
+times the golden ratio (`XorFilterUnit._mix`), so a lookup needs no second
+round and no division.
 
 Each xor unit sits behind two more 2^16-bit bitmaps, its gates: the set of
 first two bytes and the set of last two bytes of its concrete keys. Scanning
@@ -18,10 +22,12 @@ Only lead windows, those with the direct bit or a head-gate bit, can start
 a hit. A packet with few of them (a 1500-byte random packet has about 6) is
 finished by one Python pass over its lead windows; one with many is tested
 with numpy over all windows. Windows are read in place through one-byte-
-stride views of the packet. A unit with a few gated windows hashes them one
-by one with the scalar `contains`; more go through one vectorized
-`hit_mask` call. Tests hold `scan` to a brute-force per-window query that
-applies the same gates.
+stride views of the packet. Both paths hash their gated windows in one
+place: one by one with the scalar `contains` when a packet has few, and
+otherwise in one vectorized call over both units, against their
+fingerprints concatenated when the bank is built or loaded. `scan` returns
+its hits as lists of plain ints. Tests hold `scan` to a brute-force
+per-window query that applies the same gates.
 """
 from __future__ import annotations
 
@@ -35,10 +41,9 @@ from .blob import BlobReader
 from .decompose import FilterKey
 
 _M64 = (1 << 64) - 1
-_CHUNK = 0x1FFFFF  # 21-bit index chunks from one 64-bit hash
-_CHUNK_U64 = np.uint64(_CHUNK)
-_CHUNK_SHIFTS = np.array([[0], [21], [42]], dtype=np.uint64)  # per slot, its chunk
-_THIRDS = np.array([[0], [1], [2]], dtype=np.uint64)  # per slot, its block
+_GOLDEN = 0x9E3779B97F4A7C15
+_CHUNK_BITS = 21  # a slot comes from one 21-bit chunk of a window's hash
+_CHUNK = (1 << _CHUNK_BITS) - 1
 
 #: unit codes; also the tie-break order for hits at the same end offset
 UNIT_DIRECT = 2
@@ -55,14 +60,14 @@ _HEAD8 = 0x10
 #: the bits that make a window a lead window, one that can start a key
 _LEAD = _DIRECT | _HEAD4 | _HEAD8
 
-#: gated windows per unit up to which `scan` hashes each window with the
-#: scalar `XorFilterUnit.contains` instead of one vectorized `hit_mask` call.
-#: `hit_mask` costs a fixed ~30 numpy dispatches (about 25-29 us on a 2-core
-#: x86 host, numpy 2.4) whatever its length; one `contains` costs about
-#: 1.8-2.1 us there, so the two break even near 14 windows. 8 stays below
-#: that, where a scalar run can never cost much more than the call it
-#: saves; 10, 12 and 14 scanned the benchmark corpora no faster.
-_SCALAR_WINDOWS = 8
+#: gated windows per packet, over both xor units, up to which `scan` hashes
+#: each window in a scalar loop instead of one vectorized call over all of
+#: them. On a 2-core x86 host with numpy 2.4 the call costs a near-fixed
+#: 25-28 us (about 35 numpy dispatches) whatever its length, and a window
+#: in the scalar loop about 1.6 us, so the two break even near 16 windows.
+#: Of the benchmark packets, each `hitdense` one has 56 or more gated
+#: windows, and every seed-1 `planted` one 9 or fewer.
+_SCALAR_WINDOWS = 16
 
 #: lead windows per packet up to which `scan` visits each in Python instead
 #: of testing the gates over every window with numpy. On 1500-byte packets
@@ -72,36 +77,65 @@ _SCALAR_WINDOWS = 8
 #: windows, or at least 179.
 _SPARSE_LEADS = 64
 
-# the result of a packet without hits, shared: read-only, so that no caller
-# can change it for the next
-_NO_ENDS = np.zeros(0, dtype=np.int64)
-_NO_CODES = np.zeros(0, dtype=np.uint8)
-_NO_ENDS.flags.writeable = _NO_CODES.flags.writeable = False
+# A hit is packed into one int, `(end << 2) | unit`, with unit 0, 1 and 2
+# for the direct, xor-4 and xor-8 units: sorting the ints orders hits by
+# end and then by unit code, and the code is `UNIT_DIRECT << unit`. A
+# w-byte window at start k ends at k + w - 1, so its hit is `4k + _BIAS`.
+_BIAS4 = (3 << 2) | 1
+_BIAS8 = (7 << 2) | 2
 
 
 def splitmix64(x: int) -> int:
-    x = (x + 0x9E3779B97F4A7C15) & _M64
+    x = (x + _GOLDEN) & _M64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _M64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _M64
     return x ^ (x >> 31)
 
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_GOLDEN_U64 = np.uint64(_GOLDEN)
 _MIX_STEPS = ((np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)), (np.uint64(27), np.uint64(0x94D049BB133111EB)))
 _LAST_SHIFT = np.uint64(31)
+_CHUNK_SHIFTS = np.array([[0], [21], [42]], dtype=np.uint64)  # per slot, its chunk
+_THIRDS = np.array([[0], [1], [2]], dtype=np.uint64)  # per slot, its block
+_CHUNK_U64 = np.uint64(_CHUNK)
+_CHUNK_BITS_U64 = np.uint64(_CHUNK_BITS)
 
 
 def _splitmix64_vec(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """`splitmix64` over an array, into `out` (which may be `x` itself) or
     one new uint64 array; every later step works in place on it, through
     one temporary array for the shifts."""
-    x = np.add(x, _GOLDEN, out=out, dtype=np.uint64)
+    x = np.add(x, _GOLDEN_U64, out=out, dtype=np.uint64)
     shifted = np.empty_like(x)
     for shift, mul in _MIX_STEPS:
         x ^= np.right_shift(x, shift, out=shifted)
         x *= mul
     x ^= np.right_shift(x, _LAST_SHIFT, out=shifted)
     return x
+
+
+def _mix_vec(values: np.ndarray, seed, block_len, blocks: np.ndarray, fp_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """`XorFilterUnit._mix` over a uint64 array: a `(3, n)` int64 array of
+    the three slots per value, each added to the start of its block in
+    `blocks`, and the uint64 fingerprints. `seed` and `block_len` are uint64
+    scalars and `blocks` has shape `(3, 1)`, or they hold one column per
+    value when the values belong to different units. Each step works in
+    place on one array per result, so a call makes few dispatches."""
+    h = np.bitwise_xor(values, seed, dtype=np.uint64)
+    _splitmix64_vec(h, out=h)
+    fp = np.multiply(h, _GOLDEN_U64)
+    fp >>= np.uint64(64 - fp_bits)
+    slots = np.right_shift(h, _CHUNK_SHIFTS)  # one 21-bit chunk per row
+    slots &= _CHUNK_U64
+    slots *= block_len
+    slots >>= _CHUNK_BITS_U64
+    slots += blocks
+    return slots.view(np.int64), fp  # every slot is below 2^63
+
+
+def _windows(data: bytes, w: int) -> np.ndarray:
+    """Every w-byte window of `data` read in place as a big-endian integer."""
+    return np.ndarray((max(len(data) - w + 1, 0),), f">u{w}", data, 0, (1,))
 
 
 class FilterBuildError(RuntimeError):
@@ -209,13 +243,18 @@ class XorFilterUnit:
         return memoryview(self.fingerprints)
 
     def _mix(self, value: int) -> tuple[int, int, int, int]:
+        """The three slots and the fingerprint of a window value, from one
+        `splitmix64` round `h`: each slot maps a 21-bit chunk of `h` into
+        its block by multiply-shift (Lemire, TOMACS 2019), and the
+        fingerprint is the top `fp_bits` bits of `h` times the golden
+        ratio, mod 2^64."""
         h = splitmix64(value ^ self.seed)
         bl = self.block_len
         return (
-            (h & _CHUNK) % bl,
-            ((h >> 21) & _CHUNK) % bl + bl,
-            ((h >> 42) & _CHUNK) % bl + 2 * bl,
-            splitmix64(h) & ((1 << self.fp_bits) - 1),
+            (h & _CHUNK) * bl >> _CHUNK_BITS,
+            (((h >> 21) & _CHUNK) * bl >> _CHUNK_BITS) + bl,
+            (((h >> 42) & _CHUNK) * bl >> _CHUNK_BITS) + 2 * bl,
+            (h * _GOLDEN & _M64) >> (64 - self.fp_bits),
         )
 
     def contains(self, window: bytes) -> bool:
@@ -226,21 +265,11 @@ class XorFilterUnit:
         return slots[i0] ^ slots[i1] ^ slots[i2] == fp
 
     def _mix_vec(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """`_mix` over a uint64 array: a `(3, n)` int64 array of the three
-        slots per value, and the uint64 fingerprints. Each step works in
-        place on one array per result, so a call makes few dispatches."""
-        h = np.bitwise_xor(values, np.uint64(self.seed), dtype=np.uint64)
-        _splitmix64_vec(h, out=h)
-        fp = _splitmix64_vec(h)
-        fp &= np.uint64((1 << self.fp_bits) - 1)
         bl = np.uint64(self.block_len)
-        slots = np.right_shift(h, _CHUNK_SHIFTS)  # one 21-bit chunk per row
-        slots &= _CHUNK_U64
-        slots %= bl
-        slots += _THIRDS * bl
-        return slots.view(np.int64), fp  # every slot is below 2^63
+        return _mix_vec(values, np.uint64(self.seed), bl, _THIRDS * bl, self.fp_bits)
 
     def hit_mask(self, values: np.ndarray) -> np.ndarray:
+        """Membership of every value of a uint64 array, as a bool array."""
         if self.is_empty:
             return np.zeros(len(values), dtype=bool)
         slots, fp = self._mix_vec(values)
@@ -267,8 +296,9 @@ def build_xor_unit(
 ) -> XorFilterUnit:
     """Peel-and-backfill construction; retries with fresh seeds on failure.
 
-    Each attempt hashes every key once, vectorized as `hit_mask` does, and
-    the peel and the backfill share the resulting slot triples.
+    Each attempt hashes every key once with `_mix_vec`, as the vectorized
+    scan does, and the peel and the backfill share the resulting slot
+    triples.
     """
     unit = XorFilterUnit(width=width, fp_bits=fp_bits)
     values = np.array(sorted({int.from_bytes(k, "big") for k in keys}), dtype=np.uint64)
@@ -344,6 +374,9 @@ class FilterBank:
     #: little-endian 2-byte window value -> direct and gate bits; derived,
     #: not serialized
     flags: np.ndarray = field(init=False, repr=False)
+    #: both xor units' fingerprints, xor-4's blocks first; derived, not
+    #: serialized
+    slots: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         flags = np.zeros(65536, dtype=np.uint8)
@@ -358,20 +391,28 @@ class FilterBank:
         # the pair sets index a window by its big-endian value; `scan`
         # reads windows little-endian, with its first byte low
         self.flags = np.ascontiguousarray(flags.reshape(256, 256).T).ravel()
+        u4, u8 = self.unit4, self.unit8
+        self.slots = np.concatenate((u4.fingerprints, u8.fingerprints))
+        # per unit, what `_hash_vector` repeats over that unit's windows
+        self._seeds = np.array([u4.seed, u8.seed], dtype=np.uint64)
+        self._block_lens = np.array([u4.block_len, u8.block_len], dtype=np.uint64)
+        # block starts in `slots`: xor-4's three blocks, then xor-8's
+        self._blocks = _THIRDS * self._block_lens + np.array([0, 3 * u4.block_len], dtype=np.uint64)
+        self._biases = np.array([_BIAS4, _BIAS8], dtype=np.int64)
 
     @property
     def key_count(self) -> int:
         return self.unit2.key_count + self.unit4.key_count + self.unit8.key_count
 
-    def scan(self, data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    def scan(self, data: bytes) -> tuple[list[int], list[int]]:
         """All filter hits over a packet.
 
-        Returns (end_offsets, unit_codes) sorted by end offset, direct unit
-        before xor-4 before xor-8 at equal offsets.
+        Returns (end_offsets, unit_codes), two lists of ints sorted by end
+        offset, direct unit before xor-4 before xor-8 at equal offsets.
         """
         n = len(data)
         if n < 2:
-            return _NO_ENDS, _NO_CODES
+            return [], []
         # every 2-byte window read in place as a little-endian integer:
         # element k of a view with a one-byte stride is bytes k..k+1
         flags = self.flags.take(np.ndarray((n - 1,), "<u2", data, 0, (1,)))
@@ -384,55 +425,74 @@ class FilterBank:
         for k in leads.nonzero()[0].tolist():
             f = fb[k]
             if f & _DIRECT:
-                hits.append((k + 1, UNIT_DIRECT))  # window k ends at k + 1
+                hits.append((k + 1) << 2)  # window k ends at k + 1
             # a w-byte window at k passes when its tail pair, window
             # k + w - 2, passes its gate too
             if f & _HEAD4 and k + 2 < n - 1 and fb[k + 2] & _TAIL4:
                 starts4.append(k)
             if f & _HEAD8 and k + 6 < n - 1 and fb[k + 6] & _TAIL8:
                 starts8.append(k)
-        for code, starts in ((UNIT_XOR4, starts4), (UNIT_XOR8, starts8)):
-            if starts:
-                hits += ((end, code) for end in self._hashed_ends(data, code, starts))
-        if not hits:
-            return _NO_ENDS, _NO_CODES
-        hits.sort()
-        ends, codes = zip(*hits)
-        return np.array(ends, dtype=np.int64), np.array(codes, dtype=np.uint8)
+        if starts4 or starts8:
+            hits += self._hashed_hits(data, starts4, starts8)
+        return _unpacked(hits)
 
-    def _scan_dense(self, data: bytes, flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _scan_dense(self, data: bytes, flags: np.ndarray) -> tuple[list[int], list[int]]:
         """`scan` for a packet with many lead windows: the gates are
         tested over all windows at once, on the flags `scan` gathered."""
-        direct = (flags & _DIRECT).nonzero()[0] + 1
         heads = flags >> 1  # head gate bits moved onto their tail bits
-        offs, codes = [direct], [UNIT_DIRECT]
-        for code, tail_bit in ((UNIT_XOR4, _TAIL4), (UNIT_XOR8, _TAIL8)):
-            # window k passes when its head pair (flags[k]) and its tail
-            # pair (flags[k + w - 2]) both pass their gates; w is the code
-            starts = (heads[: 2 - code] & flags[code - 2 :] & tail_bit).nonzero()[0]
-            ends = self._hashed_ends(data, code, starts)
-            if len(ends):
-                offs.append(np.asarray(ends, dtype=np.int64))
-                codes.append(code)
-        if len(offs) == 1:
-            return direct, np.full(len(direct), UNIT_DIRECT, dtype=np.uint8)
-        end = np.concatenate(offs)
-        unit = np.repeat(np.array(codes, dtype=np.uint8), [len(e) for e in offs])
-        order = np.lexsort((unit, end))
-        return end[order], unit[order]
+        # window k passes when its head pair (flags[k]) and its tail pair
+        # (flags[k + w - 2]) both pass their gates
+        starts4 = (heads[:-2] & flags[2:] & _TAIL4).nonzero()[0]
+        starts8 = (heads[:-6] & flags[6:] & _TAIL8).nonzero()[0]
+        direct = (flags & _DIRECT).nonzero()[0]
+        direct += 1  # window k ends at k + 1
+        direct <<= 2
+        hits = np.concatenate((direct, np.array(self._hashed_hits(data, starts4, starts8), dtype=np.int64)))
+        hits.sort()
+        return (hits >> 2).tolist(), (UNIT_DIRECT << (hits & 3)).tolist()
 
-    def _hashed_ends(self, data: bytes, code: int, starts) -> list[int] | np.ndarray:
-        """End offsets of the gated windows at `starts` (ints, ascending)
-        that the xor unit `code` holds: hashed one by one up to
-        `_SCALAR_WINDOWS` windows, in one vectorized call above."""
-        unit = self.unit4 if code == UNIT_XOR4 else self.unit8
-        w = unit.width
-        if len(starts) > _SCALAR_WINDOWS:
-            starts = np.asarray(starts)
-            # each w-byte window read in place as a big-endian integer
-            values = np.ndarray((len(data) - w + 1,), f">u{w}", data, 0, (1,))[starts]
-            return starts[unit.hit_mask(values)] + (w - 1)
-        return [k + w - 1 for k in map(int, starts) if unit.contains(data[k : k + w])]
+    def _hashed_hits(self, data: bytes, starts4, starts8) -> list[int]:
+        """The packed hits of the gated 4- and 8-byte windows at `starts4`
+        and `starts8` (ints, ascending) that their xor units hold: hashed one
+        by one up to `_SCALAR_WINDOWS` windows, in one vectorized call
+        above. The scalar loop is `XorFilterUnit.contains` written out, a
+        fifth cheaper per window than calling it."""
+        if len(starts4) + len(starts8) > _SCALAR_WINDOWS:
+            return self._hash_vector(data, starts4, starts8)
+        hits = []
+        for unit, starts, bias in ((self.unit4, starts4, _BIAS4), (self.unit8, starts8, _BIAS8)):
+            if not (len(starts) and unit.key_count):
+                continue
+            w, seed, bl, fp_shift, slots = unit.width, unit.seed, unit.block_len, 64 - unit.fp_bits, unit.slot_view
+            for k in map(int, starts):
+                h = splitmix64(int.from_bytes(data[k : k + w], "big") ^ seed)
+                i0 = (h & _CHUNK) * bl >> _CHUNK_BITS
+                i1 = (((h >> 21) & _CHUNK) * bl >> _CHUNK_BITS) + bl
+                i2 = (((h >> 42) & _CHUNK) * bl >> _CHUNK_BITS) + 2 * bl
+                if slots[i0] ^ slots[i1] ^ slots[i2] == (h * _GOLDEN & _M64) >> fp_shift:
+                    hits.append(4 * k + bias)
+        return hits
+
+    def _hash_vector(self, data: bytes, starts4, starts8) -> list[int]:
+        """`_hashed_hits` in one vectorized pass over both units' windows,
+        against the concatenated `slots`."""
+        # an empty unit has no slots to index, and holds no window
+        starts4 = np.asarray(starts4 if self.unit4.key_count else (), dtype=np.int64)
+        starts8 = np.asarray(starts8 if self.unit8.key_count else (), dtype=np.int64)
+        counts = (len(starts4), len(starts8))
+        values = np.concatenate((_windows(data, 4)[starts4], _windows(data, 8)[starts8]), dtype=np.uint64)
+        slots, fp = _mix_vec(
+            values,
+            self._seeds.repeat(counts),
+            self._block_lens.repeat(counts),
+            self._blocks.repeat(counts, axis=1),
+            self.unit8.fp_bits,
+        )
+        held = np.bitwise_xor.reduce(self.slots[slots], axis=0) == fp
+        hits = np.concatenate((starts4, starts8))
+        hits *= 4
+        hits += self._biases.repeat(counts)
+        return hits[held].tolist()
 
     def __eq__(self, other) -> bool:
         return (
@@ -449,7 +509,7 @@ class FilterBank:
     # --- serialization: magic, version, fp bits, pair sets, seeds, slots ---
 
     MAGIC = b"ASFB"
-    VERSION = 3
+    VERSION = 4
 
     def to_bytes(self) -> bytes:
         fp_bits = self.unit8.fp_bits
@@ -491,6 +551,12 @@ class FilterBank:
         r.finish()
         unit2, head4, tail4, head8, tail8 = bitmaps
         return FilterBank(unit2, units[0], units[1], head4, tail4, head8, tail8)
+
+
+def _unpacked(hits: list[int]) -> tuple[list[int], list[int]]:
+    """Packed hits sorted, as `scan`'s end offsets and unit codes."""
+    hits.sort()
+    return [h >> 2 for h in hits], [UNIT_DIRECT << (h & 3) for h in hits]
 
 
 def build_filter_bank(

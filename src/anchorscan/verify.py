@@ -95,6 +95,12 @@ RECORD_CAP = 64
 #: neither left- nor right-absorbing, so no table can stall a load
 ABSORB_STEPS = 1 << 16
 
+#: bytes an exact class gap translates first, and at most at once: the
+#: chunks double from the first size up to the last, so a check's time and
+#: memory follow the bytes it reads up to the first non-member, however far
+#: the interval runs (an anchored edge gap's runs to the packet edge)
+_CLASS_CHUNKS = (64, 1 << 16)
+
 
 @dataclass(frozen=True)
 class EmptyGap:
@@ -138,7 +144,8 @@ class ClassGap:
 
     Membership is tested at C speed: `bytes.translate` maps every byte of
     the window through a 256-byte table (1 for members, 0 otherwise) and
-    `find`/`rfind` locate the first non-member from the fragment edge.
+    `find`/`rfind` locate the first non-member from the fragment edge. An
+    exact interval is translated in growing chunks (`_CLASS_CHUNKS`).
     """
 
     examines_bytes = True
@@ -161,8 +168,15 @@ class ClassGap:
         if self.mode == EXACT:
             if length < self.lo or (self.hi is not None and length > self.hi):
                 return False, 0
-            miss = data[gs : ge + 1].translate(self.table).find(0)
-            return (False, miss + 1) if miss >= 0 else (True, length)
+            size, most = _CLASS_CHUNKS
+            start = gs
+            while start <= ge:
+                stop = min(start + size, ge + 1)
+                miss = data[start:stop].translate(self.table).find(0)
+                if miss >= 0:
+                    return False, start - gs + miss + 1
+                start, size = stop, min(2 * size, most)
+            return True, length
         lo = self.lo
         if length < lo:
             return False, 0

@@ -351,8 +351,8 @@ def test_trailing_gap_end_is_a_match_end(rule, packet, end):
 @pytest.mark.parametrize(
     "rules, size, sha_prefix",
     [
-        (mixed_rules(), 85_253, "c34633f7a7b56131"),
-        (list(PAPER_RULES), 25_471, "136d32f9526da796"),
+        (mixed_rules(), 85_253, "be01e2407475e31e"),
+        (list(PAPER_RULES), 25_471, "451e4fdd1f203a21"),
     ],
     ids=["mixed", "paper"],
 )

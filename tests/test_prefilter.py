@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from anchorscan.prefilter import (
     _SPARSE_LEADS,
     _fp_dtype,
     _splitmix64_vec,
+    _unpacked,
 )
 
 
@@ -265,12 +267,55 @@ class TestXorUnit:
         assert all(reference_query(back, k) for k in keys)
 
 
+class TestOneRoundHash:
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1), st.integers(1, 2**32 - 1), st.integers(1, 32))
+    @settings(max_examples=300, deadline=None)
+    def test_slots_fall_in_their_blocks(self, value, seed, block_len, fp_bits):
+        unit = XorFilterUnit(width=8, fp_bits=fp_bits, seed=seed, block_len=block_len, key_count=1)
+        i0, i1, i2, fp = unit._mix(value)
+        assert 0 <= i0 < block_len <= i1 < 2 * block_len <= i2 < 3 * block_len
+        assert 0 <= fp < 2**fp_bits
+        slots, fps = unit._mix_vec(np.array([value], dtype=np.uint64))
+        assert slots[:, 0].tolist() == [i0, i1, i2] and fps.tolist() == [fp]
+
+    @given(
+        st.lists(st.binary(min_size=4, max_size=4), max_size=12),
+        st.lists(st.binary(min_size=8, max_size=8), max_size=12),
+        st.binary(max_size=80),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_vector_path_equals_scalar_path(self, keys4, keys8, filler, data):
+        """The one vectorized call over both units, and the scalar loop,
+        give for every window of both widths what `contains` gives; either
+        unit may be empty."""
+        bank = bank_of(*keys4, *keys8)
+        planted = data.draw(st.lists(st.sampled_from(keys4 + keys8), max_size=4)) if keys4 + keys8 else []
+        packet = filler + b"".join(planted)
+        starts4, starts8 = range(len(packet) - 3), range(len(packet) - 7)
+        want = sorted(
+            [(k + 3, UNIT_XOR4) for k in starts4 if bank.unit4.contains(packet[k : k + 4])]
+            + [(k + 7, UNIT_XOR8) for k in starts8 if bank.unit8.contains(packet[k : k + 8])]
+        )
+        for s4, s8 in ((list(starts4), list(starts8)), (np.array(starts4), np.array(starts8))):
+            with mock.patch.object(prefilter, "_SCALAR_WINDOWS", len(packet)):
+                scalar = bank._hashed_hits(packet, s4, s8)
+            for got in (scalar, bank._hash_vector(packet, s4, s8)):
+                assert all(type(h) is int for h in got)
+                assert list(zip(*_unpacked(got))) == want
+        ends = {e for e, _ in want}
+        at = len(filler)
+        for key in planted:  # every planted key is a hit
+            at += len(key)
+            assert at - 1 in ends
+
+
 class TestBankScan:
     def test_hits_are_window_ends(self):
         bank = bank_of(b"cd")
         ends, units = bank.scan(b"abcdcd")
-        assert ends.tolist() == [3, 5]
-        assert set(units.tolist()) == {UNIT_DIRECT}
+        assert ends == [3, 5]
+        assert set(units) == {UNIT_DIRECT}
 
     def test_direct_hits_exact_against_brute(self):
         rng = random.Random(17)
@@ -288,7 +333,7 @@ class TestBankScan:
         bank = bank_of(b"qq", k4, k8)
         data = rng.randbytes(100) + k4 + rng.randbytes(50) + k8 + b"qq" + rng.randbytes(30)
         ends, units = bank.scan(data)
-        hits = set(zip(ends.tolist(), units.tolist()))
+        hits = set(zip(ends, units))
         assert (103, UNIT_XOR4) in hits
         assert (161, UNIT_XOR8) in hits
         assert (163, UNIT_DIRECT) in hits
@@ -297,7 +342,7 @@ class TestBankScan:
         # plant a 2-key and a 4-key ending at the same offset
         bank = bank_of(b"cd", b"abcd")
         ends, units = bank.scan(b"xabcdy")
-        same = [(e, u) for e, u in zip(ends.tolist(), units.tolist()) if e == 4]
+        same = [(e, u) for e, u in zip(ends, units) if e == 4]
         assert same == [(4, UNIT_DIRECT), (4, UNIT_XOR4)]
 
     def test_short_packets(self):
@@ -305,7 +350,7 @@ class TestBankScan:
         for data in [b"", b"a", b"ab", b"abc"]:
             ends, units = bank.scan(data)
             expected = [1] if data == b"ab" or data == b"abc" else []
-            got = [e for e, u in zip(ends.tolist(), units.tolist()) if u == UNIT_DIRECT]
+            got = [e for e, u in zip(ends, units) if u == UNIT_DIRECT]
             assert got == expected
 
     def test_empty_bank(self):
@@ -342,7 +387,7 @@ class TestBankScan:
         at = min(at, len(body))
         packet = body[:at] + head + body[at:] + tail
         ends, units = bank.scan(packet)
-        got = list(zip(ends.tolist(), units.tolist()))
+        got = list(zip(ends, units))
         assert got == brute_hits(bank, packet)
         if head:
             assert (at + len(head) - 1, len(head)) in got
@@ -425,23 +470,39 @@ class TestHashingThreshold:
 
     def assert_scan_is_brute(self, packet: bytes) -> None:
         ends, units = self.bank.scan(packet)
-        assert ends.dtype == np.int64 and units.dtype == np.uint8
-        assert list(zip(ends.tolist(), units.tolist())) == brute_hits(self.bank, packet)
+        assert all(type(x) is int for x in ends + units)
+        assert list(zip(ends, units)) == brute_hits(self.bank, packet)
 
     @pytest.mark.parametrize("w", [4, 8])
     @pytest.mark.parametrize("extra", [0, 1])
     def test_scalar_and_vector_paths(self, w, extra, monkeypatch):
         calls = []
-        hit_mask = XorFilterUnit.hit_mask
-        monkeypatch.setattr(XorFilterUnit, "hit_mask", lambda unit, v: calls.append(len(v)) or hit_mask(unit, v))
+        vector = FilterBank._hash_vector
+        monkeypatch.setattr(
+            FilterBank, "_hash_vector", lambda bank, d, s4, s8: calls.append(len(s4) + len(s8)) or vector(bank, d, s4, s8)
+        )
         count = _SCALAR_WINDOWS + extra
         packet = self.packet(self.keys4 if w == 4 else self.keys8, count)
         assert self.gated_windows(packet, w) == count
         assert self.gated_windows(packet, 12 - w) == 0
         self.assert_scan_is_brute(packet)
         assert calls == ([count] if extra else [])
-        hits = [u for u in self.bank.scan(packet)[1].tolist() if u == w]
+        hits = [u for u in self.bank.scan(packet)[1] if u == w]
         assert len(hits) >= -(-count // 3)  # every planted key is found
+
+    def test_one_call_over_both_units(self, monkeypatch):
+        # neither unit alone passes the threshold; together they do
+        calls = []
+        vector = FilterBank._hash_vector
+        monkeypatch.setattr(
+            FilterBank, "_hash_vector", lambda bank, d, s4, s8: calls.append((len(s4), len(s8))) or vector(bank, d, s4, s8)
+        )
+        count4 = _SCALAR_WINDOWS // 2 + 1
+        count8 = _SCALAR_WINDOWS - count4 + 1
+        packet = self.packet(self.keys4, count4) + self.packet(self.keys8, count8)
+        assert (self.gated_windows(packet, 4), self.gated_windows(packet, 8)) == (count4, count8)
+        self.assert_scan_is_brute(packet)
+        assert calls == [(count4, count8)]
 
     @pytest.mark.parametrize("length", range(10))
     def test_short_packets(self, length):
@@ -476,8 +537,8 @@ class TestLeadWindowThreshold:
 
     def assert_scan_is_brute(self, packet: bytes) -> list[tuple[int, int]]:
         ends, units = self.bank.scan(packet)
-        assert ends.dtype == np.int64 and units.dtype == np.uint8
-        hits = list(zip(ends.tolist(), units.tolist()))
+        assert all(type(x) is int for x in ends + units)
+        hits = list(zip(ends, units))
         assert hits == brute_hits(self.bank, packet)
         return hits
 
@@ -520,9 +581,16 @@ class TestSerialization:
         bank = bank_of(*keys)
         back = FilterBank.from_bytes(bank.to_bytes())
         data = rng.randbytes(3000)
-        a = bank.scan(data)
-        b = back.scan(data)
-        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+        assert back.scan(data) == bank.scan(data)
+
+    def test_version_3_blob_is_refused(self):
+        # version 3 took each slot by `%` and the fingerprint from a second
+        # hash round, so its slots would read as garbage under version 4
+        blob = bytearray(bank_of(b"ab", b"abcd", b"abcdefgh").to_bytes())
+        assert blob[4:6] == struct.pack("<H", 4)
+        blob[4:6] = struct.pack("<H", 3)
+        with pytest.raises(ValueError, match="unsupported filter bank version 3"):
+            FilterBank.from_bytes(bytes(blob))
 
     def test_bad_magic(self):
         with pytest.raises(ValueError):

@@ -5,8 +5,11 @@ with the `mixed` rule set, must give these reports byte for byte at one
 worker and at two. A change meant to leave every match and counter as it
 was (a faster filter, another table encoding) is held to that here; one
 that moves a report on purpose re-pins it and says which counter moved.
+The match lists are pinned apart from the counters, so that a change that
+may move a counter (another filter hash) must still find every match.
 """
 import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -20,9 +23,16 @@ from workloads import WORKLOADS, mixed_rules  # noqa: E402
 
 #: sha-256 of `ScanReport.to_json()` per workload, seed 1
 REPORTS = {
-    "clean": "ae535aa90179c50632a0fb69975bafaf1dd5db7c5dd0f353ea6b7dd425ee2faa",
-    "planted": "ff0440ca64e8cc54918d0b5c83ff7538c9202db492a2a56449f55d0cac42aa56",
-    "hitdense": "f8b2a88a317b2bf046608a93377f0cb223c491f4f79fb368f5ea8ee158003ef8",
+    "clean": "3e7bd04ebf8f9191867c71cdffb1ebbf7674697f7115d6b47bb339b7e2c1e9e8",
+    "planted": "d6a5fc1ca35ea6dbe7f5f02a1196def5d7fb28bd27a1a60458032dbd69ba326e",
+    "hitdense": "31ef8a12c3b96e20b81e786d7d81d938676489ebb108c1eec9a82328c8b80eb9",
+}
+
+#: sha-256 of the JSON of `ScanReport.to_dict()["matches"]` per workload, seed 1
+MATCHES = {
+    "clean": "9cc94c60a6594969fcf19098b85740d589d5d79f9634ffd6045cecc4f716cfba",
+    "planted": "6b9c8afd459a9e6590f6835c8bee0b26fc493c1c94902a9b1b39a840184b3c67",
+    "hitdense": "8cecf5ebda5c15ecf00a2cd28f9c0c72c94ed8c2176884ee671bff9c8c705583",
 }
 
 
@@ -32,13 +42,25 @@ def mixed():
     return rules, compile_rules(rules)[0]
 
 
-@pytest.mark.parametrize("workload", list(REPORTS))
-def test_report_is_pinned(mixed, workload, monkeypatch):
+def reports(mixed, workload, monkeypatch):
+    """The workload's seed-1 report at one worker and at two."""
     rules, db = mixed
     packets = WORKLOADS[workload].make(rules, 1)
     cpus(monkeypatch, 2)  # so that workers=2 forks a worker on any host
     for workers in (1, 2):
-        report = scan_corpus(db, packets, workers)
+        yield workers, scan_corpus(db, packets, workers)
+
+
+@pytest.mark.parametrize("workload", list(MATCHES))
+def test_report_matches_are_pinned(mixed, workload, monkeypatch):
+    for workers, report in reports(mixed, workload, monkeypatch):
+        digest = hashlib.sha256(json.dumps(report.to_dict()["matches"]).encode()).hexdigest()
+        assert digest == MATCHES[workload], f"workers={workers} matches={len(report.matches)}"
+
+
+@pytest.mark.parametrize("workload", list(REPORTS))
+def test_report_is_pinned(mixed, workload, monkeypatch):
+    for workers, report in reports(mixed, workload, monkeypatch):
         digest = hashlib.sha256(report.to_json().encode()).hexdigest()
         # on a mismatch, show what a re-pin would have to explain
         counters = {k: v for k, v in report.to_dict().items() if k != "matches"}

@@ -1,5 +1,7 @@
 """Gap checking and per-packet verification state."""
 import time
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from anchorscan.automata import Dfa
 from anchorscan.chars import ByteClass
 from anchorscan.decompose import UnsupportedRuleError
+from anchorscan import verify
 from anchorscan.parser import parse
 from anchorscan.verify import (
     EXACT,
@@ -264,6 +267,50 @@ def test_gap_checks_equal_references_on_every_window(data):
             assert gap.check(data, gs, ge) == reference_class_check(gap, data, gs, ge), (gap, gs, ge)
         for gap in _DFA_GAPS:
             assert gap.check(data, gs, ge) == reference_dfa_check(gap, data, gs, ge), (gap, gs, ge)
+
+
+@st.composite
+def _long_window(draw):
+    """A packet of up to 1 500 bytes, all `[^\\n]` members but for a few
+    newlines, and an interval in it that may cross several chunks."""
+    size = draw(st.integers(0, 1500))
+    data = bytearray(b"x" * size)
+    for at in draw(st.lists(st.integers(0, max(size - 1, 0)), max_size=3)) if size else ():
+        data[at] = ord("\n")
+    gs = draw(st.integers(0, size))
+    ge = draw(st.integers(gs - 1, size - 1))
+    return bytes(data), gs, ge
+
+
+@given(st.integers(0, 70), st.none() | st.integers(70, 1500), _long_window())
+@settings(max_examples=300, deadline=None)
+def test_exact_class_gap_in_chunks_equals_reference(lo, hi, window):
+    """Exact checks translate their interval in chunks that grow from the
+    first size to the last; the result and the byte count do not depend on
+    where the chunks fall."""
+    data, gs, ge = window
+    gap = classify_gap(tree("[^\\n]" + ("{%d,}" % lo if hi is None else "{%d,%d}" % (lo, hi))), TRAILING, True)
+    assert isinstance(gap, ClassGap) and gap.mode == EXACT
+    want = reference_class_check(gap, data, gs, ge)
+    for chunks in (verify._CLASS_CHUNKS, (1, 4), (3, 10), (64, 64)):
+        with mock.patch.object(verify, "_CLASS_CHUNKS", chunks):
+            assert gap.check(data, gs, ge) == want, chunks
+
+
+def test_exact_class_gap_allocates_up_to_its_miss():
+    """`alpha[^\\n]{55,}$` on a 16 MB packet whose first newline is 100
+    bytes past `alpha`: the check reads 101 bytes, and allocates little."""
+    gap = classify_gap(tree("[^\\n]{55,}"), TRAILING, True)
+    assert isinstance(gap, ClassGap) and gap.mode == EXACT
+    data = b"alpha" + b"y" * 100 + b"\n" + b"z" * (16 * 2**20 - 106)
+    tracemalloc.start()
+    try:
+        result = gap.check(data, 5, len(data) - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (False, 101)
+    assert peak < 64 * 1024
 
 
 def test_class_gap_table_is_derived():
