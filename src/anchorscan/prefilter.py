@@ -64,7 +64,8 @@ _LEAD = _DIRECT | _HEAD4 | _HEAD8
 #: each window in a scalar loop instead of one vectorized call over all of
 #: them. On a 2-core x86 host with numpy 2.4 the call costs a near-fixed
 #: 25-28 us (about 35 numpy dispatches) whatever its length, and a window
-#: in the scalar loop about 1.6 us, so the two break even near 16 windows.
+#: in the scalar loop, one `contains` call, about 1.7-1.8 us, so the two
+#: break even near 15 windows.
 #: Of the benchmark packets, each `hitdense` one has 56 or more gated
 #: windows, and every seed-1 `planted` one 9 or fewer.
 _SCALAR_WINDOWS = 16
@@ -83,6 +84,7 @@ _SPARSE_LEADS = 64
 # w-byte window at start k ends at k + w - 1, so its hit is `4k + _BIAS`.
 _BIAS4 = (3 << 2) | 1
 _BIAS8 = (7 << 2) | 2
+_BIASES = np.array([_BIAS4, _BIAS8], dtype=np.int64)
 
 
 def splitmix64(x: int) -> int:
@@ -376,7 +378,7 @@ class FilterBank:
     flags: np.ndarray = field(init=False, repr=False)
     #: both xor units' fingerprints, xor-4's blocks first; derived, not
     #: serialized
-    slots: np.ndarray = field(init=False, repr=False)
+    fingerprints: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         flags = np.zeros(65536, dtype=np.uint8)
@@ -392,13 +394,12 @@ class FilterBank:
         # reads windows little-endian, with its first byte low
         self.flags = np.ascontiguousarray(flags.reshape(256, 256).T).ravel()
         u4, u8 = self.unit4, self.unit8
-        self.slots = np.concatenate((u4.fingerprints, u8.fingerprints))
+        self.fingerprints = np.concatenate((u4.fingerprints, u8.fingerprints))
         # per unit, what `_hash_vector` repeats over that unit's windows
         self._seeds = np.array([u4.seed, u8.seed], dtype=np.uint64)
         self._block_lens = np.array([u4.block_len, u8.block_len], dtype=np.uint64)
-        # block starts in `slots`: xor-4's three blocks, then xor-8's
+        # block starts in `fingerprints`: xor-4's three blocks, then xor-8's
         self._blocks = _THIRDS * self._block_lens + np.array([0, 3 * u4.block_len], dtype=np.uint64)
-        self._biases = np.array([_BIAS4, _BIAS8], dtype=np.int64)
 
     @property
     def key_count(self) -> int:
@@ -453,29 +454,22 @@ class FilterBank:
 
     def _hashed_hits(self, data: bytes, starts4, starts8) -> list[int]:
         """The packed hits of the gated 4- and 8-byte windows at `starts4`
-        and `starts8` (ints, ascending) that their xor units hold: hashed one
-        by one up to `_SCALAR_WINDOWS` windows, in one vectorized call
-        above. The scalar loop is `XorFilterUnit.contains` written out, a
-        fifth cheaper per window than calling it."""
+        and `starts8` (ints, ascending) that their xor units hold: tested
+        one by one with `contains` up to `_SCALAR_WINDOWS` windows, in one
+        vectorized call above."""
         if len(starts4) + len(starts8) > _SCALAR_WINDOWS:
             return self._hash_vector(data, starts4, starts8)
         hits = []
         for unit, starts, bias in ((self.unit4, starts4, _BIAS4), (self.unit8, starts8, _BIAS8)):
-            if not (len(starts) and unit.key_count):
-                continue
-            w, seed, bl, fp_shift, slots = unit.width, unit.seed, unit.block_len, 64 - unit.fp_bits, unit.slot_view
+            w = unit.width
             for k in map(int, starts):
-                h = splitmix64(int.from_bytes(data[k : k + w], "big") ^ seed)
-                i0 = (h & _CHUNK) * bl >> _CHUNK_BITS
-                i1 = (((h >> 21) & _CHUNK) * bl >> _CHUNK_BITS) + bl
-                i2 = (((h >> 42) & _CHUNK) * bl >> _CHUNK_BITS) + 2 * bl
-                if slots[i0] ^ slots[i1] ^ slots[i2] == (h * _GOLDEN & _M64) >> fp_shift:
+                if unit.contains(data[k : k + w]):
                     hits.append(4 * k + bias)
         return hits
 
     def _hash_vector(self, data: bytes, starts4, starts8) -> list[int]:
         """`_hashed_hits` in one vectorized pass over both units' windows,
-        against the concatenated `slots`."""
+        against the concatenated `fingerprints`."""
         # an empty unit has no slots to index, and holds no window
         starts4 = np.asarray(starts4 if self.unit4.key_count else (), dtype=np.int64)
         starts8 = np.asarray(starts8 if self.unit8.key_count else (), dtype=np.int64)
@@ -488,10 +482,10 @@ class FilterBank:
             self._blocks.repeat(counts, axis=1),
             self.unit8.fp_bits,
         )
-        held = np.bitwise_xor.reduce(self.slots[slots], axis=0) == fp
+        held = np.bitwise_xor.reduce(self.fingerprints[slots], axis=0) == fp
         hits = np.concatenate((starts4, starts8))
         hits *= 4
-        hits += self._biases.repeat(counts)
+        hits += _BIASES.repeat(counts)
         return hits[held].tolist()
 
     def __eq__(self, other) -> bool:

@@ -98,8 +98,9 @@ ABSORB_STEPS = 1 << 16
 #: bytes an exact class gap translates first, and at most at once: the
 #: chunks double from the first size up to the last, so a check's time and
 #: memory follow the bytes it reads up to the first non-member, however far
-#: the interval runs (an anchored edge gap's runs to the packet edge)
-_CLASS_CHUNKS = (64, 1 << 16)
+#: the interval runs (an anchored edge gap's runs to the packet edge). The
+#: first chunk covers any interval inside a 1500-byte packet in one call.
+_CLASS_CHUNKS = (2048, 1 << 16)
 
 
 @dataclass(frozen=True)
