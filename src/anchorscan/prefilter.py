@@ -12,22 +12,33 @@ round and no division.
 
 Each xor unit sits behind two more 2^16-bit bitmaps, its gates: the set of
 first two bytes and the set of last two bytes of its concrete keys. Scanning
-maps every 2-byte window of a packet to one flag byte (the direct unit's bit
-and the four gate bits) with a single gather, reports the direct hits, and
-hashes a 4- or 8-byte window only when its head and tail pairs both pass
-their gates. Every key passes its own gates, so the gates cost no false
-negatives; on clean traffic most packets make no hash call at all.
+maps every 2-byte window of a packet to one flag byte (the direct unit's
+bits, the four gate bits and a lead bit) with a single gather, reports the
+direct hits, and hashes a 4- or 8-byte window only when its head and tail
+pairs both pass their gates. Every key passes its own gates, so the gates
+cost no false negatives; on clean traffic most packets make no hash call at
+all.
 
-Only lead windows, those with the direct bit or a head-gate bit, can start
-a hit. A packet with few of them (a 1500-byte random packet has about 6) is
-finished by one Python pass over its lead windows; one with many is tested
-with numpy over all windows. Windows are read in place through one-byte-
-stride views of the packet. Both paths hash their gated windows in one
-place: one by one with the scalar `contains` when a packet has few, and
-otherwise in one vectorized call over both units, against their
-fingerprints concatenated when the bank is built or loaded. `scan` returns
-its hits as lists of plain ints. Tests hold `scan` to a brute-force
-per-window query that applies the same gates.
+The direct unit has a context gate too, built from the reverse automaton
+that runs from every hit. A 2-byte key (a, b) whose reverse run is still
+alive after reading b and a, with nothing accepted, is in `ctx2`: its run
+records nothing unless it survives the byte x before the key as well.
+`pre2` holds every pair (x, a) after which the run of some `ctx2` key
+(a, .) is alive. A `ctx2` hit at window k is reported only when k > 0 and
+window k - 1 is in `pre2`, so the gate drops only hits whose reverse thread
+would record nothing. A bank built from keys alone has no context gate.
+
+Only lead windows, those with a direct bit or a head-gate bit, can start a
+hit; their flags carry the top bit, so `flags >= 0x80` lists them. A packet
+with few of them (a 1500-byte random packet has about 6) is finished by one
+Python pass over its lead windows; one with many is tested with numpy over
+all windows. Windows are read in place through one-byte-stride views of
+the packet. Both paths hash their gated windows in one place: one by one
+with the scalar `contains` when a packet has few, and otherwise in one
+vectorized call over both units, against their fingerprints concatenated
+when the bank is built or loaded. `scan` returns its hits as lists of
+plain ints. Tests hold `scan` to a brute-force per-window query that
+applies the same gates.
 """
 from __future__ import annotations
 
@@ -37,6 +48,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .automata import DEAD, Dfa
 from .blob import BlobReader
 from .decompose import FilterKey
 
@@ -51,14 +63,19 @@ UNIT_XOR4 = 4
 UNIT_XOR8 = 8
 
 # bits of FilterBank.flags; each head bit sits one above its tail bit, so
-# `(flags[head] >> 1) & flags[tail] & _TAILw` tests both gates of a window
-_DIRECT = 0x01
+# `(flags[head] >> 1) & flags[tail] & _TAILw` tests both gates of a window,
+# and `_PRE` sits one above `_DIRECTX` the same way: a `_DIRECTX` window k
+# is a hit only when window k - 1 has `_PRE`
+_DIRECT = 0x01  # a 2-byte key, reported as it is
 _TAIL4 = 0x02
 _HEAD4 = 0x04
 _TAIL8 = 0x08
 _HEAD8 = 0x10
-#: the bits that make a window a lead window, one that can start a key
-_LEAD = _DIRECT | _HEAD4 | _HEAD8
+_DIRECTX = 0x20  # a 2-byte key of `ctx2`, reported only behind a `_PRE` window
+_PRE = 0x40  # a pair of `pre2`
+#: set on every lead window, one that can start a hit (a direct bit or a
+#: head-gate bit), as the top bit, so `flags >= _LEAD` lists the leads
+_LEAD = 0x80
 
 #: gated windows per packet, over both xor units, up to which `scan` hashes
 #: each window in a scalar loop instead of one vectorized call over all of
@@ -72,11 +89,11 @@ _SCALAR_WINDOWS = 16
 
 #: lead windows per packet up to which `scan` visits each in Python instead
 #: of testing the gates over every window with numpy. On 1500-byte packets
-#: the Python pass costs about 0.25 us per lead window and the numpy test a
-#: near-fixed 18-25 us; with hashing they break even at 56-64 lead windows
-#: (48-56 without). A packet of the benchmark corpora has at most 52 lead
-#: windows, or at least 179.
-_SPARSE_LEADS = 64
+#: (2-core x86 host, numpy 2.4) the Python pass costs about 8 us plus
+#: 0.3 us per lead window, and the numpy test a near-fixed 29-35 us; with
+#: hashing they break even at 64-80 lead windows (88-96 without). A packet
+#: of the benchmark corpora has at most 52 lead windows, or at least 179.
+_SPARSE_LEADS = 72
 
 # A hit is packed into one int, `(end << 2) | unit`, with unit 0, 1 and 2
 # for the direct, xor-4 and xor-8 units: sorting the ints orders hits by
@@ -163,8 +180,13 @@ class DirectFilterUnit:
     @staticmethod
     def of(keys) -> "DirectFilterUnit":
         """The unit holding every 2-byte string in `keys`."""
+        return DirectFilterUnit.of_values([(k[0] << 8) | k[1] for k in keys])
+
+    @staticmethod
+    def of_values(values) -> "DirectFilterUnit":
+        """The unit holding the 2-byte strings of these big-endian values."""
         members = np.zeros(65536, dtype=np.uint8)
-        members[[(k[0] << 8) | k[1] for k in keys]] = 1
+        members[values] = 1
         return DirectFilterUnit(np.packbits(members, bitorder="little"))
 
     def contains(self, window: bytes) -> bool:
@@ -210,9 +232,7 @@ class DirectFilterUnit:
         values = r.array("<u2", count).astype(np.int64)
         if np.any(values[1:] <= values[:-1]):
             raise ValueError("pair-set list is not strictly increasing")
-        members = np.zeros(65536, dtype=np.uint8)
-        members[values] = 1
-        return DirectFilterUnit(np.packbits(members, bitorder="little"))
+        return DirectFilterUnit.of_values(values)
 
 
 # --- xor units for 4- and 8-byte keys --------------------------------------------
@@ -269,13 +289,6 @@ class XorFilterUnit:
     def _mix_vec(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         bl = np.uint64(self.block_len)
         return _mix_vec(values, np.uint64(self.seed), bl, _THIRDS * bl, self.fp_bits)
-
-    def hit_mask(self, values: np.ndarray) -> np.ndarray:
-        """Membership of every value of a uint64 array, as a bool array."""
-        if self.is_empty:
-            return np.zeros(len(values), dtype=bool)
-        slots, fp = self._mix_vec(values)
-        return np.bitwise_xor.reduce(self.fingerprints[slots], axis=0) == fp
 
     def __eq__(self, other) -> bool:
         return (
@@ -373,23 +386,33 @@ class FilterBank:
     tail4: DirectFilterUnit
     head8: DirectFilterUnit
     tail8: DirectFilterUnit
-    #: little-endian 2-byte window value -> direct and gate bits; derived,
-    #: not serialized
+    #: the context gate: the 2-byte keys whose hits need their context byte
+    #: (a subset of `unit2`), and the pairs (byte before, key's first byte)
+    #: that let such a hit through; both empty in a bank built without the
+    #: reverse automaton
+    ctx2: DirectFilterUnit = field(default_factory=lambda: DirectFilterUnit.of(()))
+    pre2: DirectFilterUnit = field(default_factory=lambda: DirectFilterUnit.of(()))
+    #: little-endian 2-byte window value -> direct, gate and lead bits;
+    #: derived, not serialized
     flags: np.ndarray = field(init=False, repr=False)
     #: both xor units' fingerprints, xor-4's blocks first; derived, not
     #: serialized
     fingerprints: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        ctx = self.ctx2.members()
         flags = np.zeros(65536, dtype=np.uint8)
-        for bit, pair_set in (
-            (_DIRECT, self.unit2),
-            (_TAIL4, self.tail4),
-            (_HEAD4, self.head4),
-            (_TAIL8, self.tail8),
-            (_HEAD8, self.head8),
+        for bit, members in (
+            (_DIRECT, self.unit2.members() > ctx),
+            (_TAIL4, self.tail4.members()),
+            (_HEAD4, self.head4.members()),
+            (_TAIL8, self.tail8.members()),
+            (_HEAD8, self.head8.members()),
+            (_DIRECTX, ctx),
+            (_PRE, self.pre2.members()),
         ):
-            flags |= pair_set.members() * np.uint8(bit)
+            flags |= members * np.uint8(bit)
+        flags[(flags & (_DIRECT | _DIRECTX | _HEAD4 | _HEAD8)) != 0] |= _LEAD
         # the pair sets index a window by its big-endian value; `scan`
         # reads windows little-endian, with its first byte low
         self.flags = np.ascontiguousarray(flags.reshape(256, 256).T).ravel()
@@ -417,7 +440,7 @@ class FilterBank:
         # every 2-byte window read in place as a little-endian integer:
         # element k of a view with a one-byte stride is bytes k..k+1
         flags = self.flags.take(np.ndarray((n - 1,), "<u2", data, 0, (1,)))
-        leads = flags & _LEAD
+        leads = flags >= _LEAD  # a bool array: counting and listing it is fast
         if np.count_nonzero(leads) > _SPARSE_LEADS:  # counting many is cheaper than listing them
             return self._scan_dense(data, flags)
         fb = flags.tobytes()
@@ -425,8 +448,10 @@ class FilterBank:
         starts4, starts8 = [], []
         for k in leads.nonzero()[0].tolist():
             f = fb[k]
-            if f & _DIRECT:
-                hits.append((k + 1) << 2)  # window k ends at k + 1
+            # window k ends at k + 1; a context-gated key needs the pair
+            # before it, window k - 1, to pass `pre2`
+            if f & _DIRECT or (f & _DIRECTX and k and fb[k - 1] & _PRE):
+                hits.append((k + 1) << 2)
             # a w-byte window at k passes when its tail pair, window
             # k + w - 2, passes its gate too
             if f & _HEAD4 and k + 2 < n - 1 and fb[k + 2] & _TAIL4:
@@ -440,12 +465,15 @@ class FilterBank:
     def _scan_dense(self, data: bytes, flags: np.ndarray) -> tuple[list[int], list[int]]:
         """`scan` for a packet with many lead windows: the gates are
         tested over all windows at once, on the flags `scan` gathered."""
-        heads = flags >> 1  # head gate bits moved onto their tail bits
+        heads = flags >> 1  # head gate bits moved onto their tail bits, `_PRE` onto `_DIRECTX`
         # window k passes when its head pair (flags[k]) and its tail pair
         # (flags[k + w - 2]) both pass their gates
         starts4 = (heads[:-2] & flags[2:] & _TAIL4).nonzero()[0]
         starts8 = (heads[:-6] & flags[6:] & _TAIL8).nonzero()[0]
-        direct = (flags & _DIRECT).nonzero()[0]
+        # a context-gated key at window k passes when window k - 1 has `_PRE`
+        direct = flags & _DIRECT
+        direct[1:] |= heads[:-1] & flags[1:] & _DIRECTX
+        direct = direct.nonzero()[0]
         direct += 1  # window k ends at k + 1
         direct <<= 2
         hits = np.concatenate((direct, np.array(self._hashed_hits(data, starts4, starts8), dtype=np.int64)))
@@ -498,17 +526,19 @@ class FilterBank:
             and self.tail4 == other.tail4
             and self.head8 == other.head8
             and self.tail8 == other.tail8
+            and self.ctx2 == other.ctx2
+            and self.pre2 == other.pre2
         )
 
     # --- serialization: magic, version, fp bits, pair sets, seeds, slots ---
 
     MAGIC = b"ASFB"
-    VERSION = 4
+    VERSION = 5
 
     def to_bytes(self) -> bytes:
         fp_bits = self.unit8.fp_bits
         out = [self.MAGIC, struct.pack("<HB", self.VERSION, fp_bits)]
-        for pair_set in (self.unit2, self.head4, self.tail4, self.head8, self.tail8):
+        for pair_set in (self.unit2, self.ctx2, self.pre2, self.head4, self.tail4, self.head8, self.tail8):
             out.append(pair_set.to_bytes())
         slot = _fp_dtype(fp_bits).newbyteorder("<")
         for unit in (self.unit4, self.unit8):
@@ -525,7 +555,11 @@ class FilterBank:
         if version != FilterBank.VERSION:
             raise ValueError(f"unsupported filter bank version {version}")
         dtype = _fp_dtype(fp_bits)
-        bitmaps = [DirectFilterUnit.read(r) for _ in range(5)]
+        unit2, ctx2, pre2, head4, tail4, head8, tail8 = [DirectFilterUnit.read(r) for _ in range(7)]
+        if np.any(ctx2.members() > unit2.members()):
+            raise ValueError("context-gated pairs that are not 2-byte keys")
+        if (ctx2.key_count == 0) != (pre2.key_count == 0):
+            raise ValueError("a context gate with only one of its two pair sets")
         units = []
         for expected in (4, 8):
             width, seed, key_count, block_len = r.unpack("<BQII")
@@ -543,8 +577,7 @@ class FilterBank:
                 )
             )
         r.finish()
-        unit2, head4, tail4, head8, tail8 = bitmaps
-        return FilterBank(unit2, units[0], units[1], head4, tail4, head8, tail8)
+        return FilterBank(unit2, units[0], units[1], head4, tail4, head8, tail8, ctx2, pre2)
 
 
 def _unpacked(hits: list[int]) -> tuple[list[int], list[int]]:
@@ -558,15 +591,19 @@ def build_filter_bank(
     fp_bits: int = 8,
     seed: int = 0x5EED,
     attempts: int = 100,
+    reverse: Dfa | None = None,
 ) -> FilterBank:
     """Expand every split's key, plant the strings in the right unit and
-    their first and last two bytes in that unit's gates."""
+    their first and last two bytes in that unit's gates. Given the dense
+    reverse automaton that runs from every hit, also build the direct
+    unit's context gate (`_context_gate`)."""
     by_len: dict[int, set[bytes]] = {2: set(), 4: set(), 8: set()}
     for key in keys:
         by_len[key.length].update(key.expand())
 
     unit4 = build_xor_unit(sorted(by_len[4]), 4, fp_bits, splitmix64(seed ^ 4), attempts)
     unit8 = build_xor_unit(sorted(by_len[8]), 8, fp_bits, splitmix64(seed ^ 8), attempts)
+    gate = () if reverse is None else _context_gate(by_len[2], reverse)
     return FilterBank(
         DirectFilterUnit.of(by_len[2]),
         unit4,
@@ -575,4 +612,29 @@ def build_filter_bank(
         DirectFilterUnit.of(k[2:] for k in by_len[4]),
         DirectFilterUnit.of(k[:2] for k in by_len[8]),
         DirectFilterUnit.of(k[6:] for k in by_len[8]),
+        *gate,
     )
+
+
+def _context_gate(pairs: set[bytes], reverse: Dfa) -> tuple[DirectFilterUnit, DirectFilterUnit]:
+    """`ctx2` and `pre2` of the 2-byte keys `pairs`, from the reverse
+    automaton's dense table.
+
+    A direct hit (a, b) at window k starts a reverse run that reads b, then
+    a, then the byte x before them. `ctx2` holds the keys whose run is
+    still alive after b and a with nothing accepted: such a hit records
+    nothing unless the run survives x. `pre2` holds every pair (x, a) after
+    which the run of some `ctx2` key (a, .) is still alive. So a `ctx2` hit
+    with no `pre2` pair before it, or at window 0, records nothing.
+    """
+    table, accepting = reverse.table, np.array([bool(labels) for labels in reverse.accepts])
+    values = np.array([(k[0] << 8) | k[1] for k in pairs], dtype=np.int64)
+    if accepting[reverse.start] or not len(values):
+        return DirectFilterUnit.of(()), DirectFilterUnit.of(())
+    first = values >> 8
+    after_b = table[reverse.start, values & 0xFF]
+    after_a = table[after_b, first]
+    # the dead state accepts nothing and only leads to itself
+    gated = (after_a != DEAD) & ~accepting[after_b] & ~accepting[after_a]
+    keys, x = (table[after_a[gated]] != DEAD).nonzero()
+    return DirectFilterUnit.of_values(values[gated]), DirectFilterUnit.of_values((x << 8) | first[gated][keys])

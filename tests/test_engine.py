@@ -351,8 +351,8 @@ def test_trailing_gap_end_is_a_match_end(rule, packet, end):
 @pytest.mark.parametrize(
     "rules, size, sha_prefix",
     [
-        (mixed_rules(), 85_253, "be01e2407475e31e"),
-        (list(PAPER_RULES), 25_471, "451e4fdd1f203a21"),
+        (mixed_rules(), 85_493, "32f0028dd380802d"),
+        (list(PAPER_RULES), 25_503, "8984d50b2bf1c3ec"),
     ],
     ids=["mixed", "paper"],
 )

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 import struct
 from unittest import mock
@@ -9,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anchorscan import prefilter
+from anchorscan import prefilter, synth
 from anchorscan.blob import BlobReader
 from anchorscan.decompose import FilterKey, pick_filter_key
 from anchorscan.chars import ByteClass
+from anchorscan.engine import compile_rules, scan_corpus
 from anchorscan.parser import parse
 from anchorscan.prefilter import (
     UNIT_DIRECT,
@@ -25,12 +27,18 @@ from anchorscan.prefilter import (
     build_filter_bank,
     build_xor_unit,
     splitmix64,
+    _DIRECT,
+    _DIRECTX,
+    _HEAD4,
+    _HEAD8,
+    _LEAD,
     _SCALAR_WINDOWS,
     _SPARSE_LEADS,
     _fp_dtype,
     _splitmix64_vec,
     _unpacked,
 )
+from anchorscan.stt import REVERSE, run_thread
 
 
 def key_of(text: bytes) -> FilterKey:
@@ -41,10 +49,24 @@ def bank_of(*keys: bytes) -> FilterBank:
     return build_filter_bank([key_of(k) for k in keys])
 
 
-def reference_query(bank: FilterBank, window: bytes) -> bool:
+def hit_mask(unit: XorFilterUnit, values: np.ndarray) -> np.ndarray:
+    """Membership of every value of a uint64 array in a xor unit, as a bool
+    array: `contains` over an array, through `_mix_vec`."""
+    if unit.is_empty:
+        return np.zeros(len(values), dtype=bool)
+    slots, fp = unit._mix_vec(values)
+    return np.bitwise_xor.reduce(unit.fingerprints[slots], axis=0) == fp
+
+
+def reference_query(bank: FilterBank, window: bytes, before: bytes = b"") -> bool:
     """Brute-force membership of one 2-, 4- or 8-byte window, through the
-    same gates `scan` applies; the reference `scan` must agree with."""
+    same gates `scan` applies; the reference `scan` must agree with.
+    `before` is the byte before the window, empty at window 0: a 2-byte key
+    of `ctx2` is a hit only when that byte and the key's first byte are a
+    pair of `pre2`."""
     if len(window) == 2:
+        if bank.ctx2.contains(window):
+            return bool(before) and bank.pre2.contains(before + window[:1])
         return bank.unit2.contains(window)
     if len(window) == 4:
         head, tail, unit = bank.head4, bank.tail4, bank.unit4
@@ -61,7 +83,7 @@ def brute_hits(bank: FilterBank, packet: bytes) -> list[tuple[int, int]]:
         (j, w)  # unit codes equal window widths
         for j in range(len(packet))
         for w in (UNIT_DIRECT, UNIT_XOR4, UNIT_XOR8)
-        if j >= w - 1 and reference_query(bank, packet[j - w + 1 : j + 1])
+        if j >= w - 1 and reference_query(bank, packet[j - w + 1 : j + 1], packet[max(j - w, 0) : j - w + 1])
     ]
 
 
@@ -219,7 +241,7 @@ class TestXorUnit:
         unit = build_xor_unit(keys, 8, 8, base_seed=99)
         member = set(keys)
         probes = np.frombuffer(rng.randbytes(8 * 100_000), dtype=">u8").astype(np.uint64)
-        mask = unit.hit_mask(probes)
+        mask = hit_mask(unit, probes)
         false_pos = sum(
             1
             for v, hit in zip(probes.tolist(), mask.tolist())
@@ -233,7 +255,7 @@ class TestXorUnit:
         keys = [rng.randbytes(4) for _ in range(500)]
         unit = build_xor_unit(keys, 4, 8, base_seed=5)
         probes = np.frombuffer(rng.randbytes(4 * 2000), dtype=">u4").astype(np.uint64)
-        mask = unit.hit_mask(probes)
+        mask = hit_mask(unit, probes)
         for v, hit in zip(probes.tolist(), mask.tolist()):
             assert unit.contains(int(v).to_bytes(4, "big")) == bool(hit)
 
@@ -247,7 +269,7 @@ class TestXorUnit:
         unit = build_xor_unit([], 4, 8, base_seed=1)
         assert unit.is_empty
         assert not unit.contains(b"abcd")
-        assert not unit.hit_mask(np.arange(10, dtype=np.uint64)).any()
+        assert not hit_mask(unit, np.arange(10, dtype=np.uint64)).any()
 
     @given(st.sets(st.binary(min_size=4, max_size=4), min_size=1, max_size=200), st.integers(0, 2**32))
     @settings(max_examples=50, deadline=None)
@@ -420,7 +442,7 @@ class TestBankScan:
             values = np.zeros(len(data) - w + 1, dtype=np.uint64)
             for col in range(w):
                 values = (values << np.uint64(8)) | u[col : len(u) - w + 1 + col]
-            ungated = set((np.flatnonzero(unit.hit_mask(values)) + w - 1).tolist())
+            ungated = set((np.flatnonzero(hit_mask(unit, values)) + w - 1).tolist())
             gated = {int(e) for e, c in zip(ends, units) if c == code}
             assert gated <= ungated
             assert gated == {e for e in ungated if reference_query(bank, data[e - w + 1 : e + 1])}
@@ -566,6 +588,110 @@ class TestLeadWindowThreshold:
         self.assert_scan_is_brute(packet[len(packet) - length :])
 
 
+def gate_free(bank: FilterBank) -> FilterBank:
+    """The same bank with its context gate emptied."""
+    return dataclasses.replace(bank, ctx2=DirectFilterUnit.of(()), pre2=DirectFilterUnit.of(()))
+
+
+def pairs(unit: DirectFilterUnit) -> set[bytes]:
+    return {bytes([v >> 8, v & 0xFF]) for v in np.flatnonzero(unit.members()).tolist()}
+
+
+class TestContextGate:
+    """A 2-byte key of `ctx2`, whose reverse run is alive after reading the
+    key with nothing accepted, is a hit at window k only when k > 0 and
+    window k - 1 is a pair of `pre2`; the gate drops only hits whose reverse
+    run records nothing."""
+
+    # "ab" and the class expansions "ae" and "af" need an x or a y before
+    # them; "cd" is a whole rule, so its run accepts and it is not gated
+    db = compile_rules(["[xy]ab", "[xy]a[ef]", "cd"])[0]
+
+    def test_pair_sets(self):
+        bank = self.db.bank
+        assert pairs(bank.unit2) == {b"ab", b"ae", b"af", b"cd"}
+        assert pairs(bank.ctx2) == {b"ab", b"ae", b"af"}
+        assert pairs(bank.pre2) == {b"xa", b"ya"}
+
+    def test_lead_bit_marks_every_lead_window(self):
+        flags = self.db.bank.flags
+        assert np.array_equal(flags >= _LEAD, (flags & (_DIRECT | _DIRECTX | _HEAD4 | _HEAD8)) != 0)
+        assert np.count_nonzero(flags >= _LEAD) == 4
+
+    def test_bank_from_keys_alone_has_no_gate(self):
+        bank = bank_of(b"ab", b"abcd")
+        assert bank.ctx2.key_count == bank.pre2.key_count == 0
+        assert bank.scan(b"ab") == ([1], [UNIT_DIRECT])
+
+    @pytest.mark.parametrize("dense", [False, True])
+    @pytest.mark.parametrize(
+        "packet, ends",
+        [
+            (b"ab", []),  # window 0, also the last window
+            (b"xab", [2]),
+            (b"zab", []),
+            (b"abxa", []),  # window 0, with a `pre2` pair as the last window
+            (b"xaab", []),  # a `pre2` pair two windows before
+            (b"yaf", [2]),  # a key of a class expansion
+            (b"zaexab", [5]),
+            (b"xyaeyaf", [3, 6]),
+            (b"cdcd", [1, 3]),  # an ungated key at window 0
+            (b"xacd", [3]),
+        ],
+    )
+    def test_gated_hits(self, packet, ends, dense, monkeypatch):
+        if dense:  # every packet of two bytes or more takes the dense path
+            monkeypatch.setattr(prefilter, "_SPARSE_LEADS", -1)
+        bank = self.db.bank
+        got = list(zip(*bank.scan(packet)))
+        assert got == [(e, UNIT_DIRECT) for e in ends] == brute_hits(bank, packet)
+        for end, _unit in set(zip(*gate_free(bank).scan(packet))) - set(got):
+            assert run_thread(self.db.reverse_stt, packet, end, REVERSE)[0] == []
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_xor_hit_at_a_dropped_end_is_kept(self, dense, monkeypatch):
+        # a compiled bank would let "za" through, as "zzab"'s front reads
+        # on past "ab"; a forged gate drops the direct hit under the xor one
+        if dense:
+            monkeypatch.setattr(prefilter, "_SPARSE_LEADS", -1)
+        bank = dataclasses.replace(bank_of(b"ab", b"zzab"), ctx2=DirectFilterUnit.of([b"ab"]), pre2=DirectFilterUnit.of([b"xa"]))
+        assert list(zip(*bank.scan(b"zzab"))) == [(3, UNIT_XOR4)] == brute_hits(bank, b"zzab")
+        assert list(zip(*bank.scan(b"xzzab"))) == [(4, UNIT_XOR4)]
+        assert list(zip(*bank.scan(b"zzxab"))) == [(4, UNIT_DIRECT)]
+
+    def assert_gate_is_exact(self, db, free, packet: bytes) -> None:
+        """On both scan paths: the scan equals the brute query, it drops
+        only direct hits of the gate-free bank, and the reverse run from
+        each dropped end records nothing."""
+        for sparse_leads in (_SPARSE_LEADS, -1):  # -1: every packet takes the dense path
+            with mock.patch.object(prefilter, "_SPARSE_LEADS", sparse_leads):
+                gated = list(zip(*db.bank.scan(packet)))
+                ungated = set(zip(*free.bank.scan(packet)))
+            assert gated == brute_hits(db.bank, packet)
+            assert set(gated) <= ungated
+            for end, unit in ungated - set(gated):
+                assert unit == UNIT_DIRECT
+                assert run_thread(db.reverse_stt, packet, end, REVERSE)[0] == []
+
+    @given(st.integers(0, 2**32), st.integers(0, 2**32), st.integers(4, 16))
+    @settings(max_examples=40, deadline=None)
+    def test_gate_drops_only_dead_triggers(self, rules_seed, packets_seed, count):
+        """Over `synth` rule sets and traffic, the gate is exact (above),
+        also with each direct key moved to window 0 and the pair before it
+        to the last window; and the matches equal those of the same
+        database with its gate emptied."""
+        rules = synth.diff_ruleset(count, seed=rules_seed)
+        db = compile_rules(rules)[0]
+        free = dataclasses.replace(db, bank=gate_free(db.bank))
+        packets = synth.diff_packets(rules, 30, seed=packets_seed)
+        for packet in packets:
+            self.assert_gate_is_exact(db, free, packet)
+            for end, unit in zip(*free.bank.scan(packet)):
+                if unit == UNIT_DIRECT and end > 1:
+                    self.assert_gate_is_exact(db, free, packet[end - 1 :] + packet[end - 2 : end])
+        assert scan_corpus(db, packets, 1).matches == scan_corpus(free, packets, 1).matches
+
+
 class TestSerialization:
     def test_round_trip(self):
         rng = random.Random(29)
@@ -587,10 +713,40 @@ class TestSerialization:
         # version 3 took each slot by `%` and the fingerprint from a second
         # hash round, so its slots would read as garbage under version 4
         blob = bytearray(bank_of(b"ab", b"abcd", b"abcdefgh").to_bytes())
-        assert blob[4:6] == struct.pack("<H", 4)
+        assert blob[4:6] == struct.pack("<H", 5)
         blob[4:6] = struct.pack("<H", 3)
         with pytest.raises(ValueError, match="unsupported filter bank version 3"):
             FilterBank.from_bytes(bytes(blob))
+
+    def test_version_4_blob_is_refused(self):
+        # version 4 stored five pair sets, without the context gate's two,
+        # so version 5 would read its head gates as `ctx2` and `pre2`
+        blob = bytearray(TestContextGate.db.bank.to_bytes())
+        blob[4:6] = struct.pack("<H", 4)
+        with pytest.raises(ValueError, match="unsupported filter bank version 4"):
+            FilterBank.from_bytes(bytes(blob))
+
+    def test_gated_bank_round_trips(self):
+        bank = TestContextGate.db.bank
+        blob = bank.to_bytes()
+        back = FilterBank.from_bytes(blob)
+        assert back == bank and back != gate_free(bank)
+        assert back.to_bytes() == blob
+        assert back.scan(b"abxabzab") == bank.scan(b"abxabzab") == ([4], [UNIT_DIRECT])
+
+    @pytest.mark.parametrize(
+        "ctx2, pre2, message",
+        [
+            ([b"ab", b"zz"], [b"xa"], "not 2-byte keys"),
+            ([b"ab"], [], "only one of its two pair sets"),
+            ([], [b"xa"], "only one of its two pair sets"),
+        ],
+    )
+    def test_inconsistent_context_gate_is_refused(self, ctx2, pre2, message):
+        bank = bank_of(b"ab", b"cd", b"abcd")
+        forged = dataclasses.replace(bank, ctx2=DirectFilterUnit.of(ctx2), pre2=DirectFilterUnit.of(pre2))
+        with pytest.raises(ValueError, match=message):
+            FilterBank.from_bytes(forged.to_bytes())
 
     def test_bad_magic(self):
         with pytest.raises(ValueError):
@@ -598,9 +754,10 @@ class TestSerialization:
 
     def test_truncated_or_padded_blob_raises_value_error(self):
         rng = random.Random(41)
-        blob = bank_of(b"ab", rng.randbytes(4), rng.randbytes(8)).to_bytes()
-        for size in range(len(blob)):
+        for bank in (bank_of(b"ab", rng.randbytes(4), rng.randbytes(8)), TestContextGate.db.bank):
+            blob = bank.to_bytes()
+            for size in range(len(blob)):
+                with pytest.raises(ValueError):
+                    FilterBank.from_bytes(blob[:size])
             with pytest.raises(ValueError):
-                FilterBank.from_bytes(blob[:size])
-        with pytest.raises(ValueError):
-            FilterBank.from_bytes(blob + b"\x00")
+                FilterBank.from_bytes(blob + b"\x00")

@@ -23,9 +23,9 @@ from workloads import WORKLOADS, mixed_rules  # noqa: E402
 
 #: sha-256 of `ScanReport.to_json()` per workload, seed 1
 REPORTS = {
-    "clean": "3e7bd04ebf8f9191867c71cdffb1ebbf7674697f7115d6b47bb339b7e2c1e9e8",
-    "planted": "d6a5fc1ca35ea6dbe7f5f02a1196def5d7fb28bd27a1a60458032dbd69ba326e",
-    "hitdense": "31ef8a12c3b96e20b81e786d7d81d938676489ebb108c1eec9a82328c8b80eb9",
+    "clean": "dadb7b9b5d90c487fbb11e2ffc17a413b1eeca0c8900b35262b3203aba67bd28",
+    "planted": "93ab76d444414cfd8cabf93548ab18425e62c6ee3998fcc2d25d88fbb4e076fe",
+    "hitdense": "a462c0948af6cb7535ce433fc4147bddc158a21573be97bf6133d38b2daf7ff7",
 }
 
 #: sha-256 of the JSON of `ScanReport.to_dict()["matches"]` per workload, seed 1
