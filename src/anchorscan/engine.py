@@ -3,9 +3,14 @@
 Compilation runs parse, decomposition, gap classification, filter bank
 construction and the two anchored automata, producing an immutable
 database that serializes bit-exactly. Scanning walks each packet through
-filter hits, reverse threads from every hit, forward threads for split
+filter hits, reverse threads from the hits, forward threads for split
 continuations, and finally the gap verifier, collecting per-stage
 counters along the way.
+
+Each rule has one trigger fragment, the one whose keys are rarest. A
+2-byte key of another fragment that is no trigger fragment's key is a
+held pair: an offset whose only hit is such a pair runs only once a rule
+it serves has recorded a trigger split in the same packet (`scan_packet`).
 """
 from __future__ import annotations
 
@@ -29,7 +34,7 @@ from .blob import BlobReader
 from .config import CompileConfig
 from .decompose import FilterKey, UnsupportedRuleError, decompose_rule
 from .parser import PatternError, parse
-from .prefilter import FilterBank, build_filter_bank
+from .prefilter import UNIT_DIRECT, FilterBank, build_filter_bank, context_gate
 from .stt import FORWARD, REVERSE, CompressedStt, compress, run_thread
 from .verify import (
     INTERIOR,
@@ -43,7 +48,11 @@ from .verify import (
 )
 
 _MAGIC = b"ASDB"
-_VERSION = 3
+_VERSION = 4
+
+# bits of a split's flag byte
+_HAS_BACK = 0x01
+_TRIGGER = 0x02
 
 
 def _json(obj) -> bytes:
@@ -63,6 +72,7 @@ class SplitMeta:
     rule_idx: int   # dense index into the database's rule tables
     frag_k: int     # 0-based fragment position within the rule
     has_back: bool
+    trigger: bool   # a split of its rule's trigger fragment
 
 
 @dataclass(frozen=True)
@@ -92,28 +102,58 @@ class CompiledDatabase:
     checks: tuple[RuleChecks, ...]
     config: CompileConfig
     manifest: dict
-    #: split id -> (rule_idx, frag_k, forward entry state or -1): everything
-    #: a reverse-thread accept needs, in one index; derived, not serialized
-    scan_table: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
+    #: the held pairs, ascending: (big-endian 2-byte key value, the sorted
+    #: indices of the rules with a non-trigger fragment keyed on it)
+    held: tuple[tuple[int, tuple[int, ...]], ...]
+    #: split id -> (rule_idx, frag_k, forward entry state or -1, trigger
+    #: bit): everything a reverse-thread accept needs, in one index;
+    #: derived, not serialized
+    scan_table: tuple[tuple[int, int, int, bool], ...] = field(init=False, repr=False, compare=False)
+    #: 2-byte key value -> 1 if it is a held pair, else 0; derived
+    held_table: bytes = field(init=False, repr=False, compare=False)
+    #: held pair value -> the rules it serves; derived
+    held_rules: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        """Build the scan table, rejecting cross-references the scan would
+        """Build the scan tables, rejecting cross-references the scan would
         trip over: a split outside the rule tables, a reverse accept that
-        names no split, a continued split with no forward entry."""
+        names no split, a continued split with no forward entry, a rule
+        with no trigger fragment or a fragment only partly one, and a held
+        pair that is no 2-byte key or serves no rule in order."""
         checks, entries = self.checks, self.forward_stt.entries
         for rule_idx, rc in enumerate(checks):
             if len(rc.gaps) != rc.n_fragments + 1:
                 raise ValueError(f"rule {rule_idx} has {len(rc.gaps)} gaps for {rc.n_fragments} fragments")
         table = []
+        triggers: dict[tuple[int, int], bool] = {}  # (rule_idx, frag_k) -> trigger bit
         for sid, m in enumerate(self.splits):
             if not (0 <= m.rule_idx < len(checks) and 0 <= m.frag_k < checks[m.rule_idx].n_fragments):
                 raise ValueError(f"split {sid} names fragment {m.frag_k} of rule {m.rule_idx}, which does not exist")
             if m.has_back and sid not in entries:
                 raise ValueError(f"split {sid} continues forward but has no forward entry")
-            table.append((m.rule_idx, m.frag_k, entries[sid] if m.has_back else -1))
+            if triggers.setdefault((m.rule_idx, m.frag_k), m.trigger) != m.trigger:
+                raise ValueError(f"fragment {m.frag_k} of rule {m.rule_idx} is a trigger in only some splits")
+            table.append((m.rule_idx, m.frag_k, entries[sid] if m.has_back else -1, m.trigger))
         if max(set().union(*self.reverse_stt.accepts), default=-1) >= len(table):
             raise ValueError("reverse automaton accepts a label that is not a split id")
+        untriggered = set(range(len(checks))).difference(r for (r, _k), bit in triggers.items() if bit)
+        if untriggered:
+            raise ValueError(f"rule {min(untriggered)} has no trigger fragment")
+        keys = self.bank.unit2.members()
+        held_table = bytearray(65536)
+        last = -1
+        for value, rules in self.held:
+            if not last < value < 65536:
+                raise ValueError("held pairs are not strictly increasing 2-byte values")
+            if not keys[value]:
+                raise ValueError(f"held pair {value:#06x} is not a 2-byte key")
+            if not rules or not all(a < b for a, b in zip((-1, *rules), (*rules, len(checks)))):
+                raise ValueError(f"held pair {value:#06x} serves {list(rules)}, not an increasing list of rules")
+            held_table[value] = 1
+            last = value
         self.scan_table = tuple(table)
+        self.held_table = bytes(held_table)
+        self.held_rules = dict(self.held)
 
     # --- serialization ---------------------------------------------------
 
@@ -132,7 +172,11 @@ class CompiledDatabase:
 
         out.append(struct.pack("<I", len(self.splits)))
         for m in self.splits:
-            out.append(struct.pack("<IIB", m.rule_idx, m.frag_k, int(m.has_back)))
+            out.append(struct.pack("<IIB", m.rule_idx, m.frag_k, m.has_back * _HAS_BACK | m.trigger * _TRIGGER))
+
+        out.append(struct.pack("<I", len(self.held)))
+        for value, rules in self.held:
+            out.append(struct.pack(f"<HI{len(rules)}I", value, len(rules), *rules))
 
         out.append(struct.pack("<I", len(self.checks)))
         for rc in self.checks:
@@ -173,14 +217,25 @@ class CompiledDatabase:
         bank = FilterBank.from_bytes(r.blob())
         reverse_stt = CompressedStt.from_bytes(r.blob())
         forward_stt = CompressedStt.from_bytes(r.blob())
+        # the context gate is read off the reverse automaton, so a gate that
+        # another automaton gives could drop hits whose threads record
+        gate = context_gate(bank.unit2, reverse_stt.start, reverse_stt.accepts, reverse_stt.dense_rows)
+        if gate != (bank.ctx2, bank.pre2):
+            raise ValueError("filter bank's context gate is not the one its reverse automaton gives")
 
         (n_splits,) = r.unpack("<I")
         splits = []
         for _ in range(n_splits):
-            rule_idx, frag_k, has_back = r.unpack("<IIB")
-            if has_back > 1:
-                raise ValueError(f"split {len(splits)} has flag {has_back}, not 0 or 1")
-            splits.append(SplitMeta(rule_idx, frag_k, bool(has_back)))
+            rule_idx, frag_k, flag = r.unpack("<IIB")
+            if flag > _HAS_BACK | _TRIGGER:
+                raise ValueError(f"split {len(splits)} has flag {flag}, not 0 to 3")
+            splits.append(SplitMeta(rule_idx, frag_k, bool(flag & _HAS_BACK), bool(flag & _TRIGGER)))
+
+        (n_held,) = r.unpack("<I")
+        held = []
+        for _ in range(n_held):
+            value, count = r.unpack("<HI")
+            held.append((value, tuple(r.array("<u4", count).tolist())))
 
         (n_rules,) = r.unpack("<I")
         checks = []
@@ -207,6 +262,7 @@ class CompiledDatabase:
             checks=tuple(checks),
             config=config,
             manifest=manifest,
+            held=tuple(held),
         )
 
     def save(self, path: str | Path) -> None:
@@ -272,15 +328,30 @@ def compile_rules(
     keys: list[FilterKey] = []
     rev_in: list[tuple[int, object]] = []
     fwd_in: list[tuple[int, object]] = []
+    trigger_pairs: set[bytes] = set()  # 2-byte keys of trigger fragments
+    served: dict[bytes, set[int]] = {}  # 2-byte key of other fragments -> their rules
     for rule_idx, (_, dec, _) in enumerate(survivors):
+        # the rarest fragment, by summed key probability; `min` keeps the earliest on a tie
+        trigger = min(dec.bounded, key=lambda frag: sum(sp.key.probability for sp in frag.splits))
         for frag in dec.bounded:
             for sp in frag.splits:
                 sid = len(split_meta)
-                split_meta.append(SplitMeta(rule_idx, frag.index - 1, sp.back is not None))
+                split_meta.append(SplitMeta(rule_idx, frag.index - 1, sp.back is not None, frag is trigger))
                 keys.append(sp.key)
                 rev_in.append((sid, sp.front))
                 if sp.back is not None:
                     fwd_in.append((sid, sp.back))
+                if sp.key.length == 2:
+                    for pair in sp.key.expand():
+                        if frag is trigger:
+                            trigger_pairs.add(pair)
+                        else:
+                            served.setdefault(pair, set()).add(rule_idx)
+    held = tuple(
+        (int.from_bytes(pair, "big"), tuple(sorted(rules)))
+        for pair, rules in sorted(served.items())
+        if pair not in trigger_pairs
+    )
 
     # the reverse automaton comes first: the filter bank's context gate is
     # read off its dense table, which `compress` then encodes
@@ -310,6 +381,7 @@ def compile_rules(
         checks=tuple(rc for _, _, rc in survivors),
         config=config,
         manifest=manifest,
+        held=held,
     )
     report = CompileReport(
         rule_count=len(patterns),
@@ -320,6 +392,7 @@ def compile_rules(
             "fragments": sum(dec.fragment_count for _, dec, _ in survivors),
             "splits": len(split_meta),
             "filter_keys": bank.key_count,
+            "held_pairs": len(held),
             "reverse_states": reverse_stt.n_states,
             "forward_states": forward_stt.n_states,
         },
@@ -335,6 +408,7 @@ class ScanStats:
     packets: int = 0
     bytes: int = 0
     filter_hits: int = 0
+    held_hits: int = 0
     reverse_threads: int = 0
     forward_threads: int = 0
     adfa_transitions: int = 0
@@ -346,6 +420,7 @@ class ScanStats:
         self.packets += other.packets
         self.bytes += other.bytes
         self.filter_hits += other.filter_hits
+        self.held_hits += other.held_hits
         self.reverse_threads += other.reverse_threads
         self.forward_threads += other.forward_threads
         self.adfa_transitions += other.adfa_transitions
@@ -355,7 +430,17 @@ class ScanStats:
 
 
 def scan_packet(db: CompiledDatabase, data: bytes, stats: ScanStats) -> list[tuple[int, int]]:
-    """Match one packet; returns (rule id, end offset) pairs."""
+    """Match one packet; returns (rule id, end offset) pairs.
+
+    Hit offsets run in two passes. The first runs a reverse thread from
+    every offset but the held ones, whose only hit is a direct hit on a
+    held pair; a rule whose trigger split records is live. The second runs
+    a held offset only if a rule its pair serves is live. Only records of
+    live rules go on to forward threads and the verifier: a record met
+    before its rule is live waits for the end of the first pass. A rule
+    can match only where its trigger fragment matched, and no trigger key
+    is held, so no match is lost.
+    """
     stats.packets += 1
     stats.bytes += len(data)
     if not data:
@@ -366,18 +451,30 @@ def scan_packet(db: CompiledDatabase, data: bytes, stats: ScanStats) -> list[tup
     # (and `FilterBank.scan`) to time each layer, and checks its call counts
     # against ScanStats. Binding them at import would bypass the tracer.
     run = run_thread
+    ends, codes = db.bank.scan(data)
+    if not ends:
+        return []
     reverse_stt = db.reverse_stt
     forward_stt = db.forward_stt
     scan_table = db.scan_table
-    ends, _codes = db.bank.scan(data)
+    held_table = db.held_table
+    held: list[int] = []  # held offsets, not yet run
+    live: set[int] = set()  # rules whose trigger split recorded
+    later: list[tuple[int, list]] = []  # (offset, records) to go through once `live` is settled
     events: set[tuple[int, int, int, int]] = set()  # (pos_e, rule_idx, k, pos_s)
     fwd_runs: dict[int, list[tuple[int, int, int]]] = {}  # entry -> records at this trigger
     triggers = fwd_threads = steps = 0
     last_pos = -1
-    for pos in ends:
+    direct = UNIT_DIRECT
+    # from the last hit back: at one offset the xor hits come before the
+    # direct hit, so a direct hit met first is its offset's only hit
+    for pos, code in zip(reversed(ends), reversed(codes)):
         if pos == last_pos:
             continue  # one escalation per trigger offset, whatever units fired
         last_pos = pos
+        if code == direct and held_table[(data[pos - 1] << 8) | data[pos]]:
+            held.append(pos)
+            continue
         triggers += 1
         records, depth = run(reverse_stt, data, pos, REVERSE)
         steps += depth
@@ -385,8 +482,18 @@ def scan_packet(db: CompiledDatabase, data: bytes, stats: ScanStats) -> list[tup
             continue
         if fwd_runs:
             fwd_runs.clear()
-        for split_id, s, _e in records:
-            rule_idx, k, entry = scan_table[split_id]
+        put_off = None  # this offset's records of rules not live yet
+        for record in records:
+            split_id, s, _e = record
+            rule_idx, k, entry, trigger = scan_table[split_id]
+            if trigger:
+                live.add(rule_idx)
+            elif rule_idx not in live:
+                if put_off is None:
+                    put_off = []
+                    later.append((pos, put_off))
+                put_off.append(record)
+                continue
             if entry < 0:
                 events.add((pos, rule_idx, k, s))
                 continue
@@ -399,7 +506,41 @@ def scan_packet(db: CompiledDatabase, data: bytes, stats: ScanStats) -> list[tup
             for label, _fs, fe in frecords:
                 if label == split_id:
                     events.add((fe, rule_idx, k, s))
+    held_hits = len(held)
+    if live:
+        # `live` is settled: run the held offsets that a live rule needs,
+        # then go through their records and those put off, as above. The
+        # loop is written out twice because a call per record, on
+        # `hitdense`, costs more than the held threads save
+        held_rules = db.held_rules
+        for pos in held:
+            if not live.isdisjoint(held_rules[(data[pos - 1] << 8) | data[pos]]):
+                held_hits -= 1
+                triggers += 1
+                records, depth = run(reverse_stt, data, pos, REVERSE)
+                steps += depth
+                if records:
+                    later.append((pos, records))
+        for pos, records in later:
+            fwd_runs.clear()
+            for split_id, s, _e in records:
+                rule_idx, k, entry, _trigger = scan_table[split_id]
+                if rule_idx not in live:
+                    continue
+                if entry < 0:
+                    events.add((pos, rule_idx, k, s))
+                    continue
+                frecords = fwd_runs.get(entry)
+                if frecords is None:
+                    fwd_threads += 1
+                    frecords, fdepth = run(forward_stt, data, pos + 1, FORWARD, entry)
+                    steps += fdepth
+                    fwd_runs[entry] = frecords
+                for label, _fs, fe in frecords:
+                    if label == split_id:
+                        events.add((fe, rule_idx, k, s))
     stats.filter_hits += triggers
+    stats.held_hits += held_hits
     stats.reverse_threads += triggers
     stats.forward_threads += fwd_threads
     stats.adfa_transitions += steps
@@ -435,6 +576,7 @@ class ScanReport:
             "packets": st.packets,
             "bytes": st.bytes,
             "filter_hits": st.filter_hits,
+            "held_hits": st.held_hits,
             "filter_hit_ratio": ratio(st.filter_hits, st.bytes),
             "reverse_threads": st.reverse_threads,
             "forward_threads": st.forward_threads,

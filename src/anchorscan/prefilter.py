@@ -26,7 +26,9 @@ records nothing unless it survives the byte x before the key as well.
 `pre2` holds every pair (x, a) after which the run of some `ctx2` key
 (a, .) is alive. A `ctx2` hit at window k is reported only when k > 0 and
 window k - 1 is in `pre2`, so the gate drops only hits whose reverse thread
-would record nothing. A bank built from keys alone has no context gate.
+would record nothing. A bank built from keys alone has no context gate;
+a database load rebuilds the gate from its reverse table and refuses a
+bank whose gate differs.
 
 Only lead windows, those with a direct bit or a head-gate bit, can start a
 hit; their flags carry the top bit, so `flags >= 0x80` lists them. A packet
@@ -601,11 +603,12 @@ def build_filter_bank(
     for key in keys:
         by_len[key.length].update(key.expand())
 
+    unit2 = DirectFilterUnit.of(by_len[2])
     unit4 = build_xor_unit(sorted(by_len[4]), 4, fp_bits, splitmix64(seed ^ 4), attempts)
     unit8 = build_xor_unit(sorted(by_len[8]), 8, fp_bits, splitmix64(seed ^ 8), attempts)
-    gate = () if reverse is None else _context_gate(by_len[2], reverse)
+    gate = () if reverse is None else context_gate(unit2, reverse.start, reverse.accepts, reverse.table.__getitem__)
     return FilterBank(
-        DirectFilterUnit.of(by_len[2]),
+        unit2,
         unit4,
         unit8,
         DirectFilterUnit.of(k[:2] for k in by_len[4]),
@@ -616,9 +619,12 @@ def build_filter_bank(
     )
 
 
-def _context_gate(pairs: set[bytes], reverse: Dfa) -> tuple[DirectFilterUnit, DirectFilterUnit]:
-    """`ctx2` and `pre2` of the 2-byte keys `pairs`, from the reverse
-    automaton's dense table.
+def context_gate(unit2: DirectFilterUnit, start: int, accepts, rows) -> tuple[DirectFilterUnit, DirectFilterUnit]:
+    """`ctx2` and `pre2` of the 2-byte keys in `unit2`, from the reverse
+    automaton that runs from every hit: its start state, its accept labels
+    per state, and `rows`, which maps an array of states to their dense
+    `(len, 256)` successor rows. It asks only for the start row and the
+    rows of the states that the keys' runs reach in their first two steps.
 
     A direct hit (a, b) at window k starts a reverse run that reads b, then
     a, then the byte x before them. `ctx2` holds the keys whose run is
@@ -627,14 +633,16 @@ def _context_gate(pairs: set[bytes], reverse: Dfa) -> tuple[DirectFilterUnit, Di
     which the run of some `ctx2` key (a, .) is still alive. So a `ctx2` hit
     with no `pre2` pair before it, or at window 0, records nothing.
     """
-    table, accepting = reverse.table, np.array([bool(labels) for labels in reverse.accepts])
-    values = np.array([(k[0] << 8) | k[1] for k in pairs], dtype=np.int64)
-    if accepting[reverse.start] or not len(values):
+    accepting = np.array([bool(labels) for labels in accepts])
+    values = np.flatnonzero(unit2.members())
+    if accepting[start] or not len(values):
         return DirectFilterUnit.of(()), DirectFilterUnit.of(())
     first = values >> 8
-    after_b = table[reverse.start, values & 0xFF]
-    after_a = table[after_b, first]
+    after_b = rows(np.array([start]))[0][values & 0xFF]
+    seen, back = np.unique(after_b, return_inverse=True)
+    after_a = rows(seen)[back, first]
     # the dead state accepts nothing and only leads to itself
     gated = (after_a != DEAD) & ~accepting[after_b] & ~accepting[after_a]
-    keys, x = (table[after_a[gated]] != DEAD).nonzero()
+    seen, back = np.unique(after_a[gated], return_inverse=True)
+    keys, x = (rows(seen)[back] != DEAD).nonzero()
     return DirectFilterUnit.of_values(values[gated]), DirectFilterUnit.of_values((x << 8) | first[gated][keys])

@@ -52,18 +52,29 @@ class CompressedStt:
         """Flat dense successor rows: `rows[(state << 8) | byte]`.
 
         Built from the defaults and the runs on first use, so compiling
-        never holds them: each row starts as its default and every run
-        overwrites its byte range with its successor.
+        never holds them.
         """
-        lengths = self.run_last.astype(np.intp) - self.run_first + 1
-        starts = (np.repeat(np.arange(self.n_states, dtype=np.intp), self.run_counts) << 8) + self.run_first
+        return memoryview(self.dense_rows(np.arange(self.n_states)).ravel())
+
+    def dense_rows(self, states: np.ndarray) -> np.ndarray:
+        """The dense rows of `states` alone, shape `(len(states), 256)`:
+        each row starts as its default and every run overwrites its byte
+        range with its successor."""
+        states = np.asarray(states, dtype=np.intp)
+        counts = self.run_counts[states].astype(np.intp)
+        # the runs of each state, state-then-byte order, and the row each lands in
+        first_run = np.cumsum(self.run_counts, dtype=np.intp)[states] - counts
+        runs = np.arange(int(counts.sum())) + np.repeat(first_run - (np.cumsum(counts) - counts), counts)
+        row = np.repeat(np.arange(len(states), dtype=np.intp), counts)
+        lengths = self.run_last[runs].astype(np.intp) - self.run_first[runs] + 1
+        starts = (row << 8) + self.run_first[runs]
         # run i covers starts[i] .. starts[i] + lengths[i] - 1; laid end to
         # end from 0, its bytes are shifted by starts[i] minus their offset
         offsets = np.cumsum(lengths) - lengths
         at = np.arange(int(lengths.sum())) + np.repeat(starts - offsets, lengths)
-        dense = np.repeat(self.defaults, 256)
-        dense[at] = np.repeat(self.run_succ, lengths)
-        return memoryview(dense)
+        dense = np.repeat(self.defaults[states], 256)
+        dense[at] = np.repeat(self.run_succ[runs], lengths)
+        return dense.reshape(len(states), 256)
 
     @property
     def succ_width(self) -> int:

@@ -16,6 +16,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 from itertools import accumulate
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +36,7 @@ from anchorscan.engine import (
 )
 from anchorscan.oracle import oracle_match
 from anchorscan.parser import parse
+from anchorscan.prefilter import DirectFilterUnit
 from anchorscan.verify import DfaGap, DotGap, EmptyGap
 from test_stt import corruptions
 
@@ -170,10 +172,20 @@ def test_version_2_database_raises_value_error():
     # the manifest, and version 1 transition tables; a correct checksum
     # does not make them loadable
     blob = compile_rules(["ab.*cd"])[0].to_bytes()
-    assert blob[4] == 3
+    assert blob[4] == 4
     old = blob[:4] + b"\x02" + blob[5:-4]
     old += struct.pack("<I", zlib.crc32(old))
     with pytest.raises(ValueError, match="unsupported database version 2"):
+        CompiledDatabase.from_bytes(old)
+
+
+def test_version_3_database_raises_value_error():
+    # version 3 had no trigger bits and no held pairs: its split flags
+    # would read as non-trigger splits and its rule count as a held count
+    blob = compile_rules(["ab.*cd"])[0].to_bytes()
+    old = blob[:4] + b"\x03" + blob[5:-4]
+    old += struct.pack("<I", zlib.crc32(old))
+    with pytest.raises(ValueError, match="unsupported database version 3"):
         CompiledDatabase.from_bytes(old)
 
 
@@ -268,7 +280,7 @@ def forgeries(db):
         "reverse label not a split": dict(reverse_stt=replace(db.reverse_stt, accepts=tuple(accepts))),
         "continued split without entry": dict(forward_stt=replace(db.forward_stt, entries={})),
         "gap count not fragments + 1": dict(checks=(replace(rc0, gaps=rc0.gaps[:-1]), *db.checks[1:])),
-        "split flag 2": dict(splits=(*db.splits[:2], replace(db.splits[2], has_back=2))),
+        "split flag 4": dict(splits=(db.splits[0], replace(db.splits[1], has_back=4), db.splits[2])),
         "rule end flag 2": dict(checks=(replace(rc0, anchored_end=2), *db.checks[1:])),
     }
 
@@ -276,14 +288,14 @@ def forgeries(db):
 FORGERIES = (
     "max_key_len 1", "split rule_idx 99", "split frag_k past the rule",
     "reverse label not a split", "continued split without entry", "gap count not fragments + 1",
-    "split flag 2", "rule end flag 2",
+    "split flag 4", "rule end flag 2",
 )
 
 
 def test_forged_blob_is_faithful():
     db, _ = compile_rules(XREF_RULES)
     assert forged_blob(db) == db.to_bytes()
-    assert db.scan_table == ((0, 0, -1), (0, 1, -1), (1, 0, db.forward_stt.entries[2]))
+    assert db.scan_table == ((0, 0, -1, True), (0, 1, -1, False), (1, 0, db.forward_stt.entries[2], True))
 
 
 def test_forgeries_are_all_tested():
@@ -296,6 +308,134 @@ def test_load_rejects_bad_config_and_cross_references(case):
     blob = forged_blob(db, **forgeries(db)[case])
     with pytest.raises(ValueError):
         CompiledDatabase.from_bytes(blob)
+
+
+@pytest.mark.parametrize("ctx2, pre2", [(["ab"], ["qa"]), ([], []), (["ab"], ["xa"])])
+def test_load_rejects_a_context_gate_its_automaton_does_not_give(ctx2, pre2):
+    # "ab" needs an x or a y before it; a `pre2` of {qa} would drop the hit
+    # of "xab", and one without "ya" that of "yab": silent misses
+    db, _ = compile_rules(["[xy]ab", "cd"])
+    assert scan_once(db, b"xab") == scan_once(db, b"yab") == [(0, 2)]
+    bank = replace(
+        db.bank, ctx2=DirectFilterUnit.of(x.encode() for x in ctx2), pre2=DirectFilterUnit.of(x.encode() for x in pre2)
+    )
+    with pytest.raises(ValueError, match="context gate is not the one its reverse automaton gives"):
+        CompiledDatabase.from_bytes(forged_blob(db, bank=bank))
+    assert CompiledDatabase.from_bytes(db.to_bytes()).bank == db.bank
+
+
+# --- trigger fragments and held pairs ------------------------------------------
+
+
+def pair(text: bytes) -> int:
+    return (text[0] << 8) | text[1]
+
+
+def trigger_fragments(db) -> set[tuple[int, int]]:
+    return {(m.rule_idx, m.frag_k) for m in db.splits if m.trigger}
+
+
+def all_triggers(db):
+    """The same database with every split a trigger and no held pairs: every
+    hit offset runs, and every record counts."""
+    return replace(db, splits=tuple(replace(m, trigger=True) for m in db.splits), held=())
+
+
+#: "cd" is held for rules 0 and 1, "ef" for rule 2; "ab" is rule 1's trigger
+TRIGGER_RULES = ["(ab|cd).*xyzw", "ab.*cd", "ef.*wxyz0"]
+
+
+def trigger_forgeries(db):
+    """Field replacements, by name, that each break one thing a load checks
+    of the trigger bits and the held pairs, with the message it raises."""
+    s = db.splits
+    cd, ef = db.held
+    return {
+        "trigger in one split of a fragment": (dict(splits=(replace(s[0], trigger=True), *s[1:])), "only some splits"),
+        "rule without a trigger": (dict(splits=(*s[:3], replace(s[3], trigger=False), *s[4:])), "no trigger fragment"),
+        "held pairs out of order": (dict(held=(ef, cd)), "strictly increasing"),
+        "held pair repeated": (dict(held=(cd, cd, ef)), "strictly increasing"),
+        "held pair not a key": (dict(held=(cd, ef, (pair(b"zz"), (0,)))), "not a 2-byte key"),
+        "held pair serving no rule": (dict(held=(cd, (ef[0], ()))), "not an increasing list"),
+        "held rules out of order": (dict(held=(cd, (ef[0], (2, 1)))), "not an increasing list"),
+        "held rule repeated": (dict(held=(cd, (ef[0], (2, 2)))), "not an increasing list"),
+        "held rule past the rules": (dict(held=(cd, (ef[0], (2, 3)))), "not an increasing list"),
+    }
+
+
+TRIGGER_FORGERIES = list(trigger_forgeries(compile_rules(TRIGGER_RULES)[0]))
+
+
+class TestTriggerFragments:
+    def test_the_rarest_fragment_is_the_trigger(self):
+        # "cdef" is rarer than "ab", "xy" than "[a-c]b"; "ab" and "cd" tie,
+        # so the earlier is the trigger, and a one-fragment rule's is its own
+        db, _ = compile_rules(["ab.*cdef", "[a-c]b.*xy", "ab.*cd", "wxyz"])
+        assert trigger_fragments(db) == {(0, 1), (1, 1), (2, 0), (3, 0)}
+
+    def test_held_pairs(self):
+        db, report = compile_rules(TRIGGER_RULES)
+        assert trigger_fragments(db) == {(0, 1), (1, 0), (2, 1)}
+        # "ab" is a key of rule 0's first fragment too, but it triggers rule 1
+        assert db.held == ((pair(b"cd"), (0, 1)), (pair(b"ef"), (2,)))
+        assert report.counters["held_pairs"] == 2
+        assert CompiledDatabase.from_bytes(db.to_bytes()).held == db.held
+        stats = ScanStats()
+        assert scan_packet(db, b"xab--cd", stats) == [(1, 6)]
+        assert (stats.filter_hits, stats.held_hits) == (2, 0)
+
+    #: "ab" is held for rules 0 and 2, "ij" for rule 3; "gh" triggers rule 3,
+    #: and the 8-byte "qrstuvwx" rule 4
+    HELD_RULES = ["ab.*cdef", "xyab", "ab.*wxyz", "gh.*ij", "qrstuvwx.*lmno"]
+
+    @pytest.mark.parametrize(
+        "packet, matches, runs, held",
+        [
+            (b"--ab--", [], 0, 1),  # no rule is live
+            (b"ab--ij", [], 0, 2),
+            (b"ab--cdef", [(0, 7)], 2, 0),  # the trigger after the held hit
+            (b"cdef--ab", [], 2, 0),  # live, but "ab" comes too late to match
+            (b"cdef", [], 1, 0),
+            (b"gh--ij", [(3, 5)], 2, 0),  # a 2-byte trigger runs in the first pass
+            (b"ij--gh", [], 2, 0),
+            (b"xyab", [(1, 3)], 1, 0),  # the xor hit at the held hit's end runs in the first pass
+            (b"ab--xyab", [(1, 7)], 1, 1),  # rule 1 is live, but "ab" serves rules 0 and 2
+            (b"ab--wxyz--cdef", [(0, 13), (2, 7)], 3, 0),
+            (b"qrstuvwx--lmno", [(4, 13)], 2, 0),  # "lmno" records before its rule is live
+        ],
+    )
+    def test_held_hits_run_behind_a_live_rule(self, packet, matches, runs, held):
+        db, _ = compile_rules(self.HELD_RULES)
+        assert db.held == ((pair(b"ab"), (0, 2)), (pair(b"ij"), (3,)))
+        stats = ScanStats()
+        assert scan_packet(db, packet, stats) == matches
+        assert (stats.filter_hits, stats.held_hits) == (runs, held)
+        assert stats.reverse_threads == stats.filter_hits
+        assert scan_once(all_triggers(db), packet) == matches
+
+    @pytest.mark.parametrize("case", TRIGGER_FORGERIES)
+    def test_trigger_forgery_is_refused(self, case):
+        db, _ = compile_rules(TRIGGER_RULES)
+        fields, message = trigger_forgeries(db)[case]
+        with pytest.raises(ValueError, match=message):
+            CompiledDatabase.from_bytes(forged_blob(db, **fields))
+
+    @given(st.integers(0, 2**32), st.integers(0, 2**32), st.integers(4, 16))
+    @settings(max_examples=30, deadline=None)
+    def test_held_hits_lose_no_match(self, rules_seed, packets_seed, count):
+        """Over `synth` rule sets and traffic, at one worker and at two, the
+        matches equal those of the same database with every split a trigger
+        and no held pair, and every hit offset is run or held."""
+        rules = synth.diff_ruleset(count, seed=rules_seed)
+        db = compile_rules(rules)[0]
+        free = all_triggers(db)
+        packets = synth.diff_packets(rules, 30, seed=packets_seed)
+        with mock.patch.object(engine.os, "sched_getaffinity", lambda pid: {0, 1}):
+            for workers in (1, 2):
+                got, want = scan_corpus(db, packets, workers), scan_corpus(free, packets, workers)
+                assert got.matches == want.matches
+                assert want.stats.held_hits == 0
+                assert got.stats.filter_hits + got.stats.held_hits == want.stats.filter_hits
 
 
 @pytest.mark.parametrize("value", [0, -1, "7", 7.0, True, None])
@@ -351,8 +491,8 @@ def test_trailing_gap_end_is_a_match_end(rule, packet, end):
 @pytest.mark.parametrize(
     "rules, size, sha_prefix",
     [
-        (mixed_rules(), 85_493, "32f0028dd380802d"),
-        (list(PAPER_RULES), 25_503, "8984d50b2bf1c3ec"),
+        (mixed_rules(), 86_203, "55cf08e87b925c0b"),
+        (list(PAPER_RULES), 25_547, "817b2e4a22892704"),
     ],
     ids=["mixed", "paper"],
 )
@@ -460,6 +600,7 @@ def test_report_schema():
         "packets",
         "bytes",
         "filter_hits",
+        "held_hits",
         "filter_hit_ratio",
         "reverse_threads",
         "forward_threads",

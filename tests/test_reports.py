@@ -23,9 +23,9 @@ from workloads import WORKLOADS, mixed_rules  # noqa: E402
 
 #: sha-256 of `ScanReport.to_json()` per workload, seed 1
 REPORTS = {
-    "clean": "dadb7b9b5d90c487fbb11e2ffc17a413b1eeca0c8900b35262b3203aba67bd28",
-    "planted": "93ab76d444414cfd8cabf93548ab18425e62c6ee3998fcc2d25d88fbb4e076fe",
-    "hitdense": "a462c0948af6cb7535ce433fc4147bddc158a21573be97bf6133d38b2daf7ff7",
+    "clean": "274d60a71d2c52eea77501f4b62bb0506b8bfe036af8465871ac2c50feb15275",
+    "planted": "22d5f295bf565caa2d632462622f91037eba378090da6f39784d115a578af52f",
+    "hitdense": "aa8f2f8463d72f2edb801f8f6a6184e4cad8130455c8f5db8af3cb6d2daa9097",
 }
 
 #: sha-256 of the JSON of `ScanReport.to_dict()["matches"]` per workload, seed 1

@@ -192,6 +192,16 @@ class TestCompress:
         assert back.to_bytes() == blob
         assert_lookup_equal(back, dfa)
 
+    @given(_defaulted_tables(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_dense_rows_of_some_states(self, dfa, data):
+        # any states, repeated and out of order, read from the stored arrays
+        # alone: the dense rows of every state are never built
+        stt = compress(dfa)
+        states = data.draw(st.lists(st.integers(0, dfa.n_states - 1), max_size=8))
+        assert np.array_equal(stt.dense_rows(np.array(states, dtype=np.int64)), dfa.table[states])
+        assert "rows" not in vars(stt)
+
     @pytest.mark.parametrize("suffix", ["POST /.{0,40}login", r"[^\n]{0,60}x", "id=[^&]{2,30}&"])
     def test_counted_run_forward_table_is_small(self, suffix):
         # each link of a counted any-byte or class run moves to the next
