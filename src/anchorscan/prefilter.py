@@ -31,16 +31,18 @@ a database load rebuilds the gate from its reverse table and refuses a
 bank whose gate differs.
 
 Only lead windows, those with a direct bit or a head-gate bit, can start a
-hit; their flags carry the top bit, so `flags >= 0x80` lists them. A packet
-with few of them (a 1500-byte random packet has about 6) is finished by one
-Python pass over its lead windows; one with many is tested with numpy over
-all windows. Windows are read in place through one-byte-stride views of
-the packet. Both paths hash their gated windows in one place: one by one
-with the scalar `contains` when a packet has few, and otherwise in one
-vectorized call over both units, against their fingerprints concatenated
-when the bank is built or loaded. `scan` returns its hits as lists of
-plain ints. Tests hold `scan` to a brute-force per-window query that
-applies the same gates.
+hit; their flags carry the top bit, so `flags >= 0x80` lists them, once per
+packet. A packet with few of them (a 1500-byte random packet has about 6)
+is finished by one Python pass over its lead windows, or at once when it
+has none; one with many is tested with numpy over all windows. Windows are
+read in place through one-byte-stride views of the packet. Both paths hash
+their gated windows in one place: one by one with the scalar `contains`
+when a packet has few, and otherwise in one vectorized call over both
+units, against their fingerprints concatenated when the bank is built or
+loaded. `scan` returns its hits as lists of plain ints, new on every call;
+the Python pass collects its direct hits in order and sorts only when a
+xor hit joins them. Tests hold `scan` to a brute-force per-window query
+that applies the same gates.
 """
 from __future__ import annotations
 
@@ -90,17 +92,23 @@ _LEAD = 0x80
 _SCALAR_WINDOWS = 16
 
 #: lead windows per packet up to which `scan` visits each in Python instead
-#: of testing the gates over every window with numpy. On 1500-byte packets
-#: (2-core x86 host, numpy 2.4) the Python pass costs about 8 us plus
-#: 0.3 us per lead window, and the numpy test a near-fixed 29-35 us; with
-#: hashing they break even at 64-80 lead windows (88-96 without). A packet
-#: of the benchmark corpora has at most 52 lead windows, or at least 179.
-_SPARSE_LEADS = 72
+#: of testing the gates over every window with numpy. Both paths list the
+#: leads first, so the choice costs no extra pass. On 1500-byte packets
+#: (2-core x86 host, numpy 2.4) the Python pass costs about 7 us plus
+#: 0.25 us per lead window (5.4 us with none), and the numpy test 29-37 us;
+#: with every other lead window hashed they break even at 88-92 lead
+#: windows (128-144 without hashing). A packet of the seed-1 and seed-2
+#: benchmark corpora has at most 60 lead windows, or at least 179.
+_SPARSE_LEADS = 88
+
+#: the dtype of a packet's 2-byte windows as `scan` reads them, parsed once
+_U16 = np.dtype("<u2")
 
 # A hit is packed into one int, `(end << 2) | unit`, with unit 0, 1 and 2
 # for the direct, xor-4 and xor-8 units: sorting the ints orders hits by
 # end and then by unit code, and the code is `UNIT_DIRECT << unit`. A
 # w-byte window at start k ends at k + w - 1, so its hit is `4k + _BIAS`.
+# The sparse path packs its direct hits only to merge them with xor hits.
 _BIAS4 = (3 << 2) | 1
 _BIAS8 = (7 << 2) | 2
 _BIASES = np.array([_BIAS4, _BIAS8], dtype=np.int64)
@@ -441,19 +449,21 @@ class FilterBank:
             return [], []
         # every 2-byte window read in place as a little-endian integer:
         # element k of a view with a one-byte stride is bytes k..k+1
-        flags = self.flags.take(np.ndarray((n - 1,), "<u2", data, 0, (1,)))
-        leads = flags >= _LEAD  # a bool array: counting and listing it is fast
-        if np.count_nonzero(leads) > _SPARSE_LEADS:  # counting many is cheaper than listing them
+        flags = self.flags.take(np.ndarray((n - 1,), _U16, data, 0, (1,)))
+        leads = (flags >= _LEAD).nonzero()[0]  # listed off a bool array, numpy's fast path
+        if len(leads) > _SPARSE_LEADS:
             return self._scan_dense(data, flags)
+        if not len(leads):
+            return [], []
         fb = flags.tobytes()
-        hits = []
+        ends = []  # direct hits, ascending
         starts4, starts8 = [], []
-        for k in leads.nonzero()[0].tolist():
+        for k in leads.tolist():
             f = fb[k]
             # window k ends at k + 1; a context-gated key needs the pair
             # before it, window k - 1, to pass `pre2`
             if f & _DIRECT or (f & _DIRECTX and k and fb[k - 1] & _PRE):
-                hits.append((k + 1) << 2)
+                ends.append(k + 1)
             # a w-byte window at k passes when its tail pair, window
             # k + w - 2, passes its gate too
             if f & _HEAD4 and k + 2 < n - 1 and fb[k + 2] & _TAIL4:
@@ -461,8 +471,10 @@ class FilterBank:
             if f & _HEAD8 and k + 6 < n - 1 and fb[k + 6] & _TAIL8:
                 starts8.append(k)
         if starts4 or starts8:
-            hits += self._hashed_hits(data, starts4, starts8)
-        return _unpacked(hits)
+            xor = self._hashed_hits(data, starts4, starts8)
+            if xor:
+                return _unpacked([end << 2 for end in ends] + xor)
+        return ends, [UNIT_DIRECT] * len(ends)
 
     def _scan_dense(self, data: bytes, flags: np.ndarray) -> tuple[list[int], list[int]]:
         """`scan` for a packet with many lead windows: the gates are

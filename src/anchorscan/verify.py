@@ -388,7 +388,6 @@ class MatchEvent(NamedTuple):
 #: how an interior gap finds a matching record of the fragment before it
 _LOOKUP = 0  # the latest record that leaves `lo` bytes, by position (`bisect`)
 _RUNS = 1    # each kept record's automaton run, resumed where it stopped
-_LOOP = 2    # every kept record's `check` in turn
 
 
 @dataclass(frozen=True)
@@ -423,6 +422,14 @@ class RuleChecks:
         # a rule whose gaps do not fit its fragments is refused when its
         # database loads, so only a well-formed rule is ever scanned
         gaps = self.gaps
+        # compile classifies every interior gap in exact mode, and a parsed
+        # gap never has an empty language, so its automaton never starts
+        # dead: a gap that breaks either comes from a forged database
+        for gap in gaps[1:-1]:
+            if gap.mode != EXACT:
+                raise ValueError(f"rule {self.rule_id} has an interior gap in {gap.mode} mode")
+            if isinstance(gap, DfaGap) and gap.stt.start == DEAD:
+                raise ValueError(f"rule {self.rule_id} has an interior gap automaton that starts dead")
         interior = [_link(gap) for gap in gaps[1:-1]]
         derived = {
             "free_lead": bool(gaps) and _accepts_any_lead(gaps[0]),
@@ -445,17 +452,15 @@ def _keeps_earliest_only(gap: Gap) -> bool:
 
 
 def _link(gap: Gap) -> tuple[tuple, int | None]:
-    """`(link, limit)` for an interior gap: how it finds a record, and how
-    many records of the fragment before it to keep."""
+    """`(link, limit)` for an interior gap, which `RuleChecks` has checked
+    is in exact mode: how it finds a record, and how many records of the
+    fragment before it to keep."""
     earliest = _keeps_earliest_only(gap)
-    if gap.mode == EXACT:
-        if isinstance(gap, EmptyGap):
-            return (_LOOKUP, gap, 0, 0), None
-        if isinstance(gap, (DotGap, ClassGap)):
-            return (_LOOKUP, gap, gap.lo, gap.hi), 1 if earliest else None
-        if isinstance(gap, DfaGap) and gap.stt.start != DEAD:
-            return (_RUNS, gap, gap.absorbing[1], None), 1 if earliest else RECORD_CAP
-    return (_LOOP, gap, 0, None), 1 if earliest else RECORD_CAP
+    if isinstance(gap, EmptyGap):
+        return (_LOOKUP, gap, 0, 0), None
+    if isinstance(gap, (DotGap, ClassGap)):
+        return (_LOOKUP, gap, gap.lo, gap.hi), 1 if earliest else None
+    return (_RUNS, gap, gap.absorbing[1], None), 1 if earliest else RECORD_CAP
 
 
 def _accepts_any_lead(gap: Gap) -> bool:
@@ -522,19 +527,8 @@ class VerificationState:
                     self.verify_bytes += n
                     if not ok:
                         return []
-            elif how == _RUNS:
-                if not self._run_accepts(key, gap.stt, a, ends, last):
-                    return []
-            else:
-                check, data = gap.check, self.data
-                for prev_end in ends:
-                    ok, n = check(data, prev_end + 1, last)
-                    if examines:
-                        self.verify_bytes += n
-                    if ok:
-                        break
-                else:
-                    return []
+            elif not self._run_accepts(key, gap.stt, a, ends, last):
+                return []
         elif not rule.free_lead:
             gap = rule.gaps[0]
             ok, n = gap.check(self.data, 0, pos_s - 1)

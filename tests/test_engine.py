@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anchorscan import engine, synth
+from anchorscan.automata import DEAD
 from anchorscan.config import CompileConfig
 from anchorscan.engine import (
     CompiledDatabase,
@@ -37,7 +38,7 @@ from anchorscan.engine import (
 from anchorscan.oracle import oracle_match
 from anchorscan.parser import parse
 from anchorscan.prefilter import DirectFilterUnit
-from anchorscan.verify import DfaGap, DotGap, EmptyGap
+from anchorscan.verify import EXACT, INTERIOR, SUFFIX, DfaGap, DotGap, EmptyGap, RuleChecks, classify_gap
 from test_stt import corruptions
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -322,6 +323,42 @@ def test_load_rejects_a_context_gate_its_automaton_does_not_give(ctx2, pre2):
     with pytest.raises(ValueError, match="context gate is not the one its reverse automaton gives"):
         CompiledDatabase.from_bytes(forged_blob(db, bank=bank))
     assert CompiledDatabase.from_bytes(db.to_bytes()).bank == db.bank
+
+
+def test_compile_writes_only_exact_interior_gaps_that_start_live():
+    # a gap whose language is empty would compile to an automaton that
+    # starts dead; the parser refuses every such pattern
+    bad = [r"ab[^\x00-\xff]cd", r"ab(x[^\x00-\xff])cd", r"ab(x{0})cd", r"ab(|x)cd"]
+    _, report = compile_rules(["zzzz", *bad])
+    assert report.supported == [0]
+    assert {s.reason for s in report.skipped} == {"parse-error"}
+    db, _ = compile_rules(mixed_rules())
+    interior = [gap for rc in db.checks for gap in rc.gaps[1:-1]]
+    assert any(isinstance(gap, DfaGap) for gap in interior)
+    assert all(gap.mode == EXACT for gap in interior)
+    assert all(gap.stt.start != DEAD for gap in interior if isinstance(gap, DfaGap))
+
+
+def forged_rule(rc: RuleChecks, gaps) -> RuleChecks:
+    """`rc` with other gaps, without the checks a rule makes when it is built."""
+    bad = object.__new__(RuleChecks)
+    vars(bad).update(vars(rc), gaps=tuple(gaps))
+    return bad
+
+
+@pytest.mark.parametrize(
+    "gap, message",
+    [
+        (DotGap(0, None, SUFFIX), "interior gap in suffix mode"),
+        (DfaGap(replace(classify_gap(parse(".*a").tree, INTERIOR).stt, start=DEAD), EXACT), "starts dead"),
+    ],
+)
+def test_load_rejects_an_interior_gap_compile_cannot_write(gap, message):
+    db, _ = compile_rules(XREF_RULES)
+    lead, _interior, trail = db.checks[0].gaps  # ab.*cd
+    blob = forged_blob(db, checks=(forged_rule(db.checks[0], (lead, gap, trail)), *db.checks[1:]))
+    with pytest.raises(ValueError, match=message):
+        CompiledDatabase.from_bytes(blob)
 
 
 # --- trigger fragments and held pairs ------------------------------------------

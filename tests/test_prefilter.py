@@ -367,6 +367,34 @@ class TestBankScan:
         same = [(e, u) for e, u in zip(ends, units) if e == 4]
         assert same == [(4, UNIT_DIRECT), (4, UNIT_XOR4)]
 
+    # lead pairs: cd (the 2-byte key), ab and wx (4-byte heads), ef (the
+    # 8-byte head); wxyz holds no 2-byte key, so its hits come alone
+    exits_bank = bank_of(b"cd", b"abcd", b"wxyz", b"efghijkl")
+
+    @pytest.mark.parametrize("dense", [False, True])
+    @pytest.mark.parametrize(
+        "packet, leads, hits",
+        [
+            (b"zzzzzzzzzzzz", 0, []),  # no lead window
+            (b"zabzzwxzzefzzzzzzz", 3, []),  # head leads whose tails fail
+            (b"zcdzzcdcd", 3, [(2, UNIT_DIRECT), (6, UNIT_DIRECT), (8, UNIT_DIRECT)]),  # direct hits only
+            (b"zzwxyzzz", 1, [(5, UNIT_XOR4)]),  # a xor hit only
+            (b"zabcdz", 2, [(4, UNIT_DIRECT), (4, UNIT_XOR4)]),  # the direct hit first at a shared end
+        ],
+    )
+    def test_each_exit_equals_brute(self, packet, leads, hits, dense, monkeypatch):
+        if dense:  # every packet of two bytes or more takes the dense path
+            monkeypatch.setattr(prefilter, "_SPARSE_LEADS", -1)
+        bank = self.exits_bank
+        windows = np.ndarray((len(packet) - 1,), "<u2", packet, 0, (1,))
+        assert np.count_nonzero(bank.flags[windows] >= _LEAD) == leads
+        first, second = bank.scan(packet), bank.scan(packet)
+        assert list(zip(*first)) == hits == brute_hits(bank, packet)
+        assert all(type(x) is int for x in first[0] + first[1])
+        # fresh lists on every call: a caller may keep or change them
+        assert first == second
+        assert first[0] is not second[0] and first[1] is not second[1]
+
     def test_short_packets(self):
         bank = bank_of(b"ab", b"abcd", b"abcdefgh")
         for data in [b"", b"a", b"ab", b"abc"]:

@@ -8,6 +8,7 @@ scan loop that bypasses a wrapped name fails here, not in the benchmark.
 """
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -46,6 +47,10 @@ def test_traced_scan_keeps_the_harness_invariants(db_and_corpus):
     assert set(roots) == {"engine"}
     assert roots["engine"] == tracer.root_ns("engine")
     assert {"prefilter", "stt.reverse", "stt.forward", "verify"} <= set(layers)
+    # `FilterBank.scan` once per packet of at least one byte, under its packet
+    assert tracer.packet == len(packets) - 1
+    filter_spans = Counter(packet for _id, _parent, layer, packet, _t0, _t1 in tracer.spans if layer == "prefilter")
+    assert filter_spans == Counter(i for i, packet in enumerate(packets) if packet)
 
     st, n = report.stats, tracer.counts
     assert st.forward_threads > 0 and st.escalated_packets > 0 and report.matches
