@@ -35,7 +35,6 @@ def read_rules_file(path: str | Path) -> list[str]:
     """One pattern per line; blank lines and # comments are skipped."""
     rules = []
     for line in Path(path).read_text().splitlines():
-        line = line.rstrip("\n")
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         rules.append(line)
@@ -122,7 +121,7 @@ def bench_filterfp(
     keys = set()
     while len(keys) < n_keys:
         keys.add(rng.randbytes(8))
-    unit = build_xor_unit(sorted(keys), 8, 8, splitmix64(seed))
+    unit = build_xor_unit(sorted(keys), 8, splitmix64(seed))
     false_positives = 0
     probes = 0
     while probes < n_probes:
@@ -218,7 +217,7 @@ def _cmd_compile(args) -> int:
         rules = read_rules_file(args.rules)
         db, report = compile_rules(rules, config)
         db.save(args.out)
-    except (OSError, CompileError) as exc:
+    except (OSError, UnicodeDecodeError, CompileError) as exc:
         print(f"compile failed: {exc}", file=sys.stderr)
         return 1
     print(f"compiled {len(report.supported)}/{report.rule_count} rules -> {args.out}")
@@ -240,7 +239,11 @@ def _cmd_scan(args) -> int:
         return 1
     report = scan_corpus(db, packets, workers=args.workers)
     if args.json:
-        Path(args.json).write_text(report.to_json())
+        try:
+            Path(args.json).write_text(report.to_json())
+        except OSError as exc:
+            print(f"scan failed: {exc}", file=sys.stderr)
+            return 1
     sys.stdout.write(report.to_csv())
     return 0
 

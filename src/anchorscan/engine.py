@@ -26,7 +26,7 @@ import time
 import traceback
 import weakref
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .automata import build_forward_dfa, build_reverse_dfa
@@ -48,7 +48,7 @@ from .verify import (
 )
 
 _MAGIC = b"ASDB"
-_VERSION = 4
+_VERSION = 5
 
 # bits of a split's flag byte
 _HAS_BACK = 0x01
@@ -100,7 +100,6 @@ class CompiledDatabase:
     forward_stt: CompressedStt  # entries keyed by split id
     splits: tuple[SplitMeta, ...]
     checks: tuple[RuleChecks, ...]
-    config: CompileConfig
     manifest: dict
     #: the held pairs, ascending: (big-endian 2-byte key value, the sorted
     #: indices of the rules with a non-trigger fragment keyed on it)
@@ -164,7 +163,6 @@ class CompiledDatabase:
             out.append(struct.pack("<Q", len(b)))
             out.append(b)
 
-        blob(_json(self.config.as_dict()))
         blob(_json(self.manifest))
         blob(self.bank.to_bytes())
         blob(self.reverse_stt.to_bytes())
@@ -207,21 +205,16 @@ class CompiledDatabase:
             raise ValueError("rule database checksum mismatch")
 
         raw = r.blob()
-        config = CompileConfig.from_dict(json.loads(raw))
-        if _json(config.as_dict()) != raw:
-            raise ValueError("rule database config is not in canonical form")
-        raw = r.blob()
         manifest = json.loads(raw)
         if _json(manifest) != raw:
             raise ValueError("rule database manifest is not in canonical form")
-        bank = FilterBank.from_bytes(r.blob())
+        bank_blob = r.blob()
         reverse_stt = CompressedStt.from_bytes(r.blob())
         forward_stt = CompressedStt.from_bytes(r.blob())
-        # the context gate is read off the reverse automaton, so a gate that
-        # another automaton gives could drop hits whose threads record
-        gate = context_gate(bank.unit2, reverse_stt.start, reverse_stt.accepts, reverse_stt.dense_rows)
-        if gate != (bank.ctx2, bank.pre2):
-            raise ValueError("filter bank's context gate is not the one its reverse automaton gives")
+        # the context gate is read off the reverse automaton, as at compile
+        bank = FilterBank.from_bytes(
+            bank_blob, lambda unit2: context_gate(unit2, reverse_stt.start, reverse_stt.accepts, reverse_stt.dense_rows)
+        )
 
         (n_splits,) = r.unpack("<I")
         splits = []
@@ -260,7 +253,6 @@ class CompiledDatabase:
             forward_stt=forward_stt,
             splits=tuple(splits),
             checks=tuple(checks),
-            config=config,
             manifest=manifest,
             held=tuple(held),
         )
@@ -379,7 +371,6 @@ def compile_rules(
         forward_stt=forward_stt,
         splits=tuple(split_meta),
         checks=tuple(rc for _, _, rc in survivors),
-        config=config,
         manifest=manifest,
         held=held,
     )
@@ -409,7 +400,6 @@ class ScanStats:
     bytes: int = 0
     filter_hits: int = 0
     held_hits: int = 0
-    reverse_threads: int = 0
     forward_threads: int = 0
     adfa_transitions: int = 0
     escalated_packets: int = 0
@@ -417,16 +407,13 @@ class ScanStats:
     saturated_records: int = 0
 
     def merge(self, other: "ScanStats") -> None:
-        self.packets += other.packets
-        self.bytes += other.bytes
-        self.filter_hits += other.filter_hits
-        self.held_hits += other.held_hits
-        self.reverse_threads += other.reverse_threads
-        self.forward_threads += other.forward_threads
-        self.adfa_transitions += other.adfa_transitions
-        self.escalated_packets += other.escalated_packets
-        self.verify_bytes += other.verify_bytes
-        self.saturated_records += other.saturated_records
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+
+    @property
+    def reverse_threads(self) -> int:
+        """One reverse thread runs per trigger, so this is `filter_hits`."""
+        return self.filter_hits
 
 
 def scan_packet(db: CompiledDatabase, data: bytes, stats: ScanStats) -> list[tuple[int, int]]:
@@ -541,7 +528,6 @@ def scan_packet(db: CompiledDatabase, data: bytes, stats: ScanStats) -> list[tup
                         events.add((fe, rule_idx, k, s))
     stats.filter_hits += triggers
     stats.held_hits += held_hits
-    stats.reverse_threads += triggers
     stats.forward_threads += fwd_threads
     stats.adfa_transitions += steps
 

@@ -3,12 +3,12 @@
 Three units, one per supported key length. Length-2 keys live in an exact
 2^16-bit bitmap (no false positives). Length-4 and length-8 keys live in
 3-way xor filters: per key, three slots chosen by hash must xor to the key's
-fingerprint. Lookups cost three loads and never miss a member; non-members
-pass at roughly 2^-k for k fingerprint bits. A window is hashed with one
-`splitmix64` round; each slot maps a 21-bit chunk of that hash into its
-block by multiply-shift, and the fingerprint is the top k bits of the hash
-times the golden ratio (`XorFilterUnit._mix`), so a lookup needs no second
-round and no division.
+fingerprint. Lookups cost three loads and never miss a member. A window is
+hashed with one `splitmix64` round; each slot maps a 21-bit chunk of that
+hash into its block by multiply-shift, and the one-byte fingerprint is the
+top 8 bits of the hash times the golden ratio (`XorFilterUnit._mix`), so a
+lookup needs no second round and no division. Non-members pass at about
+2^-8.
 
 Each xor unit sits behind two more 2^16-bit bitmaps, its gates: the set of
 first two bytes and the set of last two bytes of its concrete keys. Scanning
@@ -26,9 +26,10 @@ records nothing unless it survives the byte x before the key as well.
 `pre2` holds every pair (x, a) after which the run of some `ctx2` key
 (a, .) is alive. A `ctx2` hit at window k is reported only when k > 0 and
 window k - 1 is in `pre2`, so the gate drops only hits whose reverse thread
-would record nothing. A bank built from keys alone has no context gate;
-a database load rebuilds the gate from its reverse table and refuses a
-bank whose gate differs.
+would record nothing. The gate is derived, never stored: compile reads it
+off the dense reverse automaton, and a database load off the loaded
+reverse table (`FilterBank.from_bytes` takes it). A bank built from keys
+alone has no context gate.
 
 Only lead windows, those with a direct bit or a head-gate bit, can start a
 hit; their flags carry the top bit, so `flags >= 0x80` lists them, once per
@@ -47,6 +48,7 @@ that applies the same gates.
 from __future__ import annotations
 
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -60,6 +62,8 @@ _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _CHUNK_BITS = 21  # a slot comes from one 21-bit chunk of a window's hash
 _CHUNK = (1 << _CHUNK_BITS) - 1
+#: fingerprint width of the xor units: one byte per slot
+FP_BITS = 8
 
 #: unit codes; also the tie-break order for hits at the same end offset
 UNIT_DIRECT = 2
@@ -128,6 +132,7 @@ _CHUNK_SHIFTS = np.array([[0], [21], [42]], dtype=np.uint64)  # per slot, its ch
 _THIRDS = np.array([[0], [1], [2]], dtype=np.uint64)  # per slot, its block
 _CHUNK_U64 = np.uint64(_CHUNK)
 _CHUNK_BITS_U64 = np.uint64(_CHUNK_BITS)
+_FP_SHIFT = np.uint64(64 - FP_BITS)
 
 
 def _splitmix64_vec(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -143,7 +148,7 @@ def _splitmix64_vec(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return x
 
 
-def _mix_vec(values: np.ndarray, seed, block_len, blocks: np.ndarray, fp_bits: int) -> tuple[np.ndarray, np.ndarray]:
+def _mix_vec(values: np.ndarray, seed, block_len, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`XorFilterUnit._mix` over a uint64 array: a `(3, n)` int64 array of
     the three slots per value, each added to the start of its block in
     `blocks`, and the uint64 fingerprints. `seed` and `block_len` are uint64
@@ -153,7 +158,7 @@ def _mix_vec(values: np.ndarray, seed, block_len, blocks: np.ndarray, fp_bits: i
     h = np.bitwise_xor(values, seed, dtype=np.uint64)
     _splitmix64_vec(h, out=h)
     fp = np.multiply(h, _GOLDEN_U64)
-    fp >>= np.uint64(64 - fp_bits)
+    fp >>= _FP_SHIFT
     slots = np.right_shift(h, _CHUNK_SHIFTS)  # one 21-bit chunk per row
     slots &= _CHUNK_U64
     slots *= block_len
@@ -169,13 +174,6 @@ def _windows(data: bytes, w: int) -> np.ndarray:
 
 class FilterBuildError(RuntimeError):
     pass
-
-
-def _fp_dtype(fp_bits: int) -> np.dtype:
-    """Narrowest unsigned dtype holding an fp_bits-wide fingerprint."""
-    if not 1 <= fp_bits <= 32:
-        raise ValueError(f"fingerprint width must be 1..32 bits, got {fp_bits}")
-    return np.dtype(np.uint8 if fp_bits <= 8 else np.uint16 if fp_bits <= 16 else np.uint32)
 
 
 # --- exact unit for 2-byte keys ------------------------------------------------
@@ -252,21 +250,16 @@ class DirectFilterUnit:
 class XorFilterUnit:
     """3-way xor filter over fixed-width byte windows.
 
-    `fingerprints` holds three consecutive blocks of `block_len` slots, each
-    slot in the narrowest dtype that fits `fp_bits`; a key hashes to one slot
-    per block and is a member iff the three slots xor to its fingerprint.
+    `fingerprints` holds three consecutive blocks of `block_len` one-byte
+    slots; a key hashes to one slot per block and is a member iff the three
+    slots xor to its fingerprint.
     """
 
     width: int
-    fp_bits: int
     seed: int = 0
     block_len: int = 0
     key_count: int = 0
     fingerprints: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.uint8))
-
-    @property
-    def is_empty(self) -> bool:
-        return self.key_count == 0
 
     @cached_property
     def slot_view(self) -> memoryview:
@@ -278,7 +271,7 @@ class XorFilterUnit:
         """The three slots and the fingerprint of a window value, from one
         `splitmix64` round `h`: each slot maps a 21-bit chunk of `h` into
         its block by multiply-shift (Lemire, TOMACS 2019), and the
-        fingerprint is the top `fp_bits` bits of `h` times the golden
+        fingerprint is the top `FP_BITS` bits of `h` times the golden
         ratio, mod 2^64."""
         h = splitmix64(value ^ self.seed)
         bl = self.block_len
@@ -286,7 +279,7 @@ class XorFilterUnit:
             (h & _CHUNK) * bl >> _CHUNK_BITS,
             (((h >> 21) & _CHUNK) * bl >> _CHUNK_BITS) + bl,
             (((h >> 42) & _CHUNK) * bl >> _CHUNK_BITS) + 2 * bl,
-            (h * _GOLDEN & _M64) >> (64 - self.fp_bits),
+            (h * _GOLDEN & _M64) >> (64 - FP_BITS),
         )
 
     def contains(self, window: bytes) -> bool:
@@ -298,13 +291,12 @@ class XorFilterUnit:
 
     def _mix_vec(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         bl = np.uint64(self.block_len)
-        return _mix_vec(values, np.uint64(self.seed), bl, _THIRDS * bl, self.fp_bits)
+        return _mix_vec(values, np.uint64(self.seed), bl, _THIRDS * bl)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, XorFilterUnit)
             and self.width == other.width
-            and self.fp_bits == other.fp_bits
             and self.seed == other.seed
             and self.block_len == other.block_len
             and self.key_count == other.key_count
@@ -312,20 +304,14 @@ class XorFilterUnit:
         )
 
 
-def build_xor_unit(
-    keys: list[bytes],
-    width: int,
-    fp_bits: int,
-    base_seed: int,
-    attempts: int = 100,
-) -> XorFilterUnit:
+def build_xor_unit(keys: list[bytes], width: int, base_seed: int, attempts: int = 100) -> XorFilterUnit:
     """Peel-and-backfill construction; retries with fresh seeds on failure.
 
     Each attempt hashes every key once with `_mix_vec`, as the vectorized
     scan does, and the peel and the backfill share the resulting slot
     triples.
     """
-    unit = XorFilterUnit(width=width, fp_bits=fp_bits)
+    unit = XorFilterUnit(width=width)
     values = np.array(sorted({int.from_bytes(k, "big") for k in keys}), dtype=np.uint64)
     n = len(values)
     if not n:
@@ -349,7 +335,7 @@ def build_xor_unit(
         for idx, slot in reversed(order):
             a, b, c = triples[idx]
             slots[slot] = fps[idx] ^ slots[a] ^ slots[b] ^ slots[c]
-        unit.fingerprints = np.array(slots, dtype=_fp_dtype(fp_bits))
+        unit.fingerprints = np.array(slots, dtype=np.uint8)
         return unit
     raise FilterBuildError(
         f"xor unit (width {width}) failed to build after {attempts} seeds for {n} keys"
@@ -398,16 +384,16 @@ class FilterBank:
     tail8: DirectFilterUnit
     #: the context gate: the 2-byte keys whose hits need their context byte
     #: (a subset of `unit2`), and the pairs (byte before, key's first byte)
-    #: that let such a hit through; both empty in a bank built without the
-    #: reverse automaton
+    #: that let such a hit through; derived from the reverse automaton, not
+    #: serialized, and both empty in a bank built or loaded without it
     ctx2: DirectFilterUnit = field(default_factory=lambda: DirectFilterUnit.of(()))
     pre2: DirectFilterUnit = field(default_factory=lambda: DirectFilterUnit.of(()))
     #: little-endian 2-byte window value -> direct, gate and lead bits;
     #: derived, not serialized
-    flags: np.ndarray = field(init=False, repr=False)
+    flags: np.ndarray = field(init=False, repr=False, compare=False)
     #: both xor units' fingerprints, xor-4's blocks first; derived, not
     #: serialized
-    fingerprints: np.ndarray = field(init=False, repr=False)
+    fingerprints: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ctx = self.ctx2.members()
@@ -522,7 +508,6 @@ class FilterBank:
             self._seeds.repeat(counts),
             self._block_lens.repeat(counts),
             self._blocks.repeat(counts, axis=1),
-            self.unit8.fp_bits,
         )
         held = np.bitwise_xor.reduce(self.fingerprints[slots], axis=0) == fp
         hits = np.concatenate((starts4, starts8))
@@ -530,68 +515,39 @@ class FilterBank:
         hits += _BIASES.repeat(counts)
         return hits[held].tolist()
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FilterBank)
-            and self.unit2 == other.unit2
-            and self.unit4 == other.unit4
-            and self.unit8 == other.unit8
-            and self.head4 == other.head4
-            and self.tail4 == other.tail4
-            and self.head8 == other.head8
-            and self.tail8 == other.tail8
-            and self.ctx2 == other.ctx2
-            and self.pre2 == other.pre2
-        )
-
-    # --- serialization: magic, version, fp bits, pair sets, seeds, slots ---
+    # --- serialization: magic, version, pair sets, seeds, slots ---
 
     MAGIC = b"ASFB"
-    VERSION = 5
+    VERSION = 6
 
     def to_bytes(self) -> bytes:
-        fp_bits = self.unit8.fp_bits
-        out = [self.MAGIC, struct.pack("<HB", self.VERSION, fp_bits)]
-        for pair_set in (self.unit2, self.ctx2, self.pre2, self.head4, self.tail4, self.head8, self.tail8):
+        out = [self.MAGIC, struct.pack("<H", self.VERSION)]
+        for pair_set in (self.unit2, self.head4, self.tail4, self.head8, self.tail8):
             out.append(pair_set.to_bytes())
-        slot = _fp_dtype(fp_bits).newbyteorder("<")
         for unit in (self.unit4, self.unit8):
             out.append(struct.pack("<BQII", unit.width, unit.seed, unit.key_count, unit.block_len))
-            out.append(unit.fingerprints.astype(slot).tobytes())
+            out.append(unit.fingerprints.tobytes())
         return b"".join(out)
 
     @staticmethod
-    def from_bytes(blob: bytes) -> "FilterBank":
+    def from_bytes(blob: bytes, gate: Callable[[DirectFilterUnit], tuple] | None = None) -> "FilterBank":
+        """The bank of a blob, with the context gate `(ctx2, pre2)` that
+        `gate(unit2)` gives (`context_gate`), or none without `gate`."""
         r = BlobReader(blob, "filter bank")
         if r.take(4) != FilterBank.MAGIC:
             raise ValueError("not a filter bank blob")
-        version, fp_bits = r.unpack("<HB")
+        (version,) = r.unpack("<H")
         if version != FilterBank.VERSION:
             raise ValueError(f"unsupported filter bank version {version}")
-        dtype = _fp_dtype(fp_bits)
-        unit2, ctx2, pre2, head4, tail4, head8, tail8 = [DirectFilterUnit.read(r) for _ in range(7)]
-        if np.any(ctx2.members() > unit2.members()):
-            raise ValueError("context-gated pairs that are not 2-byte keys")
-        if (ctx2.key_count == 0) != (pre2.key_count == 0):
-            raise ValueError("a context gate with only one of its two pair sets")
+        unit2, head4, tail4, head8, tail8 = [DirectFilterUnit.read(r) for _ in range(5)]
         units = []
         for expected in (4, 8):
             width, seed, key_count, block_len = r.unpack("<BQII")
             if width != expected or (key_count > 0) != (block_len > 0):
                 raise ValueError(f"corrupt xor unit header (width {width}, {key_count} keys, block {block_len})")
-            fingerprints = r.array(dtype.newbyteorder("<"), 3 * block_len).astype(dtype)
-            units.append(
-                XorFilterUnit(
-                    width=width,
-                    fp_bits=fp_bits,
-                    seed=seed,
-                    block_len=block_len,
-                    key_count=key_count,
-                    fingerprints=fingerprints,
-                )
-            )
+            units.append(XorFilterUnit(width, seed, block_len, key_count, r.array(np.uint8, 3 * block_len).copy()))
         r.finish()
-        return FilterBank(unit2, units[0], units[1], head4, tail4, head8, tail8, ctx2, pre2)
+        return FilterBank(unit2, *units, head4, tail4, head8, tail8, *(gate(unit2) if gate else ()))
 
 
 def _unpacked(hits: list[int]) -> tuple[list[int], list[int]]:
@@ -600,13 +556,7 @@ def _unpacked(hits: list[int]) -> tuple[list[int], list[int]]:
     return [h >> 2 for h in hits], [UNIT_DIRECT << (h & 3) for h in hits]
 
 
-def build_filter_bank(
-    keys: list[FilterKey],
-    fp_bits: int = 8,
-    seed: int = 0x5EED,
-    attempts: int = 100,
-    reverse: Dfa | None = None,
-) -> FilterBank:
+def build_filter_bank(keys: list[FilterKey], reverse: Dfa | None = None) -> FilterBank:
     """Expand every split's key, plant the strings in the right unit and
     their first and last two bytes in that unit's gates. Given the dense
     reverse automaton that runs from every hit, also build the direct
@@ -616,8 +566,8 @@ def build_filter_bank(
         by_len[key.length].update(key.expand())
 
     unit2 = DirectFilterUnit.of(by_len[2])
-    unit4 = build_xor_unit(sorted(by_len[4]), 4, fp_bits, splitmix64(seed ^ 4), attempts)
-    unit8 = build_xor_unit(sorted(by_len[8]), 8, fp_bits, splitmix64(seed ^ 8), attempts)
+    unit4 = build_xor_unit(sorted(by_len[4]), 4, splitmix64(0x5EED ^ 4))
+    unit8 = build_xor_unit(sorted(by_len[8]), 8, splitmix64(0x5EED ^ 8))
     gate = () if reverse is None else context_gate(unit2, reverse.start, reverse.accepts, reverse.table.__getitem__)
     return FilterBank(
         unit2,

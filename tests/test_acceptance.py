@@ -181,7 +181,7 @@ def test_criterion_5_xor_fp_rate(capsys):
     keys = set()
     while len(keys) < 10_000:
         keys.add(rng.randbytes(8))
-    unit = build_xor_unit(sorted(keys), 8, 8, splitmix64(99))
+    unit = build_xor_unit(sorted(keys), 8, splitmix64(99))
 
     false_negatives = sum(0 if unit.contains(k) else 1 for k in keys)
     false_positives = 0

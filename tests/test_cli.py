@@ -8,6 +8,7 @@ import resource
 import pytest
 
 from anchorscan.cli import _overheads, _peak_rss_mb, bench_overheads, read_rules_file, run
+from anchorscan.config import CompileConfig
 from anchorscan.engine import CompiledDatabase, compile_rules, read_corpus, worker_pids
 from test_engine import XREF_RULES, FORGERIES, cpus, forged_blob, forgeries
 
@@ -22,6 +23,9 @@ def test_rules_file_lines_are_verbatim(tmp_path):
     f = tmp_path / "rules.txt"
     f.write_text("  # indented comment\n/ab/\n ab \n\t\n")
     assert read_rules_file(f) == ["/ab/", " ab "]
+    # every line ending splits lines, and none is kept in a pattern
+    f.write_bytes(b"ab.*cd\r\n# c\r\n ab \rlast")
+    assert read_rules_file(f) == ["ab.*cd", " ab ", "last"]
 
 
 def test_gen_dotstar(tmp_path, capsys):
@@ -79,19 +83,25 @@ def test_compile_scan_roundtrip(tmp_path, capsys):
     assert {(m["packet"], m["rule"]) for m in report["matches"]} == {(0, 1), (2, 0)}
 
 
-def test_compile_flags_reach_config(tmp_path):
+def test_compile_flags_reach_config(tmp_path, monkeypatch):
+    import anchorscan.cli as cli
+
+    configs = []
+    real = cli.compile_rules
+    monkeypatch.setattr(cli, "compile_rules", lambda rules, config: configs.append(config) or real(rules, config))
     rules = tmp_path / "rules.txt"
     rules.write_text("ab.*cdef\n")
     db_path = tmp_path / "rules.db"
+    assert run(["compile", "--rules", str(rules), "--out", str(db_path)]) == 0
     assert run([
         "compile", "--rules", str(rules), "--out", str(db_path),
         "--pt", "1e-3", "--lt", "4", "--long-pop", "100", "--long-count", "20",
     ]) == 0
-    db = CompiledDatabase.load(db_path)
-    assert db.config.max_key_prob == 1e-3
-    assert db.config.max_key_len == 4
-    assert db.config.long_pop_threshold == 100
-    assert db.config.long_count_threshold == 20
+    assert configs == [
+        CompileConfig(),
+        CompileConfig(max_key_prob=1e-3, max_key_len=4, long_pop_threshold=100, long_count_threshold=20),
+    ]
+    assert CompiledDatabase.load(db_path) == real(["ab.*cdef"], configs[1])[0]
 
 
 def test_compile_missing_file(tmp_path, capsys):
@@ -127,9 +137,8 @@ def test_scan_truncated_db(tmp_path, capsys):
 
 @pytest.mark.parametrize("case", FORGERIES)
 def test_scan_rejects_forged_db(tmp_path, capsys, case):
-    # checksummed, well-formed databases whose config a compile could not
-    # have written, or whose cross-references would fail mid-scan, are
-    # refused before any packet
+    # checksummed, well-formed databases whose cross-references would fail
+    # mid-scan are refused before any packet
     db, _ = compile_rules(XREF_RULES)
     db_path = tmp_path / "x.db"
     db_path.write_bytes(forged_blob(db, **forgeries(db)[case]))
@@ -165,6 +174,32 @@ def test_compile_unwritable_out(tmp_path, capsys):
     out = tmp_path / "no-such-dir" / "x.db"
     assert run(["compile", "--rules", str(rules), "--out", str(out)]) == 1
     assert "compile failed:" in capsys.readouterr().err
+
+
+def test_compile_rules_file_not_utf8(tmp_path, capsys):
+    rules = tmp_path / "rules.txt"
+    rules.write_bytes(b"ab.*cd\n\xff\xfe\n")
+    out = tmp_path / "x.db"
+    assert run(["compile", "--rules", str(rules), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "compile failed:" in captured.err
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
+def test_scan_unwritable_json(tmp_path, capsys):
+    rules = tmp_path / "rules.txt"
+    rules.write_text("ab.*cd\n")
+    db_path = tmp_path / "x.db"
+    assert run(["compile", "--rules", str(rules), "--out", str(db_path)]) == 0
+    corpus = tmp_path / "c.bin"
+    corpus.write_bytes(b"xxabyycdzz")
+    capsys.readouterr()
+    json_out = tmp_path / "no-such-dir" / "report.json"
+    assert run(["scan", "--db", str(db_path), "--corpus", str(corpus), "--json", str(json_out)]) == 1
+    captured = capsys.readouterr()
+    assert "scan failed:" in captured.err
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("corpus", ["missing.pkts", "truncated.pkts"])

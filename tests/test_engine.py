@@ -3,6 +3,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import pickle
 import random
 import signal
 import struct
@@ -24,7 +25,6 @@ from hypothesis import strategies as st
 
 from anchorscan import engine, synth
 from anchorscan.automata import DEAD
-from anchorscan.config import CompileConfig
 from anchorscan.engine import (
     CompiledDatabase,
     CompileError,
@@ -173,7 +173,7 @@ def test_version_2_database_raises_value_error():
     # the manifest, and version 1 transition tables; a correct checksum
     # does not make them loadable
     blob = compile_rules(["ab.*cd"])[0].to_bytes()
-    assert blob[4] == 4
+    assert blob[4] == 5
     old = blob[:4] + b"\x02" + blob[5:-4]
     old += struct.pack("<I", zlib.crc32(old))
     with pytest.raises(ValueError, match="unsupported database version 2"):
@@ -187,6 +187,17 @@ def test_version_3_database_raises_value_error():
     old = blob[:4] + b"\x03" + blob[5:-4]
     old += struct.pack("<I", zlib.crc32(old))
     with pytest.raises(ValueError, match="unsupported database version 3"):
+        CompiledDatabase.from_bytes(old)
+
+
+def test_version_4_database_raises_value_error():
+    # version 4 began with a config section, which version 5 would read as
+    # its manifest, and held an `ASFB` version 5 bank
+    blob = compile_rules(["ab.*cd"])[0].to_bytes()
+    config = b'{"long_count_threshold":50,"long_pop_threshold":128,"max_key_len":8,"max_key_prob":0.0001}'
+    old = blob[:4] + b"\x04" + struct.pack("<Q", len(config)) + config + blob[5:-4]
+    old += struct.pack("<I", zlib.crc32(old))
+    with pytest.raises(ValueError, match="unsupported database version 4"):
         CompiledDatabase.from_bytes(old)
 
 
@@ -236,26 +247,21 @@ def resealed(body: bytes) -> bytes:
     return body + struct.pack("<I", zlib.crc32(body))
 
 
-@pytest.mark.parametrize("section", ["config", "manifest"])
+@pytest.mark.parametrize("section", ["manifest"])
 def test_non_canonical_json_section_raises_value_error(section):
     # json.loads takes spacing and key orders that would not survive a
-    # re-save, and the config drops keys it does not know, so a load
-    # compares each section with its one stored form
+    # re-save, so a load compares the section with its one stored form
     db, _ = compile_rules(XREF_RULES)
     body = db.to_bytes()[:-4]
-    data = db.config.as_dict() if section == "config" else db.manifest
-    stored = json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
+    stored = json.dumps(db.manifest, sort_keys=True, separators=(",", ":")).encode()
     at = body.index(struct.pack("<Q", len(stored)) + stored)
-    variants = [json.dumps(data, sort_keys=True).encode(), stored[:-1] + b',"a":1}']
-    if section == "config":
-        variants.append(stored[:-1] + b',"zz":1}')
-    for variant in variants:
+    for variant in (json.dumps(db.manifest, sort_keys=True).encode(), stored[:-1] + b',"a":1}'):
         forged = body[:at] + struct.pack("<Q", len(variant)) + variant + body[at + 8 + len(stored) :]
         with pytest.raises(ValueError, match=f"{section} is not in canonical form"):
             CompiledDatabase.from_bytes(resealed(forged))
 
 
-# --- load-time validation of config and cross-references ---------------------
+# --- load-time validation of cross-references ---------------------------------
 
 XREF_RULES = ["ab.*cd", r"user=[a-z]{1,8}\.cgi"]  # splits 0, 1 end rule 0; split 2 continues forward
 
@@ -275,7 +281,6 @@ def forgeries(db):
     accepting = next(i for i, labels in enumerate(accepts) if labels)
     accepts[accepting] = accepts[accepting] | {len(db.splits)}
     return {
-        "max_key_len 1": dict(config=replace(db.config, max_key_len=1)),
         "split rule_idx 99": dict(splits=(replace(db.splits[0], rule_idx=99), *db.splits[1:])),
         "split frag_k past the rule": dict(splits=(db.splits[0], replace(db.splits[1], frag_k=2), db.splits[2])),
         "reverse label not a split": dict(reverse_stt=replace(db.reverse_stt, accepts=tuple(accepts))),
@@ -287,7 +292,7 @@ def forgeries(db):
 
 
 FORGERIES = (
-    "max_key_len 1", "split rule_idx 99", "split frag_k past the rule",
+    "split rule_idx 99", "split frag_k past the rule",
     "reverse label not a split", "continued split without entry", "gap count not fragments + 1",
     "split flag 4", "rule end flag 2",
 )
@@ -312,17 +317,50 @@ def test_load_rejects_bad_config_and_cross_references(case):
 
 
 @pytest.mark.parametrize("ctx2, pre2", [(["ab"], ["qa"]), ([], []), (["ab"], ["xa"])])
-def test_load_rejects_a_context_gate_its_automaton_does_not_give(ctx2, pre2):
+def test_load_derives_the_context_gate_its_automaton_gives(ctx2, pre2):
     # "ab" needs an x or a y before it; a `pre2` of {qa} would drop the hit
-    # of "xab", and one without "ya" that of "yab": silent misses
+    # of "xab", and one without "ya" that of "yab": silent misses. The gate
+    # is not stored, so a wrong one in memory cannot survive a save and load
     db, _ = compile_rules(["[xy]ab", "cd"])
     assert scan_once(db, b"xab") == scan_once(db, b"yab") == [(0, 2)]
     bank = replace(
         db.bank, ctx2=DirectFilterUnit.of(x.encode() for x in ctx2), pre2=DirectFilterUnit.of(x.encode() for x in pre2)
     )
-    with pytest.raises(ValueError, match="context gate is not the one its reverse automaton gives"):
-        CompiledDatabase.from_bytes(forged_blob(db, bank=bank))
-    assert CompiledDatabase.from_bytes(db.to_bytes()).bank == db.bank
+    blob = forged_blob(db, bank=bank)
+    assert blob == db.to_bytes()
+    back = CompiledDatabase.from_bytes(blob)
+    assert back.bank == db.bank
+    assert scan_once(back, b"xab") == scan_once(back, b"yab") == [(0, 2)]
+
+
+@given(st.integers(0, 2**32), st.integers(1, 24))
+@settings(max_examples=25, deadline=None)
+def test_load_equals_compile(rules_seed, count):
+    # a load rebuilds what a database does not store, the context gate and
+    # the scan tables, as compile built them
+    db, _ = compile_rules(synth.diff_ruleset(count, seed=rules_seed))
+    blob = db.to_bytes()
+    back = CompiledDatabase.from_bytes(blob)
+    assert back == db
+    assert back.to_bytes() == blob
+    assert (back.bank.ctx2, back.bank.pre2) == (db.bank.ctx2, db.bank.pre2)
+    assert back.bank.flags.tobytes() == db.bank.flags.tobytes()
+
+
+@pytest.mark.parametrize("rules", [mixed_rules(), list(PAPER_RULES)], ids=["mixed", "paper"])
+def test_database_stores_manifest_first_and_no_context_gate(rules):
+    # the body opens with the manifest, with no config section before it,
+    # and the bank's blob is that of the same bank without its gate
+    db, _ = compile_rules(rules)
+    blob = db.to_bytes()
+    manifest = json.dumps(db.manifest, sort_keys=True, separators=(",", ":")).encode()
+    assert blob[5:13 + len(manifest)] == struct.pack("<Q", len(manifest)) + manifest
+    assert db.bank.ctx2.key_count and db.bank.pre2.key_count
+    bank = db.bank.to_bytes()
+    assert bank == replace(db.bank, ctx2=DirectFilterUnit.of(()), pre2=DirectFilterUnit.of(())).to_bytes()
+    assert struct.pack("<Q", len(bank)) + bank in blob
+    back = CompiledDatabase.from_bytes(blob)
+    assert (back.bank.ctx2, back.bank.pre2) == (db.bank.ctx2, db.bank.pre2)
 
 
 def test_compile_writes_only_exact_interior_gaps_that_start_live():
@@ -475,29 +513,6 @@ class TestTriggerFragments:
                 assert got.stats.filter_hits + got.stats.held_hits == want.stats.filter_hits
 
 
-@pytest.mark.parametrize("value", [0, -1, "7", 7.0, True, None])
-def test_config_from_dict_rejects_bad_max_key_len(value):
-    with pytest.raises(ValueError):
-        CompileConfig.from_dict({**CompileConfig().as_dict(), "max_key_len": value})
-
-
-@pytest.mark.parametrize(
-    "name, value",
-    [("max_key_len", 1), ("max_key_prob", 0), ("max_key_prob", float("nan")),
-     ("max_key_prob", "1e-4"), ("long_pop_threshold", 1.5)],
-)
-def test_config_from_dict_rejects_out_of_range(name, value):
-    with pytest.raises(ValueError):
-        CompileConfig.from_dict({**CompileConfig().as_dict(), name: value})
-
-
-def test_config_from_dict_accepts_what_compile_writes():
-    for config in (CompileConfig(), CompileConfig(max_key_prob=1, long_pop_threshold=-5, max_key_len=2)):
-        assert CompileConfig.from_dict(json.loads(json.dumps(config.as_dict()))) == config
-    with pytest.raises(ValueError):
-        CompileConfig.from_dict([])
-
-
 def test_compile_leaves_dense_rows_unbuilt():
     # rows appear on first scan, never during compile, where peak RSS is reached
     db, _ = compile_rules(["ab.*cd", "user=[a-z]{1,8}\\.cgi", "abcd[^\\n]*=[0-9]{3,}"])
@@ -528,8 +543,8 @@ def test_trailing_gap_end_is_a_match_end(rule, packet, end):
 @pytest.mark.parametrize(
     "rules, size, sha_prefix",
     [
-        (mixed_rules(), 86_203, "55cf08e87b925c0b"),
-        (list(PAPER_RULES), 25_547, "817b2e4a22892704"),
+        (mixed_rules(), 85_864, "8ef214ae985e3ad8"),
+        (list(PAPER_RULES), 25_416, "826de4281ebca026"),
     ],
     ids=["mixed", "paper"],
 )
@@ -627,6 +642,23 @@ def test_empty_corpus_report():
     assert d["packets"] == 0
     assert d["filter_hit_ratio"] == 0.0
     assert d["matches"] == []
+
+
+def test_reverse_threads_is_filter_hits():
+    # one reverse thread runs per trigger, so the count is read off
+    # `filter_hits`, through merges and the pickling that workers do
+    db, _ = compile_rules(["ab.*cd", "xyz"])
+    a, b = ScanStats(), ScanStats()
+    scan_packet(db, b"aabcdxyz", a)
+    scan_packet(db, b"xyzab", b)
+    assert a.reverse_threads == a.filter_hits > 0
+    a.merge(b)
+    assert a.reverse_threads == a.filter_hits
+    assert pickle.loads(pickle.dumps(a)).reverse_threads == a.filter_hits
+    with pytest.raises(AttributeError):
+        a.reverse_threads = 0
+    with pytest.raises(TypeError):
+        ScanStats(reverse_threads=1)
 
 
 def test_report_schema():

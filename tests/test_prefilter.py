@@ -24,6 +24,7 @@ from anchorscan.prefilter import (
     FilterBank,
     FilterBuildError,
     XorFilterUnit,
+    FP_BITS,
     build_filter_bank,
     build_xor_unit,
     splitmix64,
@@ -34,7 +35,7 @@ from anchorscan.prefilter import (
     _LEAD,
     _SCALAR_WINDOWS,
     _SPARSE_LEADS,
-    _fp_dtype,
+    context_gate,
     _splitmix64_vec,
     _unpacked,
 )
@@ -52,7 +53,7 @@ def bank_of(*keys: bytes) -> FilterBank:
 def hit_mask(unit: XorFilterUnit, values: np.ndarray) -> np.ndarray:
     """Membership of every value of a uint64 array in a xor unit, as a bool
     array: `contains` over an array, through `_mix_vec`."""
-    if unit.is_empty:
+    if not unit.key_count:
         return np.zeros(len(values), dtype=bool)
     slots, fp = unit._mix_vec(values)
     return np.bitwise_xor.reduce(unit.fingerprints[slots], axis=0) == fp
@@ -159,11 +160,11 @@ class TestPairSetEncoding:
             self.decode(blob)
 
 
-def reference_build_xor_unit(keys, width, fp_bits, base_seed, attempts=100) -> XorFilterUnit:
+def reference_build_xor_unit(keys, width, base_seed, attempts=100) -> XorFilterUnit:
     """The scalar build that `build_xor_unit` replaced: every key hashed
     through `_mix` in the peel and again in the backfill, slots written as
     numpy scalars. Kept as the reference its units must equal exactly."""
-    unit = XorFilterUnit(width=width, fp_bits=fp_bits)
+    unit = XorFilterUnit(width=width)
     values = sorted({int.from_bytes(k, "big") for k in keys})
     if not values:
         return unit
@@ -194,7 +195,7 @@ def reference_build_xor_unit(keys, width, fp_bits, base_seed, attempts=100) -> X
                     queue.append(j)
         if len(stack) != len(values):
             continue
-        slots = np.zeros(m, dtype=_fp_dtype(fp_bits))
+        slots = np.zeros(m, dtype=np.uint8)
         for value, slot in reversed(stack):
             i0, i1, i2, acc = unit._mix(value)
             for j in (i0, i1, i2):
@@ -211,34 +212,33 @@ class TestXorUnit:
         st.sampled_from([4, 8]).flatmap(
             lambda w: st.sets(st.binary(min_size=w, max_size=w), max_size=300).map(lambda ks: (w, sorted(ks)))
         ),
-        st.sampled_from([3, 8, 12, 20]),
         st.integers(0, 2**32),
         st.integers(1, 3),
     )
     @settings(max_examples=150, deadline=None)
-    def test_build_equals_reference(self, width_keys, fp_bits, seed, attempts):
+    def test_build_equals_reference(self, width_keys, seed, attempts):
         width, keys = width_keys
         try:
-            want = reference_build_xor_unit(keys, width, fp_bits, seed, attempts)
+            want = reference_build_xor_unit(keys, width, seed, attempts)
         except FilterBuildError:
             with pytest.raises(FilterBuildError):
-                build_xor_unit(keys, width, fp_bits, seed, attempts)
+                build_xor_unit(keys, width, seed, attempts)
             return
-        got = build_xor_unit(keys, width, fp_bits, seed, attempts)
+        got = build_xor_unit(keys, width, seed, attempts)
         assert got == want
         assert got.fingerprints.dtype == want.fingerprints.dtype
 
     def test_zero_false_negatives_exhaustive(self):
         rng = random.Random(11)
         keys = list({rng.randbytes(8) for _ in range(5000)})
-        unit = build_xor_unit(keys, 8, 8, base_seed=123)
+        unit = build_xor_unit(keys, 8, base_seed=123)
         for k in keys:
             assert unit.contains(k)
 
     def test_false_positive_rate_in_band(self):
         rng = random.Random(12)
         keys = list({rng.randbytes(8) for _ in range(10_000)})
-        unit = build_xor_unit(keys, 8, 8, base_seed=99)
+        unit = build_xor_unit(keys, 8, base_seed=99)
         member = set(keys)
         probes = np.frombuffer(rng.randbytes(8 * 100_000), dtype=">u8").astype(np.uint64)
         mask = hit_mask(unit, probes)
@@ -253,7 +253,7 @@ class TestXorUnit:
     def test_vector_matches_scalar(self):
         rng = random.Random(13)
         keys = [rng.randbytes(4) for _ in range(500)]
-        unit = build_xor_unit(keys, 4, 8, base_seed=5)
+        unit = build_xor_unit(keys, 4, base_seed=5)
         probes = np.frombuffer(rng.randbytes(4 * 2000), dtype=">u4").astype(np.uint64)
         mask = hit_mask(unit, probes)
         for v, hit in zip(probes.tolist(), mask.tolist()):
@@ -261,42 +261,45 @@ class TestXorUnit:
 
     def test_deterministic_build(self):
         keys = [bytes([i, i + 1, 3, 7]) for i in range(0, 200, 2)]
-        a = build_xor_unit(keys, 4, 8, base_seed=42)
-        b = build_xor_unit(list(reversed(keys)), 4, 8, base_seed=42)
+        a = build_xor_unit(keys, 4, base_seed=42)
+        b = build_xor_unit(list(reversed(keys)), 4, base_seed=42)
         assert a == b
 
     def test_empty_unit_rejects_everything(self):
-        unit = build_xor_unit([], 4, 8, base_seed=1)
-        assert unit.is_empty
+        unit = build_xor_unit([], 4, base_seed=1)
+        assert unit.key_count == 0
         assert not unit.contains(b"abcd")
         assert not hit_mask(unit, np.arange(10, dtype=np.uint64)).any()
 
     @given(st.sets(st.binary(min_size=4, max_size=4), min_size=1, max_size=200), st.integers(0, 2**32))
     @settings(max_examples=50, deadline=None)
     def test_members_always_found(self, keys, seed):
-        unit = build_xor_unit(sorted(keys), 4, 8, base_seed=seed)
+        unit = build_xor_unit(sorted(keys), 4, base_seed=seed)
         assert all(unit.contains(k) for k in keys)
 
-    @pytest.mark.parametrize("fp_bits, dtype", [(8, np.uint8), (12, np.uint16), (20, np.uint32)])
-    def test_fingerprints_stored_at_real_width(self, fp_bits, dtype):
-        rng = random.Random(fp_bits)
+    def test_fingerprints_are_one_byte(self):
+        rng = random.Random(8)
         keys = [rng.randbytes(8) for _ in range(200)]
-        bank = build_filter_bank([key_of(k) for k in keys], fp_bits=fp_bits)
-        assert bank.unit8.fingerprints.dtype == dtype
-        back = FilterBank.from_bytes(bank.to_bytes())
-        assert back.unit8.fingerprints.dtype == dtype
+        bank = bank_of(*keys)
+        assert bank.unit8.fingerprints.dtype == np.uint8
+        # the blob ends with the xor-8 unit's slots, one byte each
+        blob = bank.to_bytes()
+        slots = bank.unit8.fingerprints
+        assert len(slots) == 3 * bank.unit8.block_len and blob.endswith(slots.tobytes())
+        back = FilterBank.from_bytes(blob)
+        assert back.unit8.fingerprints.dtype == np.uint8
         assert back == bank
         assert all(reference_query(back, k) for k in keys)
 
 
 class TestOneRoundHash:
-    @given(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1), st.integers(1, 2**32 - 1), st.integers(1, 32))
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1), st.integers(1, 2**32 - 1))
     @settings(max_examples=300, deadline=None)
-    def test_slots_fall_in_their_blocks(self, value, seed, block_len, fp_bits):
-        unit = XorFilterUnit(width=8, fp_bits=fp_bits, seed=seed, block_len=block_len, key_count=1)
+    def test_slots_fall_in_their_blocks(self, value, seed, block_len):
+        unit = XorFilterUnit(width=8, seed=seed, block_len=block_len, key_count=1)
         i0, i1, i2, fp = unit._mix(value)
         assert 0 <= i0 < block_len <= i1 < 2 * block_len <= i2 < 3 * block_len
-        assert 0 <= fp < 2**fp_bits
+        assert 0 <= fp < 2**FP_BITS
         slots, fps = unit._mix_vec(np.array([value], dtype=np.uint64))
         assert slots[:, 0].tolist() == [i0, i1, i2] and fps.tolist() == [fp]
 
@@ -737,44 +740,54 @@ class TestSerialization:
         data = rng.randbytes(3000)
         assert back.scan(data) == bank.scan(data)
 
+    def test_blob_holds_five_pair_sets_and_two_units(self):
+        # no fingerprint-width byte and no context gate: the version, the
+        # direct unit and the four gates, then per xor unit a 17-byte
+        # header and its one-byte slots
+        bank = TestContextGate.db.bank
+        assert bank.ctx2.key_count
+        pair_sets = (bank.unit2, bank.head4, bank.tail4, bank.head8, bank.tail8)
+        units = (bank.unit4, bank.unit8)
+        size = 6 + sum(len(p.to_bytes()) for p in pair_sets) + sum(17 + 3 * u.block_len for u in units)
+        assert len(bank.to_bytes()) == size
+
     def test_version_3_blob_is_refused(self):
         # version 3 took each slot by `%` and the fingerprint from a second
         # hash round, so its slots would read as garbage under version 4
         blob = bytearray(bank_of(b"ab", b"abcd", b"abcdefgh").to_bytes())
-        assert blob[4:6] == struct.pack("<H", 5)
+        assert blob[4:6] == struct.pack("<H", 6)
         blob[4:6] = struct.pack("<H", 3)
         with pytest.raises(ValueError, match="unsupported filter bank version 3"):
             FilterBank.from_bytes(bytes(blob))
 
     def test_version_4_blob_is_refused(self):
-        # version 4 stored five pair sets, without the context gate's two,
-        # so version 5 would read its head gates as `ctx2` and `pre2`
+        # version 4 hashed as version 6 does, but stored a fingerprint-width
+        # byte after its version, which version 6 would read as a pair-set tag
         blob = bytearray(TestContextGate.db.bank.to_bytes())
         blob[4:6] = struct.pack("<H", 4)
         with pytest.raises(ValueError, match="unsupported filter bank version 4"):
             FilterBank.from_bytes(bytes(blob))
 
+    def test_version_5_blob_is_refused(self):
+        # version 5 stored a fingerprint-width byte and the context gate's
+        # two pair sets, so version 6 would read its `ctx2` as the head gate
+        # of the xor-4 unit
+        blob = TestContextGate.db.bank.to_bytes()
+        old = blob[:4] + struct.pack("<HB", 5, 8) + blob[6:]
+        with pytest.raises(ValueError, match="unsupported filter bank version 5"):
+            FilterBank.from_bytes(old)
+
     def test_gated_bank_round_trips(self):
-        bank = TestContextGate.db.bank
+        db = TestContextGate.db
+        bank, rev = db.bank, db.reverse_stt
         blob = bank.to_bytes()
-        back = FilterBank.from_bytes(blob)
+        # the gate is not stored: it is derived again from the reverse table
+        assert blob == gate_free(bank).to_bytes()
+        back = FilterBank.from_bytes(blob, lambda unit2: context_gate(unit2, rev.start, rev.accepts, rev.dense_rows))
         assert back == bank and back != gate_free(bank)
         assert back.to_bytes() == blob
         assert back.scan(b"abxabzab") == bank.scan(b"abxabzab") == ([4], [UNIT_DIRECT])
-
-    @pytest.mark.parametrize(
-        "ctx2, pre2, message",
-        [
-            ([b"ab", b"zz"], [b"xa"], "not 2-byte keys"),
-            ([b"ab"], [], "only one of its two pair sets"),
-            ([], [b"xa"], "only one of its two pair sets"),
-        ],
-    )
-    def test_inconsistent_context_gate_is_refused(self, ctx2, pre2, message):
-        bank = bank_of(b"ab", b"cd", b"abcd")
-        forged = dataclasses.replace(bank, ctx2=DirectFilterUnit.of(ctx2), pre2=DirectFilterUnit.of(pre2))
-        with pytest.raises(ValueError, match=message):
-            FilterBank.from_bytes(forged.to_bytes())
+        assert FilterBank.from_bytes(blob) == gate_free(bank)
 
     def test_bad_magic(self):
         with pytest.raises(ValueError):
