@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -45,11 +46,26 @@ def _parse_k_range(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part]
 
 
-def _worker_count(text: str) -> int:
-    count = int(text)
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
-    return count
+def _in_range(convert, low, high=None, *, above: bool = False):
+    """An argparse type: `convert(text)`, refused with a usage error unless
+    it is at least `low` (above it, with `above`) and at most `high`. A NaN
+    is in no range."""
+
+    bound = f"above {low}" if above else f"at least {low}"
+    if high is not None:
+        bound += f" and at most {high}"
+
+    def parse(text: str):
+        value = convert(text)
+        if not ((value > low if above else value >= low) and (high is None or value <= high)):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it when `convert` refuses the text
+    return parse
+
+
+_worker_count = _in_range(int, 1)
 
 
 def _print_csv(rows: list[dict], out=None) -> None:
@@ -234,16 +250,23 @@ def _cmd_scan(args) -> int:
     try:
         db = CompiledDatabase.load(args.db)
         packets = read_corpus(args.corpus)
+        # opened before the scan, so that a path it cannot write fails at once
+        out = open(args.json, "w") if args.json else contextlib.nullcontext()
     except (OSError, ValueError) as exc:
         print(f"scan failed: {exc}", file=sys.stderr)
         return 1
-    report = scan_corpus(db, packets, workers=args.workers)
-    if args.json:
-        try:
-            Path(args.json).write_text(report.to_json())
-        except OSError as exc:
-            print(f"scan failed: {exc}", file=sys.stderr)
-            return 1
+    try:
+        with out:
+            report = scan_corpus(db, packets, workers=args.workers)
+            if args.json:
+                out.write(report.to_json())
+    except BaseException as exc:
+        if args.json:  # leave no empty or partial report behind
+            Path(args.json).unlink(missing_ok=True)
+        if not isinstance(exc, OSError):
+            raise
+        print(f"scan failed: {exc}", file=sys.stderr)
+        return 1
     sys.stdout.write(report.to_csv())
     return 0
 
@@ -344,10 +367,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compile", help="compile a rules file into a database")
     p.add_argument("--rules", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--pt", type=float, default=1e-4, help="max key probability")
-    p.add_argument("--lt", type=int, default=8, help="max key window length")
-    p.add_argument("--long-pop", type=int, default=128, dest="long_pop")
-    p.add_argument("--long-count", type=int, default=50, dest="long_count")
+    p.add_argument("--pt", type=_in_range(float, 0, 1, above=True), default=1e-4, help="max key probability")
+    p.add_argument("--lt", type=_in_range(int, 2, 8), default=8, help="max key window length")
+    p.add_argument("--long-pop", type=_in_range(int, 1, 256), default=128, dest="long_pop")
+    p.add_argument("--long-count", type=_in_range(int, 0), default=50, dest="long_count")
     p.set_defaults(func=_cmd_compile)
 
     p = sub.add_parser("scan", help="scan a corpus against a compiled database")

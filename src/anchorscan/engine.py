@@ -9,8 +9,9 @@ counters along the way.
 
 Each rule has one trigger fragment, the one whose keys are rarest. A
 2-byte key of another fragment that is no trigger fragment's key is a
-held pair: an offset whose only hit is such a pair runs only once a rule
-it serves has recorded a trigger split in the same packet (`scan_packet`).
+held pair. The filter bank leaves the held pairs out; a packet is searched
+for one only once a rule it serves has recorded a trigger split there
+(`scan_packet`).
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from .blob import BlobReader
 from .config import CompileConfig
 from .decompose import FilterKey, UnsupportedRuleError, decompose_rule
 from .parser import PatternError, parse
-from .prefilter import UNIT_DIRECT, FilterBank, build_filter_bank, context_gate
+from .prefilter import DirectFilterUnit, FilterBank, HeldPairs, build_filter_bank, context_gate
 from .stt import FORWARD, REVERSE, CompressedStt, compress, run_thread
 from .verify import (
     INTERIOR,
@@ -48,7 +49,7 @@ from .verify import (
 )
 
 _MAGIC = b"ASDB"
-_VERSION = 5
+_VERSION = 6
 
 # bits of a split's flag byte
 _HAS_BACK = 0x01
@@ -102,23 +103,23 @@ class CompiledDatabase:
     checks: tuple[RuleChecks, ...]
     manifest: dict
     #: the held pairs, ascending: (big-endian 2-byte key value, the sorted
-    #: indices of the rules with a non-trigger fragment keyed on it)
+    #: indices of the rules with a non-trigger fragment keyed on it); none
+    #: is a key of `bank`
     held: tuple[tuple[int, tuple[int, ...]], ...]
     #: split id -> (rule_idx, frag_k, forward entry state or -1, trigger
     #: bit): everything a reverse-thread accept needs, in one index;
     #: derived, not serialized
     scan_table: tuple[tuple[int, int, int, bool], ...] = field(init=False, repr=False, compare=False)
-    #: 2-byte key value -> 1 if it is a held pair, else 0; derived
-    held_table: bytes = field(init=False, repr=False, compare=False)
-    #: held pair value -> the rules it serves; derived
-    held_rules: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    #: the held pairs with their rules, behind their own context gate,
+    #: read off the reverse automaton as the bank's is; derived
+    held_search: HeldPairs = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         """Build the scan tables, rejecting cross-references the scan would
         trip over: a split outside the rule tables, a reverse accept that
         names no split, a continued split with no forward entry, a rule
         with no trigger fragment or a fragment only partly one, and a held
-        pair that is no 2-byte key or serves no rule in order."""
+        pair that is a key of the bank or serves no rule in order."""
         checks, entries = self.checks, self.forward_stt.entries
         for rule_idx, rc in enumerate(checks):
             if len(rc.gaps) != rc.n_fragments + 1:
@@ -139,20 +140,20 @@ class CompiledDatabase:
         if untriggered:
             raise ValueError(f"rule {min(untriggered)} has no trigger fragment")
         keys = self.bank.unit2.members()
-        held_table = bytearray(65536)
         last = -1
         for value, rules in self.held:
             if not last < value < 65536:
                 raise ValueError("held pairs are not strictly increasing 2-byte values")
-            if not keys[value]:
-                raise ValueError(f"held pair {value:#06x} is not a 2-byte key")
+            if keys[value]:
+                # a trigger key held back would keep its rule from going live
+                raise ValueError(f"held pair {value:#06x} is a 2-byte key of the filter bank")
             if not rules or not all(a < b for a, b in zip((-1, *rules), (*rules, len(checks)))):
                 raise ValueError(f"held pair {value:#06x} serves {list(rules)}, not an increasing list of rules")
-            held_table[value] = 1
             last = value
         self.scan_table = tuple(table)
-        self.held_table = bytes(held_table)
-        self.held_rules = dict(self.held)
+        held = DirectFilterUnit.of_values([value for value, _rules in self.held])
+        rs = self.reverse_stt
+        self.held_search = HeldPairs(self.held, *context_gate(held, rs.start, rs.accepts, rs.dense_rows))
 
     # --- serialization ---------------------------------------------------
 
@@ -344,6 +345,9 @@ def compile_rules(
         for pair, rules in sorted(served.items())
         if pair not in trigger_pairs
     )
+    # the bank holds the 2-byte keys of trigger fragments alone: every other
+    # fragment's 2-byte key is a trigger's or a held pair
+    bank_keys = [key for key, m in zip(keys, split_meta) if key.length != 2 or m.trigger]
 
     # the reverse automaton comes first: the filter bank's context gate is
     # read off its dense table, which `compress` then encodes
@@ -352,7 +356,7 @@ def compile_rules(
     dfa_build = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    bank = build_filter_bank(keys, reverse=reverse)
+    bank = build_filter_bank(bank_keys, reverse=reverse)
     timings["filter_build"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -399,7 +403,7 @@ class ScanStats:
     packets: int = 0
     bytes: int = 0
     filter_hits: int = 0
-    held_hits: int = 0
+    held_runs: int = 0
     forward_threads: int = 0
     adfa_transitions: int = 0
     escalated_packets: int = 0
@@ -412,21 +416,23 @@ class ScanStats:
 
     @property
     def reverse_threads(self) -> int:
-        """One reverse thread runs per trigger, so this is `filter_hits`."""
+        """One reverse thread runs per trigger, so this is `filter_hits`;
+        `held_runs` of them started at a held pair."""
         return self.filter_hits
 
 
 def scan_packet(db: CompiledDatabase, data: bytes, stats: ScanStats) -> list[tuple[int, int]]:
     """Match one packet; returns (rule id, end offset) pairs.
 
-    Hit offsets run in two passes. The first runs a reverse thread from
-    every offset but the held ones, whose only hit is a direct hit on a
-    held pair; a rule whose trigger split records is live. The second runs
-    a held offset only if a rule its pair serves is live. Only records of
+    The first pass runs a reverse thread from every distinct filter-hit
+    offset; a rule whose trigger split records is live. The bank holds no
+    held pair, so once the pass is over `live` is settled: the packet is
+    then searched for the held pairs of live rules, and a reverse thread
+    runs at each occurrence the first pass did not run. Only records of
     live rules go on to forward threads and the verifier: a record met
     before its rule is live waits for the end of the first pass. A rule
-    can match only where its trigger fragment matched, and no trigger key
-    is held, so no match is lost.
+    can match only where its trigger fragment matched, and every trigger
+    key is in the bank, so no match is lost.
     """
     stats.packets += 1
     stats.bytes += len(data)
@@ -437,31 +443,24 @@ def scan_packet(db: CompiledDatabase, data: bytes, stats: ScanStats) -> list[tup
     # call time, once per packet: perfbench/tracing.py replaces these names
     # (and `FilterBank.scan`) to time each layer, and checks its call counts
     # against ScanStats. Binding them at import would bypass the tracer.
+    # The unit codes that `scan` returns are the tracer's too.
     run = run_thread
-    ends, codes = db.bank.scan(data)
+    ends, _codes = db.bank.scan(data)
     if not ends:
         return []
     reverse_stt = db.reverse_stt
     forward_stt = db.forward_stt
     scan_table = db.scan_table
-    held_table = db.held_table
-    held: list[int] = []  # held offsets, not yet run
     live: set[int] = set()  # rules whose trigger split recorded
     later: list[tuple[int, list]] = []  # (offset, records) to go through once `live` is settled
     events: set[tuple[int, int, int, int]] = set()  # (pos_e, rule_idx, k, pos_s)
     fwd_runs: dict[int, list[tuple[int, int, int]]] = {}  # entry -> records at this trigger
-    triggers = fwd_threads = steps = 0
+    triggers = fwd_threads = steps = held_runs = 0
     last_pos = -1
-    direct = UNIT_DIRECT
-    # from the last hit back: at one offset the xor hits come before the
-    # direct hit, so a direct hit met first is its offset's only hit
-    for pos, code in zip(reversed(ends), reversed(codes)):
+    for pos in ends:
         if pos == last_pos:
             continue  # one escalation per trigger offset, whatever units fired
         last_pos = pos
-        if code == direct and held_table[(data[pos - 1] << 8) | data[pos]]:
-            held.append(pos)
-            continue
         triggers += 1
         records, depth = run(reverse_stt, data, pos, REVERSE)
         steps += depth
@@ -493,17 +492,18 @@ def scan_packet(db: CompiledDatabase, data: bytes, stats: ScanStats) -> list[tup
             for label, _fs, fe in frecords:
                 if label == split_id:
                     events.add((fe, rule_idx, k, s))
-    held_hits = len(held)
     if live:
-        # `live` is settled: run the held offsets that a live rule needs,
-        # then go through their records and those put off, as above. The
-        # loop is written out twice because a call per record, on
-        # `hitdense`, costs more than the held threads save
-        held_rules = db.held_rules
-        for pos in held:
-            if not live.isdisjoint(held_rules[(data[pos - 1] << 8) | data[pos]]):
-                held_hits -= 1
-                triggers += 1
+        # `live` is settled: run the held pairs of live rules where the
+        # first pass did not, then go through their records and those put
+        # off, as above. The loop is written out twice because a call per
+        # record, on `hitdense`, costs more than the held threads save
+        found = db.held_search.ends(data, live)
+        if found:
+            ran = set(ends)
+            for pos in found:
+                if pos in ran:
+                    continue
+                held_runs += 1
                 records, depth = run(reverse_stt, data, pos, REVERSE)
                 steps += depth
                 if records:
@@ -526,8 +526,8 @@ def scan_packet(db: CompiledDatabase, data: bytes, stats: ScanStats) -> list[tup
                 for label, _fs, fe in frecords:
                     if label == split_id:
                         events.add((fe, rule_idx, k, s))
-    stats.filter_hits += triggers
-    stats.held_hits += held_hits
+    stats.filter_hits += triggers + held_runs
+    stats.held_runs += held_runs
     stats.forward_threads += fwd_threads
     stats.adfa_transitions += steps
 
@@ -562,7 +562,7 @@ class ScanReport:
             "packets": st.packets,
             "bytes": st.bytes,
             "filter_hits": st.filter_hits,
-            "held_hits": st.held_hits,
+            "held_runs": st.held_runs,
             "filter_hit_ratio": ratio(st.filter_hits, st.bytes),
             "reverse_threads": st.reverse_threads,
             "forward_threads": st.forward_threads,

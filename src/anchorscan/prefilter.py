@@ -44,13 +44,18 @@ loaded. `scan` returns its hits as lists of plain ints, new on every call;
 the Python pass collects its direct hits in order and sorts only when a
 xor hit joins them. Tests hold `scan` to a brute-force per-window query
 that applies the same gates.
+
+The engine keeps the 2-byte keys that only non-trigger fragments need out
+of the bank, as `HeldPairs`: a packet is searched for those pairs only
+when a rule they serve is live in it, behind a context gate of their own.
 """
 from __future__ import annotations
 
 import struct
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 
 import numpy as np
 
@@ -409,9 +414,7 @@ class FilterBank:
         ):
             flags |= members * np.uint8(bit)
         flags[(flags & (_DIRECT | _DIRECTX | _HEAD4 | _HEAD8)) != 0] |= _LEAD
-        # the pair sets index a window by its big-endian value; `scan`
-        # reads windows little-endian, with its first byte low
-        self.flags = np.ascontiguousarray(flags.reshape(256, 256).T).ravel()
+        self.flags = _little_endian(flags)
         u4, u8 = self.unit4, self.unit8
         self.fingerprints = np.concatenate((u4.fingerprints, u8.fingerprints))
         # per unit, what `_hash_vector` repeats over that unit's windows
@@ -548,6 +551,110 @@ class FilterBank:
             units.append(XorFilterUnit(width, seed, block_len, key_count, r.array(np.uint8, 3 * block_len).copy()))
         r.finish()
         return FilterBank(unit2, *units, head4, tail4, head8, tail8, *(gate(unit2) if gate else ()))
+
+
+def _little_endian(flags: np.ndarray) -> np.ndarray:
+    """A table over big-endian 2-byte values, reindexed by little-endian
+    value: the pair sets index a window by its big-endian value, and the
+    scans read windows little-endian, with the first byte low."""
+    return np.ascontiguousarray(flags.reshape(256, 256).T).ravel()
+
+
+#: `HeldPairs.ends` finds each pair with `bytes.find` while
+#: `pairs * (n + _FIND_SETUP) <= _GATHER_PER_BYTE * n + _GATHER_SETUP` for a
+#: packet of n bytes, and above that gathers every window's slot once. On a
+#: 2-core x86 host (Python 3.11, numpy 2.4) a pair's `find` loop costs about
+#: 0.28 us plus 1.06 ns a byte, and the gather, about ten numpy calls, about
+#: 7.1 us plus 3.1 ns a byte. In units of one byte's `find` that is n + 260
+#: per pair against 3n + 6700, so the two break even at about 6 pairs on
+#: 1500-byte packets, 14 on 300-byte and 19 on 111-byte ones. Of the seed-1
+#: benchmark packets, a `hitdense` one needs 25 pairs at the median, and a
+#: `planted` or `clean` one at most 6.
+_FIND_SETUP = 260
+_GATHER_PER_BYTE = 3
+_GATHER_SETUP = 6700
+
+
+class HeldPairs:
+    """2-byte pairs kept out of the filter bank, each serving some rules,
+    found in a packet only for the rules that ask, behind the pairs' own
+    context gate (`context_gate`, as the bank's direct unit has one).
+
+    Pair i of `held` (1 up) has slot i. `_table` maps a little-endian
+    window value to its pair's slot (0 for none) and sets the top bit on a
+    window of `pre2`; a context-gated pair at window k counts only when
+    window k - 1 has that bit, as in the bank."""
+
+    def __init__(self, held, ctx2: DirectFilterUnit, pre2: DirectFilterUnit):
+        """`held` lists (big-endian pair value, rule indices) entries."""
+        values = np.array([value for value, _rules in held], dtype=np.int64)
+        # slot -> the pair as a 2-byte string (slot 0 is no pair)
+        self._pairs = [b"", *(int(v).to_bytes(2, "big") for v in values)]
+        # rule index -> the bits of its pairs' slots, for the rules that have any
+        self._rule_slots: dict[int, int] = {}
+        for slot, (_value, rules) in enumerate(held, 1):
+            for rule_idx in rules:
+                self._rule_slots[rule_idx] = self._rule_slots.get(rule_idx, 0) | 1 << slot
+        self._rules = frozenset(self._rule_slots)
+        # the narrowest table whose top bit is free above every slot
+        dtype = next(t for t in (np.uint8, np.uint16, np.uint32) if len(values) < 1 << (8 * np.dtype(t).itemsize - 1))
+        self._shift = 8 * np.dtype(dtype).itemsize - 1
+        self._slot_mask = (1 << self._shift) - 1
+        table = np.zeros(65536, dtype=dtype)
+        table[values] = np.arange(1, len(values) + 1)
+        table |= pre2.members().astype(table.dtype) << self._shift
+        self._table = _little_endian(table)
+        self._cells = memoryview(self._table)  # scalar reads give plain ints
+        # per slot, 2 for a pair that needs no context and 1 for a gated one
+        self._kinds = np.concatenate(([0], 2 - ctx2.members()[values])).astype(np.uint8)
+
+    def ends(self, data: bytes, live) -> list[int]:
+        """The end offsets, ascending, of the windows of `data` that hold a
+        pair serving a rule in `live` and pass the gate."""
+        chosen = reduce(or_, map(self._rule_slots.__getitem__, self._rules.intersection(live)), 0)
+        n = len(data)
+        if not chosen or n < 2:
+            return []
+        if chosen.bit_count() * (n + _FIND_SETUP) <= _GATHER_PER_BYTE * n + _GATHER_SETUP:
+            return self._find_ends(data, chosen)
+        return self._gather_ends(data, chosen)
+
+    def _find_ends(self, data: bytes, chosen: int) -> list[int]:
+        """`ends` with one `bytes.find` loop per pair of the slot bits
+        `chosen`."""
+        cells, shift = self._cells, self._shift
+        ends = []
+        while chosen:
+            slot = (chosen & -chosen).bit_length() - 1
+            chosen &= chosen - 1
+            pair = self._pairs[slot]
+            gated = self._kinds[slot] == 1
+            k = data.find(pair)
+            while k >= 0:
+                if not gated or (k and cells[data[k - 1] | data[k] << 8] >> shift):
+                    ends.append(k + 1)
+                k = data.find(pair, k + 1)  # occurrences may overlap
+        ends.sort()
+        return ends
+
+    def _gather_ends(self, data: bytes, chosen: int) -> list[int]:
+        """`ends` from one gather of every window's slot, mapped through the
+        kinds of the slots in `chosen`."""
+        wanted = np.unpackbits(
+            np.frombuffer(chosen.to_bytes(len(self._pairs) // 8 + 1, "little"), np.uint8),
+            count=len(self._pairs),
+            bitorder="little",
+        )
+        wanted *= self._kinds  # 0, or the kind of a chosen pair
+        t = self._table.take(np.ndarray((len(data) - 1,), _U16, data, 0, (1,)))
+        w = wanted.take(t & self._slot_mask)
+        # a window passes when its kind plus the previous window's pre bit
+        # is 2 or more: always for kind 2, behind a pre bit for kind 1
+        w[1:] += t[:-1] >> self._shift
+        w >>= 1
+        hits = w.view(bool).nonzero()[0]
+        hits += 1
+        return hits.tolist()
 
 
 def _unpacked(hits: list[int]) -> tuple[list[int], list[int]]:

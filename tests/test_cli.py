@@ -187,19 +187,47 @@ def test_compile_rules_file_not_utf8(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_scan_unwritable_json(tmp_path, capsys):
+def scan_inputs(tmp_path) -> list[str]:
+    """`scan` arguments for a compiled one-rule database and a one-packet
+    corpus in `tmp_path`."""
     rules = tmp_path / "rules.txt"
     rules.write_text("ab.*cd\n")
     db_path = tmp_path / "x.db"
     assert run(["compile", "--rules", str(rules), "--out", str(db_path)]) == 0
     corpus = tmp_path / "c.bin"
     corpus.write_bytes(b"xxabyycdzz")
+    return ["scan", "--db", str(db_path), "--corpus", str(corpus)]
+
+
+def test_scan_unwritable_json(tmp_path, capsys, monkeypatch):
+    import anchorscan.cli as cli
+
+    scan = scan_inputs(tmp_path)
     capsys.readouterr()
+    scans = []
+    monkeypatch.setattr(cli, "scan_corpus", lambda *a, **k: scans.append(1))
     json_out = tmp_path / "no-such-dir" / "report.json"
-    assert run(["scan", "--db", str(db_path), "--corpus", str(corpus), "--json", str(json_out)]) == 1
+    assert run([*scan, "--json", str(json_out)]) == 1
     captured = capsys.readouterr()
     assert "scan failed:" in captured.err
     assert "Traceback" not in captured.err
+    assert scans == []  # refused before any packet was scanned
+
+
+def test_failed_scan_leaves_no_json(tmp_path, monkeypatch):
+    import anchorscan.cli as cli
+
+    scan = scan_inputs(tmp_path)
+    json_out = tmp_path / "report.json"
+
+    def fail(*args, **kwargs):
+        assert json_out.exists()  # opened before the scan
+        raise RuntimeError("a scan worker died")
+
+    monkeypatch.setattr(cli, "scan_corpus", fail)
+    with pytest.raises(RuntimeError, match="worker died"):
+        run([*scan, "--json", str(json_out)])
+    assert not json_out.exists()
 
 
 @pytest.mark.parametrize("corpus", ["missing.pkts", "truncated.pkts"])
@@ -253,6 +281,52 @@ def test_worker_counts_below_one_are_usage_errors(command, workers, capsys):
     err = capsys.readouterr().err
     assert f"--workers: must be at least 1, got {workers}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--pt", "nan", "must be above 0 and at most 1, got nan"),
+        ("--pt", "0", "must be above 0 and at most 1, got 0"),
+        ("--pt", "-1", "must be above 0 and at most 1, got -1"),
+        ("--pt", "1.5", "must be above 0 and at most 1, got 1.5"),
+        ("--lt", "1", "must be at least 2 and at most 8, got 1"),
+        ("--lt", "9", "must be at least 2 and at most 8, got 9"),
+        ("--long-pop", "0", "must be at least 1 and at most 256, got 0"),
+        ("--long-pop", "257", "must be at least 1 and at most 256, got 257"),
+        ("--long-count", "-1", "must be at least 0, got -1"),
+        ("--pt", "often", "invalid float value: 'often'"),
+    ],
+)
+def test_compile_flags_out_of_range_are_usage_errors(flag, value, message, tmp_path, monkeypatch, capsys):
+    import anchorscan.cli as cli
+
+    monkeypatch.setattr(cli, "compile_rules", lambda *a: pytest.fail("compiled with a bad flag"))
+    rules = tmp_path / "rules.txt"
+    rules.write_text("ab.*cdef\n")
+    with pytest.raises(SystemExit) as exc:
+        run(["compile", "--rules", str(rules), "--out", str(tmp_path / "x.db"), flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"{flag}: {message}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.db").exists()
+
+
+def test_compile_flags_at_their_bounds(tmp_path, monkeypatch):
+    import anchorscan.cli as cli
+
+    configs = []
+    monkeypatch.setattr(cli, "compile_rules", lambda rules, config: configs.append(config) or compile_rules(rules, config))
+    rules = tmp_path / "rules.txt"
+    rules.write_text("ab.*cdef\n")
+    out = str(tmp_path / "x.db")
+    assert run(["compile", "--rules", str(rules), "--out", out, "--pt", "1", "--lt", "2", "--long-pop", "1", "--long-count", "0"]) == 0
+    assert run(["compile", "--rules", str(rules), "--out", out, "--lt", "8", "--long-pop", "256"]) == 0
+    assert configs == [
+        CompileConfig(max_key_prob=1.0, max_key_len=2, long_pop_threshold=1, long_count_threshold=0),
+        CompileConfig(max_key_len=8, long_pop_threshold=256),
+    ]
 
 
 def test_bench_statecount(tmp_path, capsys):

@@ -23,7 +23,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anchorscan import engine, synth
+import numpy as np
+
+from anchorscan import engine, prefilter, synth
 from anchorscan.automata import DEAD
 from anchorscan.engine import (
     CompiledDatabase,
@@ -37,7 +39,7 @@ from anchorscan.engine import (
 )
 from anchorscan.oracle import oracle_match
 from anchorscan.parser import parse
-from anchorscan.prefilter import DirectFilterUnit
+from anchorscan.prefilter import DirectFilterUnit, context_gate
 from anchorscan.verify import EXACT, INTERIOR, SUFFIX, DfaGap, DotGap, EmptyGap, RuleChecks, classify_gap
 from test_stt import corruptions
 
@@ -173,7 +175,7 @@ def test_version_2_database_raises_value_error():
     # the manifest, and version 1 transition tables; a correct checksum
     # does not make them loadable
     blob = compile_rules(["ab.*cd"])[0].to_bytes()
-    assert blob[4] == 5
+    assert blob[4] == 6
     old = blob[:4] + b"\x02" + blob[5:-4]
     old += struct.pack("<I", zlib.crc32(old))
     with pytest.raises(ValueError, match="unsupported database version 2"):
@@ -199,6 +201,17 @@ def test_version_4_database_raises_value_error():
     old += struct.pack("<I", zlib.crc32(old))
     with pytest.raises(ValueError, match="unsupported database version 4"):
         CompiledDatabase.from_bytes(old)
+
+
+def test_version_5_database_raises_value_error():
+    # version 5 kept its held pairs in the bank's direct unit as well, which
+    # version 6 refuses; the version byte refuses it first
+    db, _ = compile_rules(TRIGGER_RULES)
+    body = forged_blob(db, bank=with_held_keys(db))[:-4]
+    with pytest.raises(ValueError, match="is a 2-byte key of the filter bank"):
+        CompiledDatabase.from_bytes(resealed(body))
+    with pytest.raises(ValueError, match="unsupported database version 5"):
+        CompiledDatabase.from_bytes(resealed(body[:4] + b"\x05" + body[5:]))
 
 
 def test_every_truncated_database_raises_value_error():
@@ -345,6 +358,9 @@ def test_load_equals_compile(rules_seed, count):
     assert back.to_bytes() == blob
     assert (back.bank.ctx2, back.bank.pre2) == (db.bank.ctx2, db.bank.pre2)
     assert back.bank.flags.tobytes() == db.bank.flags.tobytes()
+    # the bank holds no held pair
+    keys = db.bank.unit2.members()
+    assert not any(keys[value] for value, _rules in db.held)
 
 
 @pytest.mark.parametrize("rules", [mixed_rules(), list(PAPER_RULES)], ids=["mixed", "paper"])
@@ -410,10 +426,21 @@ def trigger_fragments(db) -> set[tuple[int, int]]:
     return {(m.rule_idx, m.frag_k) for m in db.splits if m.trigger}
 
 
+def with_held_keys(db):
+    """`db.bank` with the held pairs back in its direct unit, and the context
+    gate of that unit."""
+    values = [*np.flatnonzero(db.bank.unit2.members()).tolist(), *(value for value, _rules in db.held)]
+    unit2 = DirectFilterUnit.of_values(values)
+    rs = db.reverse_stt
+    ctx2, pre2 = context_gate(unit2, rs.start, rs.accepts, rs.dense_rows)
+    return replace(db.bank, unit2=unit2, ctx2=ctx2, pre2=pre2)
+
+
 def all_triggers(db):
-    """The same database with every split a trigger and no held pairs: every
-    hit offset runs, and every record counts."""
-    return replace(db, splits=tuple(replace(m, trigger=True) for m in db.splits), held=())
+    """The same database with every split a trigger, and the held pairs
+    back in the bank: every hit offset runs in one pass, and every record
+    counts."""
+    return replace(db, bank=with_held_keys(db), splits=tuple(replace(m, trigger=True) for m in db.splits), held=())
 
 
 #: "cd" is held for rules 0 and 1, "ef" for rule 2; "ab" is rule 1's trigger
@@ -425,12 +452,13 @@ def trigger_forgeries(db):
     of the trigger bits and the held pairs, with the message it raises."""
     s = db.splits
     cd, ef = db.held
+    ab = (pair(b"ab"), (0,))
     return {
         "trigger in one split of a fragment": (dict(splits=(replace(s[0], trigger=True), *s[1:])), "only some splits"),
         "rule without a trigger": (dict(splits=(*s[:3], replace(s[3], trigger=False), *s[4:])), "no trigger fragment"),
         "held pairs out of order": (dict(held=(ef, cd)), "strictly increasing"),
         "held pair repeated": (dict(held=(cd, cd, ef)), "strictly increasing"),
-        "held pair not a key": (dict(held=(cd, ef, (pair(b"zz"), (0,)))), "not a 2-byte key"),
+        "held pair a trigger key": (dict(held=(ab, cd, ef)), "is a 2-byte key of the filter bank"),
         "held pair serving no rule": (dict(held=(cd, (ef[0], ()))), "not an increasing list"),
         "held rules out of order": (dict(held=(cd, (ef[0], (2, 1)))), "not an increasing list"),
         "held rule repeated": (dict(held=(cd, (ef[0], (2, 2)))), "not an increasing list"),
@@ -455,37 +483,85 @@ class TestTriggerFragments:
         assert db.held == ((pair(b"cd"), (0, 1)), (pair(b"ef"), (2,)))
         assert report.counters["held_pairs"] == 2
         assert CompiledDatabase.from_bytes(db.to_bytes()).held == db.held
+        assert db.bank.unit2.key_count == 1  # "ab"
         stats = ScanStats()
         assert scan_packet(db, b"xab--cd", stats) == [(1, 6)]
-        assert (stats.filter_hits, stats.held_hits) == (2, 0)
+        assert (stats.filter_hits, stats.held_runs) == (2, 1)
 
     #: "ab" is held for rules 0 and 2, "ij" for rule 3; "gh" triggers rule 3,
     #: and the 8-byte "qrstuvwx" rule 4
     HELD_RULES = ["ab.*cdef", "xyab", "ab.*wxyz", "gh.*ij", "qrstuvwx.*lmno"]
 
+    #: reverse threads the held-pair search starts, per packet below
+    HELD_RUNS = {
+        b"ab--cdef": 1,
+        b"cdef--ab": 1,
+        b"gh--ij": 1,
+        b"ij--gh": 1,
+        b"gh--ij--ij": 2,
+        b"ab--wxyz--cdef": 1,
+    }
+
     @pytest.mark.parametrize(
         "packet, matches, runs, held",
         [
-            (b"--ab--", [], 0, 1),  # no rule is live
+            (b"--ab--", [], 0, 1),  # no rule is live, so nothing is searched
             (b"ab--ij", [], 0, 2),
-            (b"ab--cdef", [(0, 7)], 2, 0),  # the trigger after the held hit
+            (b"ab--cdef", [(0, 7)], 2, 0),  # the trigger after the held pair
             (b"cdef--ab", [], 2, 0),  # live, but "ab" comes too late to match
             (b"cdef", [], 1, 0),
             (b"gh--ij", [(3, 5)], 2, 0),  # a 2-byte trigger runs in the first pass
             (b"ij--gh", [], 2, 0),
-            (b"xyab", [(1, 3)], 1, 0),  # the xor hit at the held hit's end runs in the first pass
+            (b"xyab", [(1, 3)], 1, 0),  # the xor hit at the held pair's end runs in the first pass
             (b"ab--xyab", [(1, 7)], 1, 1),  # rule 1 is live, but "ab" serves rules 0 and 2
             (b"ab--wxyz--cdef", [(0, 13), (2, 7)], 3, 0),
             (b"qrstuvwx--lmno", [(4, 13)], 2, 0),  # "lmno" records before its rule is live
+            (b"gh--ij--ij", [(3, 5), (3, 9)], 3, 0),
+            (b"cdef--xyab", [(1, 9)], 2, 0),  # "ab" ends where the xor hit already ran
         ],
     )
     def test_held_hits_run_behind_a_live_rule(self, packet, matches, runs, held):
+        """`runs` reverse threads run, and `held` hits are held back: the
+        offsets that the same database with the held pairs in its bank would
+        run beyond those."""
         db, _ = compile_rules(self.HELD_RULES)
         assert db.held == ((pair(b"ab"), (0, 2)), (pair(b"ij"), (3,)))
+        assert not db.bank.unit2.contains(b"ab") and not db.bank.unit2.contains(b"ij")
+        stats, free = ScanStats(), ScanStats()
+        assert scan_packet(db, packet, stats) == matches
+        assert (stats.filter_hits, stats.held_runs) == (runs, self.HELD_RUNS.get(packet, 0))
+        assert stats.reverse_threads == stats.filter_hits
+        assert scan_packet(all_triggers(db), packet, free) == matches
+        assert free.filter_hits == runs + held
+
+    #: "ab" is held for rule 0 behind the context gate (an x or a y must come
+    #: before it), "aa" for rule 1 with no gate, "ij" for rule 2
+    GATED_RULES = ["[xy]ab.*wxyz", "aa.*qrst", "gh.*ij"]
+
+    @pytest.mark.parametrize("find", [True, False])
+    @pytest.mark.parametrize(
+        "packet, matches, runs, held",
+        [
+            (b"ab--wxyz", [], 1, 0),  # window 0: no byte before it
+            (b"xab--wxyz", [(0, 8)], 2, 1),  # window 1, behind "xa"
+            (b"zab--wxyz", [], 1, 0),  # window 1, but "za" is no `pre2` pair
+            (b"yab-xab-zab-wxyz", [(0, 15)], 3, 2),
+            (b"aaa--qrst", [(1, 8)], 3, 2),  # overlapping occurrences: "aa" ends at 1 and 2
+            (b"qrst", [], 1, 0),
+            (b"aa", [], 0, 0),  # 0-2 bytes: no rule can be live
+            (b"a", [], 0, 0),
+            (b"", [], 0, 0),
+        ],
+    )
+    def test_held_search_keeps_its_gate(self, packet, matches, runs, held, find, monkeypatch):
+        """On both search methods: `find` makes every search a `bytes.find`
+        one, and otherwise every search gathers."""
+        monkeypatch.setattr(prefilter, "_GATHER_SETUP", 10**9 if find else -(10**9))
+        db, _ = compile_rules(self.GATED_RULES)
+        assert db.held == ((pair(b"aa"), (1,)), (pair(b"ab"), (0,)), (pair(b"ij"), (2,)))
         stats = ScanStats()
         assert scan_packet(db, packet, stats) == matches
-        assert (stats.filter_hits, stats.held_hits) == (runs, held)
-        assert stats.reverse_threads == stats.filter_hits
+        assert (stats.filter_hits, stats.held_runs) == (runs, held)
         assert scan_once(all_triggers(db), packet) == matches
 
     @pytest.mark.parametrize("case", TRIGGER_FORGERIES)
@@ -500,7 +576,9 @@ class TestTriggerFragments:
     def test_held_hits_lose_no_match(self, rules_seed, packets_seed, count):
         """Over `synth` rule sets and traffic, at one worker and at two, the
         matches equal those of the same database with every split a trigger
-        and no held pair, and every hit offset is run or held."""
+        and the held pairs back in the bank, and no more reverse threads run:
+        a held run is at an offset that database runs too, and the gates
+        built from fewer pairs are no looser."""
         rules = synth.diff_ruleset(count, seed=rules_seed)
         db = compile_rules(rules)[0]
         free = all_triggers(db)
@@ -509,8 +587,8 @@ class TestTriggerFragments:
             for workers in (1, 2):
                 got, want = scan_corpus(db, packets, workers), scan_corpus(free, packets, workers)
                 assert got.matches == want.matches
-                assert want.stats.held_hits == 0
-                assert got.stats.filter_hits + got.stats.held_hits == want.stats.filter_hits
+                assert want.stats.held_runs == 0
+                assert got.stats.filter_hits <= want.stats.filter_hits
 
 
 def test_compile_leaves_dense_rows_unbuilt():
@@ -543,8 +621,8 @@ def test_trailing_gap_end_is_a_match_end(rule, packet, end):
 @pytest.mark.parametrize(
     "rules, size, sha_prefix",
     [
-        (mixed_rules(), 85_864, "8ef214ae985e3ad8"),
-        (list(PAPER_RULES), 25_416, "826de4281ebca026"),
+        (mixed_rules(), 85_726, "c76fbdcbc67a48cf"),
+        (list(PAPER_RULES), 25_408, "bebc11a64ce05653"),
     ],
     ids=["mixed", "paper"],
 )
@@ -669,7 +747,7 @@ def test_report_schema():
         "packets",
         "bytes",
         "filter_hits",
-        "held_hits",
+        "held_runs",
         "filter_hit_ratio",
         "reverse_threads",
         "forward_threads",

@@ -23,6 +23,7 @@ from anchorscan.prefilter import (
     DirectFilterUnit,
     FilterBank,
     FilterBuildError,
+    HeldPairs,
     XorFilterUnit,
     FP_BITS,
     build_filter_bank,
@@ -30,6 +31,9 @@ from anchorscan.prefilter import (
     splitmix64,
     _DIRECT,
     _DIRECTX,
+    _FIND_SETUP,
+    _GATHER_PER_BYTE,
+    _GATHER_SETUP,
     _HEAD4,
     _HEAD8,
     _LEAD,
@@ -721,6 +725,97 @@ class TestContextGate:
                 if unit == UNIT_DIRECT and end > 1:
                     self.assert_gate_is_exact(db, free, packet[end - 1 :] + packet[end - 2 : end])
         assert scan_corpus(db, packets, 1).matches == scan_corpus(free, packets, 1).matches
+
+
+def reference_held_ends(held, ctx2: DirectFilterUnit, pre2: DirectFilterUnit, live: set[int], data: bytes) -> list[int]:
+    """`HeldPairs.ends` by brute force: the end of every window whose pair
+    serves a rule of `live`, where a pair of `ctx2` at window k also needs
+    k > 0 and window k - 1 in `pre2`."""
+    chosen = {value.to_bytes(2, "big") for value, rules in held if live.intersection(rules)}
+    return [
+        k + 1
+        for k in range(len(data) - 1)
+        if data[k : k + 2] in chosen and (not ctx2.contains(data[k : k + 2]) or (k and pre2.contains(data[k - 1 : k + 1])))
+    ]
+
+
+def held_pairs(values, rules: int, seed: int):
+    """Held entries over sorted pair `values`, each serving a random
+    non-empty, increasing set of `rules` rules."""
+    rng = random.Random(seed)
+    return tuple((v, tuple(sorted(rng.sample(range(rules), rng.randint(1, rules))))) for v in sorted(values))
+
+
+class TestHeldPairs:
+    """`HeldPairs.ends` finds the held pairs of the live rules with one
+    `bytes.find` loop per pair up to a break-even pair count, and with one
+    gather over every window above it; both must equal the reference."""
+
+    @given(
+        st.sets(st.integers(0, 15), min_size=1, max_size=16),
+        st.integers(0, 2**32),
+        st.sets(st.integers(0, 3)),
+        st.lists(st.sampled_from(b"abcdx\x00"), max_size=40).map(bytes),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_both_methods_equal_the_reference(self, picks, seed, live, data):
+        # pairs over a 5-letter alphabet, so packets over it hold many
+        values = [(b"abcdx"[i % 5] << 8) | b"abcdx"[i // 5 % 5] for i in picks]
+        rng = random.Random(seed)
+        held = held_pairs(set(values), 4, seed)
+        ctx2 = DirectFilterUnit.of_values([v for v, _r in held if rng.random() < 0.5])
+        pre2 = DirectFilterUnit.of_values([(x << 8) | y for x in b"abcdx" for y in b"abcdx" if rng.random() < 0.3])
+        search = HeldPairs(held, ctx2, pre2)
+        want = reference_held_ends(held, ctx2, pre2, live, data)
+        chosen = sum(1 << slot for slot, (_v, rules) in enumerate(held, 1) if live.intersection(rules))
+        assert search.ends(data, live) == want
+        assert search._find_ends(data, chosen) == want
+        if len(data) >= 2:  # `ends` asks the gather for two bytes or more
+            assert search._gather_ends(data, chosen) == want
+
+    @pytest.mark.parametrize("count", [200, 33_000])
+    def test_wide_slot_tables(self, count):
+        # past 127 pairs a slot takes 16 bits, past 32 767 it takes 32
+        rng = random.Random(count)
+        held = held_pairs(rng.sample(range(65536), count), 3, count)
+        ctx2 = DirectFilterUnit.of_values([v for v, _r in held[::3]])
+        pre2 = DirectFilterUnit.of_values(rng.sample(range(65536), 20_000))
+        search = HeldPairs(held, ctx2, pre2)
+        assert search._table.dtype == (np.uint16 if count < 32768 else np.uint32)
+        for live in ({0}, {1, 2}):
+            chosen = sum(1 << slot for slot, (_v, rules) in enumerate(held, 1) if live.intersection(rules))
+            for _ in range(3):
+                data = b"".join(v.to_bytes(2, "big") + rng.randbytes(rng.randrange(3)) for v, _r in rng.sample(held, 150))
+                want = reference_held_ends(held, ctx2, pre2, live, data)
+                assert search._gather_ends(data, chosen) == search._find_ends(data, chosen) == want
+
+    @pytest.mark.parametrize("n", [111, 1500])
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_break_even(self, n, extra, monkeypatch):
+        # `find` up to the break-even pair count, the gather past it
+        pairs_at = next(p for p in range(1, 64) if (p + 1) * (n + _FIND_SETUP) > _GATHER_PER_BYTE * n + _GATHER_SETUP)
+        held = tuple((v, (i,)) for i, v in enumerate(range(0x6161, 0x6161 + 64)))
+        search = HeldPairs(held, DirectFilterUnit.of(()), DirectFilterUnit.of(()))
+        calls = []
+        for name in ("_find_ends", "_gather_ends"):
+            method = getattr(HeldPairs, name)
+            monkeypatch.setattr(HeldPairs, name, lambda self, d, c, name=name, method=method: calls.append(name) or method(self, d, c))
+        data = b"".join(v.to_bytes(2, "big") for v, _r in held)[:n].ljust(n, b"-")
+        live = set(range(pairs_at + extra))
+        assert search.ends(data, live) == reference_held_ends(held, DirectFilterUnit.of(()), DirectFilterUnit.of(()), live, data)
+        assert calls == ["_gather_ends" if extra else "_find_ends"]
+
+    @pytest.mark.parametrize("gather", [False, True])
+    @pytest.mark.parametrize("data, ends", [(b"", []), (b"a", []), (b"ab", [1]), (b"xa", []), (b"aaa", [1, 2])])
+    def test_short_packets(self, data, ends, gather, monkeypatch):
+        monkeypatch.setattr(prefilter, "_GATHER_SETUP", -(10**9) if gather else 10**9)
+        held = ((pair_value(b"aa"), (0,)), (pair_value(b"ab"), (0,)))
+        assert HeldPairs(held, DirectFilterUnit.of(()), DirectFilterUnit.of(())).ends(data, {0}) == ends
+        assert HeldPairs(held, DirectFilterUnit.of(()), DirectFilterUnit.of(())).ends(data, {1}) == []
+
+
+def pair_value(text: bytes) -> int:
+    return (text[0] << 8) | text[1]
 
 
 class TestSerialization:

@@ -23,9 +23,9 @@ from workloads import WORKLOADS, mixed_rules  # noqa: E402
 
 #: sha-256 of `ScanReport.to_json()` per workload, seed 1
 REPORTS = {
-    "clean": "274d60a71d2c52eea77501f4b62bb0506b8bfe036af8465871ac2c50feb15275",
-    "planted": "22d5f295bf565caa2d632462622f91037eba378090da6f39784d115a578af52f",
-    "hitdense": "aa8f2f8463d72f2edb801f8f6a6184e4cad8130455c8f5db8af3cb6d2daa9097",
+    "clean": "7c9b5bd64fe1792735d020bc693802d1c786431908833337a8e3111e4c846b8b",
+    "planted": "1957a43243b1daac5f7c523906d6b21c2d44d3c5f648b83ccf3edb2870d5a6f6",
+    "hitdense": "70dcdf03313446072864eef9d2e090b93701c9f2cd3995d270609dd093d42c77",
 }
 
 #: sha-256 of the JSON of `ScanReport.to_dict()["matches"]` per workload, seed 1
