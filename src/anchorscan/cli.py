@@ -29,7 +29,7 @@ from .engine import (
 from .oracle import oracle_match
 from .parser import parse
 from .prefilter import build_xor_unit, splitmix64
-from .synth import diff_packets, dotstar_family, filter_stress_ruleset, random_packets
+from .synth import DOTSTAR_MAX_K, diff_packets, dotstar_family, filter_stress_ruleset, random_packets
 
 
 def read_rules_file(path: str | Path) -> list[str]:
@@ -40,10 +40,6 @@ def read_rules_file(path: str | Path) -> list[str]:
             continue
         rules.append(line)
     return rules
-
-
-def _parse_k_range(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part]
 
 
 def _in_range(convert, low, high=None, *, above: bool = False):
@@ -65,7 +61,16 @@ def _in_range(convert, low, high=None, *, above: bool = False):
     return parse
 
 
-_worker_count = _in_range(int, 1)
+_positive = _in_range(int, 1)
+_family_size = _in_range(int, 1, DOTSTAR_MAX_K)
+
+
+def _family_sizes(text: str) -> list[int]:
+    """An argparse type: comma-separated `_family_size` values."""
+    sizes = [_family_size(part) for part in text.split(",") if part]
+    if not sizes:
+        raise argparse.ArgumentTypeError(f"must list at least one size, got {text!r}")
+    return sizes
 
 
 def _print_csv(rows: list[dict], out=None) -> None:
@@ -312,7 +317,7 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    ks = _parse_k_range(args.k) if args.k else [2, 6, 10, 14, 20]
+    ks = args.k or [2, 6, 10, 14, 20]
     if args.suite == "statecount":
         rows = bench_statecount(ks)
     elif args.suite == "compression":
@@ -325,34 +330,41 @@ def _cmd_bench(args) -> int:
     _print_csv(rows, buf)
     text = buf.getvalue()
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            print(f"bench failed: {exc}", file=sys.stderr)
+            return 1
     sys.stdout.write(text)
     return 0
 
 
 def _cmd_gen(args) -> int:
-    if args.family:
-        if args.family != "dotstar":
-            print(f"unknown family {args.family!r}", file=sys.stderr)
-            return 2
-        rules = dotstar_family(args.k)
-        text = "\n".join(rules) + "\n"
-        if args.out:
-            Path(args.out).write_text(text)
-        else:
-            sys.stdout.write(text)
-        return 0
-    if args.traffic:
-        if args.traffic != "random":
-            print(f"unknown traffic kind {args.traffic!r}", file=sys.stderr)
-            return 2
-        if not args.out:
-            print("--traffic requires --out", file=sys.stderr)
-            return 2
-        packets = random_packets(args.bytes, args.packet_len, args.seed)
-        write_corpus(args.out, packets)
-        print(f"wrote {len(packets)} packets ({args.bytes} bytes) -> {args.out}")
-        return 0
+    try:
+        if args.family:
+            if args.family != "dotstar":
+                print(f"unknown family {args.family!r}", file=sys.stderr)
+                return 2
+            text = "\n".join(dotstar_family(args.k)) + "\n"
+            if args.out:
+                Path(args.out).write_text(text)
+            else:
+                sys.stdout.write(text)
+            return 0
+        if args.traffic:
+            if args.traffic != "random":
+                print(f"unknown traffic kind {args.traffic!r}", file=sys.stderr)
+                return 2
+            if not args.out:
+                print("--traffic requires --out", file=sys.stderr)
+                return 2
+            packets = random_packets(args.bytes, args.packet_len, args.seed)
+            write_corpus(args.out, packets)
+            print(f"wrote {len(packets)} packets ({args.bytes} bytes) -> {args.out}")
+            return 0
+    except OSError as exc:  # an unwritable --out
+        print(f"gen failed: {exc}", file=sys.stderr)
+        return 1
     print("gen needs --family or --traffic", file=sys.stderr)
     return 2
 
@@ -376,31 +388,31 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="scan a corpus against a compiled database")
     p.add_argument("--db", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--workers", type=_worker_count, default=1, help="scanning processes, capped at the usable CPUs")
+    p.add_argument("--workers", type=_positive, default=1, help="scanning processes, capped at the usable CPUs")
     p.add_argument("--json", help="write the full JSON report here")
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("diff", help="differential test: engine vs reference matcher")
     p.add_argument("--rules", required=True)
     p.add_argument("--corpus", help="packet corpus; generated when omitted")
-    p.add_argument("--cases", type=int, default=1000)
+    p.add_argument("--cases", type=_positive, default=1000)
     p.add_argument("--seed", type=int, default=0xBEEF)
     p.set_defaults(func=_cmd_diff)
 
     p = sub.add_parser("bench", help="emit experiment CSV rows")
     p.add_argument("--suite", required=True, choices=["statecount", "compression", "filterfp", "overheads"])
-    p.add_argument("--k", help="comma-separated family sizes")
-    p.add_argument("--workers", type=_worker_count, default=1, help="scanning processes, capped at the usable CPUs")
+    p.add_argument("--k", type=_family_sizes, help="comma-separated family sizes")
+    p.add_argument("--workers", type=_positive, default=1, help="scanning processes, capped at the usable CPUs")
     p.add_argument("--out", help="also write the CSV here")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("gen", help="generate synthetic rules or traffic")
     p.add_argument("--family", help="rule family: dotstar")
-    p.add_argument("--k", type=int, default=20, help="family size")
+    p.add_argument("--k", type=_family_size, default=20, help="family size")
     p.add_argument("--traffic", help="traffic kind: random")
     p.add_argument("--bytes", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0x7AFF)
-    p.add_argument("--packet-len", type=int, default=1500, dest="packet_len")
+    p.add_argument("--packet-len", type=_positive, default=1500, dest="packet_len")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_gen)
     return parser

@@ -10,8 +10,10 @@ counters along the way.
 Each rule has one trigger fragment, the one whose keys are rarest. A
 2-byte key of another fragment that is no trigger fragment's key is a
 held pair. The filter bank leaves the held pairs out; a packet is searched
-for one only once a rule it serves has recorded a trigger split there
-(`scan_packet`).
+for one only once a rule it serves has recorded a trigger split there.
+`scan_packet` runs one loop over the bank's hit offsets and then the held
+pairs' occurrences, and every record goes straight on to its forward
+thread; only the verifier asks which rules are live.
 """
 from __future__ import annotations
 
@@ -424,15 +426,15 @@ class ScanStats:
 def scan_packet(db: CompiledDatabase, data: bytes, stats: ScanStats) -> list[tuple[int, int]]:
     """Match one packet; returns (rule id, end offset) pairs.
 
-    The first pass runs a reverse thread from every distinct filter-hit
-    offset; a rule whose trigger split records is live. The bank holds no
-    held pair, so once the pass is over `live` is settled: the packet is
-    then searched for the held pairs of live rules, and a reverse thread
-    runs at each occurrence the first pass did not run. Only records of
-    live rules go on to forward threads and the verifier: a record met
-    before its rule is live waits for the end of the first pass. A rule
-    can match only where its trigger fragment matched, and every trigger
-    key is in the bank, so no match is lost.
+    One loop runs a reverse thread from every trigger offset. It starts
+    with the distinct filter-hit offsets; a rule whose trigger split
+    records there is live. The bank holds no held pair, so once its offsets
+    run out `live` is settled: the packet is then searched for the held
+    pairs of live rules, and the occurrences the bank did not hit join the
+    loop. Every record goes straight on to its forward thread and event,
+    and the verifier takes the events of live rules only. A rule can match
+    only where its trigger fragment matched, and every trigger key is in
+    the bank, so no match is lost.
     """
     stats.packets += 1
     stats.bytes += len(data)
@@ -452,14 +454,22 @@ def scan_packet(db: CompiledDatabase, data: bytes, stats: ScanStats) -> list[tup
     forward_stt = db.forward_stt
     scan_table = db.scan_table
     live: set[int] = set()  # rules whose trigger split recorded
-    later: list[tuple[int, list]] = []  # (offset, records) to go through once `live` is settled
     events: set[tuple[int, int, int, int]] = set()  # (pos_e, rule_idx, k, pos_s)
     fwd_runs: dict[int, list[tuple[int, int, int]]] = {}  # entry -> records at this trigger
     triggers = fwd_threads = steps = held_runs = 0
     last_pos = -1
+    ends.append(-1)  # marks where the bank's offsets run out; `scan` returns a fresh list
     for pos in ends:
         if pos == last_pos:
             continue  # one escalation per trigger offset, whatever units fired
+        if pos < 0:  # the bank's offsets ran out, so `live` is settled
+            found = db.held_search.ends(data, live) if live else None
+            if found:
+                ran = set(ends)
+                held = [p for p in found if p not in ran]
+                held_runs = len(held)
+                ends += held  # the loop goes on over them
+            continue
         last_pos = pos
         triggers += 1
         records, depth = run(reverse_stt, data, pos, REVERSE)
@@ -468,18 +478,10 @@ def scan_packet(db: CompiledDatabase, data: bytes, stats: ScanStats) -> list[tup
             continue
         if fwd_runs:
             fwd_runs.clear()
-        put_off = None  # this offset's records of rules not live yet
-        for record in records:
-            split_id, s, _e = record
+        for split_id, s, _e in records:
             rule_idx, k, entry, trigger = scan_table[split_id]
             if trigger:
                 live.add(rule_idx)
-            elif rule_idx not in live:
-                if put_off is None:
-                    put_off = []
-                    later.append((pos, put_off))
-                put_off.append(record)
-                continue
             if entry < 0:
                 events.add((pos, rule_idx, k, s))
                 continue
@@ -492,54 +494,21 @@ def scan_packet(db: CompiledDatabase, data: bytes, stats: ScanStats) -> list[tup
             for label, _fs, fe in frecords:
                 if label == split_id:
                     events.add((fe, rule_idx, k, s))
-    if live:
-        # `live` is settled: run the held pairs of live rules where the
-        # first pass did not, then go through their records and those put
-        # off, as above. The loop is written out twice because a call per
-        # record, on `hitdense`, costs more than the held threads save
-        found = db.held_search.ends(data, live)
-        if found:
-            ran = set(ends)
-            for pos in found:
-                if pos in ran:
-                    continue
-                held_runs += 1
-                records, depth = run(reverse_stt, data, pos, REVERSE)
-                steps += depth
-                if records:
-                    later.append((pos, records))
-        for pos, records in later:
-            fwd_runs.clear()
-            for split_id, s, _e in records:
-                rule_idx, k, entry, _trigger = scan_table[split_id]
-                if rule_idx not in live:
-                    continue
-                if entry < 0:
-                    events.add((pos, rule_idx, k, s))
-                    continue
-                frecords = fwd_runs.get(entry)
-                if frecords is None:
-                    fwd_threads += 1
-                    frecords, fdepth = run(forward_stt, data, pos + 1, FORWARD, entry)
-                    steps += fdepth
-                    fwd_runs[entry] = frecords
-                for label, _fs, fe in frecords:
-                    if label == split_id:
-                        events.add((fe, rule_idx, k, s))
-    stats.filter_hits += triggers + held_runs
+    stats.filter_hits += triggers
     stats.held_runs += held_runs
     stats.forward_threads += fwd_threads
     stats.adfa_transitions += steps
 
-    if not events:
+    if not (live and events):
         return []
     vs = VerificationState(db.checks, data)
     on_match = vs.on_fragment_match
     matches: list[tuple[int, int]] = []
     for e, rule_idx, k, s in sorted(events):
-        found = on_match((rule_idx, k, s, e))
-        if found:
-            matches.extend(found)
+        if rule_idx in live:
+            found = on_match((rule_idx, k, s, e))
+            if found:
+                matches.extend(found)
     stats.escalated_packets += int(vs.escalated)
     stats.verify_bytes += vs.verify_bytes
     stats.saturated_records += vs.saturated

@@ -15,6 +15,9 @@ from .decompose import UnsupportedRuleError, decompose_rule
 from .parser import Alt, Atom, Node, Rep, Seq, parse
 
 _ALPHABET = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
+#: the largest dotstar family whose pair alphabet, about sqrt(2k) + 1
+#: bytes, fits in `_ALPHABET`
+DOTSTAR_MAX_K = (len(_ALPHABET) - 1) ** 2 // 2
 
 
 def dotstar_family(k: int) -> list[str]:
@@ -25,11 +28,9 @@ def dotstar_family(k: int) -> list[str]:
     is what makes the combined unanchored determinization explode while
     each anchored automaton stays tiny.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
+    if not 1 <= k <= DOTSTAR_MAX_K:
+        raise ValueError(f"k must be from 1 to {DOTSTAR_MAX_K}, got {k}")
     b = math.isqrt(2 * k - 1) + 1 + 1  # ceil(sqrt(2k)) + 1
-    if 2 * k > len(_ALPHABET) ** 2:
-        raise ValueError(f"k={k} exceeds the pair alphabet")
     pairs = [(_ALPHABET[i // b], _ALPHABET[i % b]) for i in range(2 * k)]
     rules = []
     for i in range(k):

@@ -7,7 +7,7 @@ import resource
 
 import pytest
 
-from anchorscan.cli import _overheads, _peak_rss_mb, bench_overheads, read_rules_file, run
+from anchorscan.cli import _overheads, _peak_rss_mb, bench_overheads, build_parser, read_rules_file, run
 from anchorscan.config import CompileConfig
 from anchorscan.engine import CompiledDatabase, compile_rules, read_corpus, worker_pids
 from test_engine import XREF_RULES, FORGERIES, cpus, forged_blob, forgeries
@@ -327,6 +327,48 @@ def test_compile_flags_at_their_bounds(tmp_path, monkeypatch):
         CompileConfig(max_key_prob=1.0, max_key_len=2, long_pop_threshold=1, long_count_threshold=0),
         CompileConfig(max_key_len=8, long_pop_threshold=256),
     ]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen", "--traffic", "random", "--out", "x.pkts", "--packet-len", "0"], "--packet-len: must be at least 1, got 0"),
+        (["gen", "--traffic", "random", "--out", "x.pkts", "--packet-len", "-1"], "--packet-len: must be at least 1, got -1"),
+        (["gen", "--family", "dotstar", "--k", "0"], "--k: must be at least 1 and at most 1860, got 0"),
+        (["gen", "--family", "dotstar", "--k", "1861"], "--k: must be at least 1 and at most 1860, got 1861"),
+        (["bench", "--suite", "statecount", "--k", "0"], "--k: must be at least 1 and at most 1860, got 0"),
+        (["bench", "--suite", "statecount", "--k", "2,-4"], "--k: must be at least 1 and at most 1860, got -4"),
+        (["bench", "--suite", "statecount", "--k", "x"], "--k: invalid _family_sizes value: 'x'"),
+        (["bench", "--suite", "statecount", "--k", ","], "--k: must list at least one size, got ','"),
+        (["diff", "--rules", "r.txt", "--cases", "-3"], "--cases: must be at least 1, got -3"),
+        (["diff", "--rules", "r.txt", "--cases", "0"], "--cases: must be at least 1, got 0"),
+    ],
+)
+def test_counts_out_of_range_are_usage_errors(argv, message, capsys):
+    """Refused by the parser alone, so a regression fails here and never
+    reaches a command that would loop or trace back."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--suite", "statecount", "--k", "2"],
+        ["gen", "--family", "dotstar", "--k", "3"],
+        ["gen", "--traffic", "random", "--bytes", "100"],
+    ],
+)
+def test_an_unwritable_out_fails_cleanly(argv, tmp_path, capsys):
+    out = tmp_path / "missing" / "out"
+    assert run([*argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"{argv[0]} failed: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_bench_statecount(tmp_path, capsys):

@@ -591,6 +591,33 @@ class TestTriggerFragments:
                 assert got.stats.filter_hits <= want.stats.filter_hits
 
 
+@pytest.mark.parametrize(
+    "rules, packet, matches, work",
+    [
+        # splits 0 (rule 0, a trigger) and 1 (rule 1, live only once
+        # "QRSTUVWX" records) record at one offset: one forward thread serves both
+        (["abcdefghij", "(abcdefghij|zyxwvuts).*QRSTUVWX"], b"abcdefghij--QRSTUVWX", [(0, 9), (1, 19)], (1, 20, 0, 0)),
+        # the rule never goes live, yet its record's forward thread runs
+        (["(abcdefghij|zyxwvuts).*QRSTUVWX"], b"--abcdefghij--", [], (1, 12, 0, 0)),
+        # ... and the verifier, which would check the leading gap, skips its event
+        (["[^\n]{3,}(abcdefghij|zyxwvuts).*QRSTUVWX"], b"------abcdefghij--", [], (1, 12, 0, 0)),
+    ],
+    ids=["shared-entry", "never-live", "never-live-gap"],
+)
+def test_every_record_runs_its_forward_thread_at_once(rules, packet, matches, work):
+    """A record goes on to its forward thread when its reverse thread
+    returns, whether or not its rule is live yet; only the verifier asks.
+    `work` is (forward_threads, adfa_transitions, escalated_packets,
+    verify_bytes)."""
+    db, _ = compile_rules(rules)
+    if len(rules) == 2:
+        assert [db.scan_table[sid][2] for sid in (0, 1)] == [1, 1]
+        assert db.scan_table[0][3] and not db.scan_table[1][3]
+    stats = ScanStats()
+    assert scan_packet(db, packet, stats) == matches
+    assert (stats.forward_threads, stats.adfa_transitions, stats.escalated_packets, stats.verify_bytes) == work
+
+
 def test_compile_leaves_dense_rows_unbuilt():
     # rows appear on first scan, never during compile, where peak RSS is reached
     db, _ = compile_rules(["ab.*cd", "user=[a-z]{1,8}\\.cgi", "abcd[^\\n]*=[0-9]{3,}"])

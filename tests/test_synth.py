@@ -7,6 +7,7 @@ from anchorscan.decompose import decompose_rule
 from anchorscan.oracle import oracle_match
 from anchorscan.parser import parse
 from anchorscan.synth import (
+    DOTSTAR_MAX_K,
     diff_packets,
     diff_ruleset,
     dotstar_family,
@@ -43,6 +44,10 @@ def test_dotstar_family_bounds():
         dotstar_family(0)
     with pytest.raises(ValueError):
         dotstar_family(10**6)
+    # the largest family fits its pair alphabet; one more would index past it
+    assert len(set(dotstar_family(DOTSTAR_MAX_K))) == DOTSTAR_MAX_K
+    with pytest.raises(ValueError, match="k must be from 1 to 1860, got 1861"):
+        dotstar_family(DOTSTAR_MAX_K + 1)
 
 
 def test_diff_ruleset_all_supported():
