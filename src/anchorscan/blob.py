@@ -12,7 +12,10 @@ import numpy as np
 
 
 class BlobReader:
-    def __init__(self, buf: bytes, what: str, pos: int = 0):
+    """Reads `buf`, bytes or a memoryview of them, from `pos` on; every
+    chunk it returns is bytes."""
+
+    def __init__(self, buf: bytes | memoryview, what: str, pos: int = 0):
         self.buf = buf
         self.what = what
         self.pos = pos
@@ -24,7 +27,7 @@ class BlobReader:
                 f"truncated {self.what}: {size} bytes needed at offset {self.pos}, "
                 f"{len(self.buf) - self.pos} left"
             )
-        chunk = self.buf[self.pos : end]
+        chunk = bytes(self.buf[self.pos : end])
         self.pos = end
         return chunk
 

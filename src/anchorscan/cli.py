@@ -342,9 +342,6 @@ def _cmd_bench(args) -> int:
 def _cmd_gen(args) -> int:
     try:
         if args.family:
-            if args.family != "dotstar":
-                print(f"unknown family {args.family!r}", file=sys.stderr)
-                return 2
             text = "\n".join(dotstar_family(args.k)) + "\n"
             if args.out:
                 Path(args.out).write_text(text)
@@ -352,9 +349,6 @@ def _cmd_gen(args) -> int:
                 sys.stdout.write(text)
             return 0
         if args.traffic:
-            if args.traffic != "random":
-                print(f"unknown traffic kind {args.traffic!r}", file=sys.stderr)
-                return 2
             if not args.out:
                 print("--traffic requires --out", file=sys.stderr)
                 return 2
@@ -407,10 +401,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("gen", help="generate synthetic rules or traffic")
-    p.add_argument("--family", help="rule family: dotstar")
+    p.add_argument("--family", choices=["dotstar"], help="rule family")
     p.add_argument("--k", type=_family_size, default=20, help="family size")
-    p.add_argument("--traffic", help="traffic kind: random")
-    p.add_argument("--bytes", type=int, default=1_000_000)
+    p.add_argument("--traffic", choices=["random"], help="traffic kind")
+    p.add_argument("--bytes", type=_positive, default=1_000_000)
     p.add_argument("--seed", type=int, default=0x7AFF)
     p.add_argument("--packet-len", type=_positive, default=1500, dest="packet_len")
     p.add_argument("--out")

@@ -51,11 +51,7 @@ from .verify import (
 )
 
 _MAGIC = b"ASDB"
-_VERSION = 6
-
-# bits of a split's flag byte
-_HAS_BACK = 0x01
-_TRIGGER = 0x02
+_VERSION = 7
 
 
 def _json(obj) -> bytes:
@@ -74,7 +70,6 @@ class SplitMeta:
 
     rule_idx: int   # dense index into the database's rule tables
     frag_k: int     # 0-based fragment position within the rule
-    has_back: bool
     trigger: bool   # a split of its rule's trigger fragment
 
 
@@ -100,7 +95,7 @@ class CompiledDatabase:
 
     bank: FilterBank
     reverse_stt: CompressedStt
-    forward_stt: CompressedStt  # entries keyed by split id
+    forward_stt: CompressedStt  # entries keyed by split id: the splits that continue forward
     splits: tuple[SplitMeta, ...]
     checks: tuple[RuleChecks, ...]
     manifest: dict
@@ -118,10 +113,10 @@ class CompiledDatabase:
 
     def __post_init__(self) -> None:
         """Build the scan tables, rejecting cross-references the scan would
-        trip over: a split outside the rule tables, a reverse accept that
-        names no split, a continued split with no forward entry, a rule
-        with no trigger fragment or a fragment only partly one, and a held
-        pair that is a key of the bank or serves no rule in order."""
+        trip over: a split outside the rule tables, a reverse accept or a
+        forward entry that names no split, a rule with no trigger fragment
+        or a fragment only partly one, and a held pair that is a key of the
+        bank or serves no rule in order."""
         checks, entries = self.checks, self.forward_stt.entries
         for rule_idx, rc in enumerate(checks):
             if len(rc.gaps) != rc.n_fragments + 1:
@@ -131,13 +126,13 @@ class CompiledDatabase:
         for sid, m in enumerate(self.splits):
             if not (0 <= m.rule_idx < len(checks) and 0 <= m.frag_k < checks[m.rule_idx].n_fragments):
                 raise ValueError(f"split {sid} names fragment {m.frag_k} of rule {m.rule_idx}, which does not exist")
-            if m.has_back and sid not in entries:
-                raise ValueError(f"split {sid} continues forward but has no forward entry")
             if triggers.setdefault((m.rule_idx, m.frag_k), m.trigger) != m.trigger:
                 raise ValueError(f"fragment {m.frag_k} of rule {m.rule_idx} is a trigger in only some splits")
-            table.append((m.rule_idx, m.frag_k, entries[sid] if m.has_back else -1, m.trigger))
+            table.append((m.rule_idx, m.frag_k, entries.get(sid, -1), m.trigger))
         if max(set().union(*self.reverse_stt.accepts), default=-1) >= len(table):
             raise ValueError("reverse automaton accepts a label that is not a split id")
+        if max(entries, default=-1) >= len(table):
+            raise ValueError(f"forward entry {max(entries)} names no split")
         untriggered = set(range(len(checks))).difference(r for (r, _k), bit in triggers.items() if bit)
         if untriggered:
             raise ValueError(f"rule {min(untriggered)} has no trigger fragment")
@@ -173,7 +168,7 @@ class CompiledDatabase:
 
         out.append(struct.pack("<I", len(self.splits)))
         for m in self.splits:
-            out.append(struct.pack("<IIB", m.rule_idx, m.frag_k, m.has_back * _HAS_BACK | m.trigger * _TRIGGER))
+            out.append(struct.pack("<IIB", m.rule_idx, m.frag_k, m.trigger))
 
         out.append(struct.pack("<I", len(self.held)))
         for value, rules in self.held:
@@ -182,9 +177,7 @@ class CompiledDatabase:
         out.append(struct.pack("<I", len(self.checks)))
         for rc in self.checks:
             out.append(struct.pack("<IIB", rc.rule_id, rc.n_fragments, int(rc.anchored_end)))
-            out.append(struct.pack("<I", len(rc.gaps)))
-            for gap in rc.gaps:
-                blob(gap_to_bytes(gap))
+            out.extend(gap_to_bytes(gap) for gap in rc.gaps)
         # checksum the chunks in place: an extra copy of a megabyte-sized
         # database fragments the heap and measurably raises peak RSS
         crc = 0
@@ -204,8 +197,11 @@ class CompiledDatabase:
         if len(buf) < r.pos + 4:
             raise ValueError("truncated rule database: no checksum")
         (crc,) = struct.unpack("<I", buf[-4:])
-        if zlib.crc32(memoryview(buf)[:-4]) != crc:
+        body = memoryview(buf)[:-4]
+        if zlib.crc32(body) != crc:
             raise ValueError("rule database checksum mismatch")
+        # the sections are read up to the checksum, never into it
+        r = BlobReader(body, "rule database", r.pos)
 
         raw = r.blob()
         manifest = json.loads(raw)
@@ -222,10 +218,10 @@ class CompiledDatabase:
         (n_splits,) = r.unpack("<I")
         splits = []
         for _ in range(n_splits):
-            rule_idx, frag_k, flag = r.unpack("<IIB")
-            if flag > _HAS_BACK | _TRIGGER:
-                raise ValueError(f"split {len(splits)} has flag {flag}, not 0 to 3")
-            splits.append(SplitMeta(rule_idx, frag_k, bool(flag & _HAS_BACK), bool(flag & _TRIGGER)))
+            rule_idx, frag_k, trigger = r.unpack("<IIB")
+            if trigger > 1:
+                raise ValueError(f"split {len(splits)} has flag {trigger}, not 0 or 1")
+            splits.append(SplitMeta(rule_idx, frag_k, bool(trigger)))
 
         (n_held,) = r.unpack("<I")
         held = []
@@ -239,17 +235,12 @@ class CompiledDatabase:
             rule_id, n_frag, anchored_end = r.unpack("<IIB")
             if anchored_end > 1:
                 raise ValueError(f"rule {rule_id} has end flag {anchored_end}, not 0 or 1")
-            (n_gaps,) = r.unpack("<I")
             gaps = []
-            for _ in range(n_gaps):
-                chunk = r.blob()
-                gap, used = gap_from_bytes(chunk, 0)
-                if used != len(chunk):
-                    raise ValueError("gap blob length mismatch")
+            for _ in range(n_frag + 1):
+                gap, r.pos = gap_from_bytes(body, r.pos)
                 gaps.append(gap)
             checks.append(RuleChecks(rule_id, n_frag, tuple(gaps), bool(anchored_end)))
-        if r.pos != len(buf) - 4:
-            raise ValueError("rule database does not end at its checksum")
+        r.finish()
         return CompiledDatabase(
             bank=bank,
             reverse_stt=reverse_stt,
@@ -331,7 +322,7 @@ def compile_rules(
         for frag in dec.bounded:
             for sp in frag.splits:
                 sid = len(split_meta)
-                split_meta.append(SplitMeta(rule_idx, frag.index - 1, sp.back is not None, frag is trigger))
+                split_meta.append(SplitMeta(rule_idx, frag.index - 1, frag is trigger))
                 keys.append(sp.key)
                 rev_in.append((sid, sp.front))
                 if sp.back is not None:
@@ -367,17 +358,13 @@ def compile_rules(
     forward_stt = compress(build_forward_dfa(fwd_in))
     timings["dfa_build"] = dfa_build + time.perf_counter() - t0
 
-    skipped_ids = {s.rule_id for s in skipped}
-    manifest = {
-        "rules": [{"pattern": p, "supported": rid not in skipped_ids} for rid, p in enumerate(patterns)],
-    }
     db = CompiledDatabase(
         bank=bank,
         reverse_stt=reverse_stt,
         forward_stt=forward_stt,
         splits=tuple(split_meta),
         checks=tuple(rc for _, _, rc in survivors),
-        manifest=manifest,
+        manifest={"rules": list(patterns)},
         held=held,
     )
     report = CompileReport(

@@ -403,19 +403,6 @@ def reverse_tree(node: Node) -> Node:
     raise TypeError(f"unknown node {node!r}")
 
 
-def min_length(node: Node) -> int:
-    """Length of the shortest byte string the tree accepts."""
-    if isinstance(node, Atom):
-        return 1
-    if isinstance(node, Seq):
-        return sum(min_length(p) for p in node.parts)
-    if isinstance(node, Alt):
-        return min(min_length(o) for o in node.options)
-    if isinstance(node, Rep):
-        return node.lo * min_length(node.item)
-    raise TypeError(f"unknown node {node!r}")
-
-
 def render(node: Node) -> str:
     """Best-effort pattern text for a tree; used in reports and repr."""
     if isinstance(node, Atom):

@@ -518,17 +518,12 @@ class FilterBank:
         hits += _BIASES.repeat(counts)
         return hits[held].tolist()
 
-    # --- serialization: magic, version, pair sets, seeds, slots ---
-
-    MAGIC = b"ASFB"
-    VERSION = 6
+    # --- serialization: pair sets, then per xor unit its seed, sizes and slots ---
 
     def to_bytes(self) -> bytes:
-        out = [self.MAGIC, struct.pack("<H", self.VERSION)]
-        for pair_set in (self.unit2, self.head4, self.tail4, self.head8, self.tail8):
-            out.append(pair_set.to_bytes())
+        out = [pair_set.to_bytes() for pair_set in (self.unit2, self.head4, self.tail4, self.head8, self.tail8)]
         for unit in (self.unit4, self.unit8):
-            out.append(struct.pack("<BQII", unit.width, unit.seed, unit.key_count, unit.block_len))
+            out.append(struct.pack("<QII", unit.seed, unit.key_count, unit.block_len))
             out.append(unit.fingerprints.tobytes())
         return b"".join(out)
 
@@ -537,17 +532,12 @@ class FilterBank:
         """The bank of a blob, with the context gate `(ctx2, pre2)` that
         `gate(unit2)` gives (`context_gate`), or none without `gate`."""
         r = BlobReader(blob, "filter bank")
-        if r.take(4) != FilterBank.MAGIC:
-            raise ValueError("not a filter bank blob")
-        (version,) = r.unpack("<H")
-        if version != FilterBank.VERSION:
-            raise ValueError(f"unsupported filter bank version {version}")
         unit2, head4, tail4, head8, tail8 = [DirectFilterUnit.read(r) for _ in range(5)]
         units = []
-        for expected in (4, 8):
-            width, seed, key_count, block_len = r.unpack("<BQII")
-            if width != expected or (key_count > 0) != (block_len > 0):
-                raise ValueError(f"corrupt xor unit header (width {width}, {key_count} keys, block {block_len})")
+        for width in (4, 8):  # the xor-4 unit, then the xor-8 one
+            seed, key_count, block_len = r.unpack("<QII")
+            if (key_count > 0) != (block_len > 0):
+                raise ValueError(f"corrupt xor-{width} unit header ({key_count} keys, block {block_len})")
             units.append(XorFilterUnit(width, seed, block_len, key_count, r.array(np.uint8, 3 * block_len).copy()))
         r.finish()
         return FilterBank(unit2, *units, head4, tail4, head8, tail8, *(gate(unit2) if gate else ()))

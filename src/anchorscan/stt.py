@@ -31,9 +31,6 @@ from .blob import BlobReader
 FORWARD = "forward"
 REVERSE = "reverse"
 
-_MAGIC = b"ASTT"
-_VERSION = 4
-
 
 @dataclass
 class CompressedStt:
@@ -118,17 +115,7 @@ class CompressedStt:
         keys = sorted(self.entries)
         return b"".join(
             [
-                _MAGIC,
-                struct.pack(
-                    "<HBIIQII",
-                    _VERSION,
-                    self.succ_width,
-                    self.n_states,
-                    self.start,
-                    len(self.run_succ),
-                    len(keys),
-                    len(pairs),
-                ),
+                struct.pack("<IIII", self.n_states, self.start, len(keys), len(pairs)),
                 np.array([(k, self.entries[k]) for k in keys], dtype="<u4").tobytes(),
                 np.array([s for s, _ in pairs], dtype=width).tobytes(),
                 np.array([label for _, label in pairs], dtype="<u4").tobytes(),
@@ -142,29 +129,30 @@ class CompressedStt:
 
     @staticmethod
     def from_bytes(blob: bytes) -> "CompressedStt":
-        """Load a table, refusing with ValueError any blob that `compress`
-        could not have written in this form, so every table it accepts
-        re-serializes byte for byte."""
+        """The table that fills `blob` (`read`)."""
         r = BlobReader(blob, "transition table")
-        if r.take(4) != _MAGIC:
-            raise ValueError("not a transition table blob")
-        version, width, n_states, start, n_runs, n_entries, n_pairs = r.unpack("<HBIIQII")
-        if version != _VERSION:
-            raise ValueError(f"unsupported transition table version {version}")
-        if width not in (2, 4):
-            raise ValueError(f"unsupported successor width {width}")
-        if (width == 4) != (n_states > 0x10000):
-            raise ValueError(f"successor width {width} is not the one for {n_states} states")
-        ids = f"<u{width}"
+        stt = CompressedStt.read(r)
+        r.finish()
+        return stt
+
+    @staticmethod
+    def read(r: BlobReader) -> "CompressedStt":
+        """Read one table, refusing with ValueError any that `compress`
+        could not have written in this form, so every table it accepts
+        re-serializes byte for byte. The successor width follows from the
+        state count and the run count from the per-state run counts."""
+        n_states, start, n_entries, n_pairs = r.unpack("<IIII")
+        dtype = _id_dtype(n_states)
+        ids = np.dtype(dtype).newbyteorder("<")
         entries = r.array("<u4", 2 * n_entries).reshape(n_entries, 2).astype(np.int64)
         pair_states = r.array(ids, n_pairs).astype(np.int64)
         pair_labels = r.array("<u4", n_pairs).astype(np.int64)
         defaults = r.array(ids, n_states)
         run_counts = r.array("u1", n_states)
+        n_runs = int(run_counts.sum(dtype=np.int64))
         run_first = r.array("u1", n_runs)
         run_last = r.array("u1", n_runs)
         run_succ = r.array(ids, n_runs)
-        r.finish()
         if max(start, int(entries[:, 1].max(initial=0)), int(pair_states.max(initial=0)),
                int(defaults.max(initial=0)), int(run_succ.max(initial=0))) >= n_states:
             raise ValueError("transition table names a state it does not have")
@@ -173,8 +161,6 @@ class CompressedStt:
         step = np.diff(pair_states)
         if np.any((step < 0) | ((step == 0) & (np.diff(pair_labels) <= 0))):
             raise ValueError("transition table accept pairs are not strictly increasing")
-        if int(run_counts.sum(dtype=np.int64)) != n_runs:
-            raise ValueError("transition table run counts do not sum to its run count")
         run_state = np.repeat(np.arange(n_states), run_counts)
         if np.any(run_first > run_last):
             raise ValueError("transition table run ends before it starts")
@@ -202,7 +188,6 @@ class CompressedStt:
         labels: dict[int, list[int]] = {}
         for s, label in zip(pair_states.tolist(), pair_labels.tolist()):
             labels.setdefault(s, []).append(label)
-        dtype = np.uint16 if width == 2 else np.uint32
         return CompressedStt(
             n_states=n_states,
             start=start,
@@ -220,7 +205,7 @@ def compress(dfa: Dfa) -> CompressedStt:
     """Encode a dense DFA as per-state defaults plus byte-range runs;
     lookups stay exactly equivalent."""
     n = dfa.table.shape[0]
-    table = dfa.table.astype(np.uint16 if n <= 0x10000 else np.uint32)
+    table = dfa.table.astype(_id_dtype(n))
     defaults = _modes(np.sort(table, axis=1))
     exceptions = (table != defaults[:, None]).ravel()
     flat = table.ravel()
@@ -244,6 +229,12 @@ def compress(dfa: Dfa) -> CompressedStt:
         accepts=dfa.accepts,
         entries=dict(dfa.entries),
     )
+
+
+def _id_dtype(n_states: int) -> type:
+    """The successor dtype of a table of `n_states` states: u16 while every
+    id fits, else u32."""
+    return np.uint16 if n_states <= 0x10000 else np.uint32
 
 
 def _modes(ordered: np.ndarray) -> np.ndarray:

@@ -342,6 +342,8 @@ _MODE_NAME = {v: k for k, v in _MODE_CODE.items()}
 
 
 def gap_to_bytes(gap: Gap) -> bytes:
+    """A u8 kind and a u8 mode, then the gap's bounds, class mask or table:
+    no length prefix, since each kind's layout says where it ends."""
     kind = _KIND[type(gap)]
     head = struct.pack("<BB", kind, _MODE_CODE[gap.mode])
     if isinstance(gap, EmptyGap):
@@ -350,11 +352,11 @@ def gap_to_bytes(gap: Gap) -> bytes:
         return head + struct.pack("<II", gap.lo, _INF if gap.hi is None else gap.hi)
     if isinstance(gap, ClassGap):
         return head + struct.pack("<II", gap.lo, _INF if gap.hi is None else gap.hi) + gap.cls.mask.to_bytes(32, "little")
-    blob = gap.stt.to_bytes()
-    return head + struct.pack("<Q", len(blob)) + blob
+    return head + gap.stt.to_bytes()
 
 
-def gap_from_bytes(buf: bytes, pos: int) -> tuple[Gap, int]:
+def gap_from_bytes(buf: bytes | memoryview, pos: int) -> tuple[Gap, int]:
+    """The gap at `pos` of `buf` and the offset just past it."""
     r = BlobReader(buf, "gap", pos)
     kind, mode_code = r.unpack("<BB")
     if mode_code not in _MODE_NAME:
@@ -370,8 +372,7 @@ def gap_from_bytes(buf: bytes, pos: int) -> tuple[Gap, int]:
         mask = int.from_bytes(r.take(32), "little")
         return ClassGap(ByteClass(mask), lo, None if hi == _INF else hi, mode), r.pos
     if kind == 3:
-        stt = CompressedStt.from_bytes(r.blob())
-        return DfaGap(stt, mode), r.pos
+        return DfaGap(CompressedStt.read(r), mode), r.pos
     raise ValueError(f"unknown gap kind {kind}")
 
 

@@ -53,8 +53,12 @@ def test_gen_traffic_deterministic(tmp_path):
 
 def test_gen_usage_errors(capsys):
     assert run(["gen"]) == 2
-    assert run(["gen", "--family", "nope"]) == 2
     assert run(["gen", "--traffic", "random", "--bytes", "10"]) == 2  # no --out
+    for argv in (["gen", "--family", "nope"], ["gen", "--traffic", "nope", "--out", "x.pkts"]):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
 
 
 def test_compile_scan_roundtrip(tmp_path, capsys):
@@ -342,6 +346,8 @@ def test_compile_flags_at_their_bounds(tmp_path, monkeypatch):
         (["bench", "--suite", "statecount", "--k", ","], "--k: must list at least one size, got ','"),
         (["diff", "--rules", "r.txt", "--cases", "-3"], "--cases: must be at least 1, got -3"),
         (["diff", "--rules", "r.txt", "--cases", "0"], "--cases: must be at least 1, got 0"),
+        (["gen", "--traffic", "random", "--out", "x.pkts", "--bytes", "-5"], "--bytes: must be at least 1, got -5"),
+        (["gen", "--traffic", "random", "--out", "x.pkts", "--bytes", "0"], "--bytes: must be at least 1, got 0"),
     ],
 )
 def test_counts_out_of_range_are_usage_errors(argv, message, capsys):

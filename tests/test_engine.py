@@ -40,7 +40,7 @@ from anchorscan.engine import (
 from anchorscan.oracle import oracle_match
 from anchorscan.parser import parse
 from anchorscan.prefilter import DirectFilterUnit, context_gate
-from anchorscan.verify import EXACT, INTERIOR, SUFFIX, DfaGap, DotGap, EmptyGap, RuleChecks, classify_gap
+from anchorscan.verify import EXACT, INTERIOR, SUFFIX, ClassGap, DfaGap, DotGap, EmptyGap, RuleChecks, classify_gap
 from test_stt import corruptions
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -132,15 +132,14 @@ def test_all_rules_fail_raises():
         compile_rules(["ab(", ".*"])
 
 
-def test_manifest_flags():
-    db, _ = compile_rules(["abc", "(", "xx.*yy"])
-    assert db.manifest == {
-        "rules": [
-            {"pattern": "abc", "supported": True},
-            {"pattern": "(", "supported": False},
-            {"pattern": "xx.*yy", "supported": True},
-        ]
-    }
+def test_manifest_holds_the_patterns_in_rule_id_order():
+    # no flag per rule: a rule is skipped exactly when no `RuleChecks` has its id
+    rules = ["abc", "(", "xx.*yy", ".*"]
+    db, report = compile_rules(rules)
+    assert db.manifest == {"rules": rules}
+    assert CompiledDatabase.from_bytes(db.to_bytes()).manifest == {"rules": rules}
+    assert [rc.rule_id for rc in db.checks] == report.supported == [0, 2]
+    assert sorted(s.rule_id for s in report.skipped) == [1, 3]
 
 
 def test_single_byte_fragments_unsupported():
@@ -175,7 +174,7 @@ def test_version_2_database_raises_value_error():
     # the manifest, and version 1 transition tables; a correct checksum
     # does not make them loadable
     blob = compile_rules(["ab.*cd"])[0].to_bytes()
-    assert blob[4] == 6
+    assert blob[4] == 7
     old = blob[:4] + b"\x02" + blob[5:-4]
     old += struct.pack("<I", zlib.crc32(old))
     with pytest.raises(ValueError, match="unsupported database version 2"):
@@ -214,6 +213,15 @@ def test_version_5_database_raises_value_error():
         CompiledDatabase.from_bytes(resealed(body[:4] + b"\x05" + body[5:]))
 
 
+def test_version_6_database_raises_value_error():
+    # version 6 gave the bank and each table a magic and a version of their
+    # own, stored a continue-forward bit per split, a flag per manifest rule,
+    # and a count and length prefixes for the gaps
+    blob = compile_rules(["ab.*cd"])[0].to_bytes()
+    with pytest.raises(ValueError, match="unsupported database version 6"):
+        CompiledDatabase.from_bytes(resealed(blob[:4] + b"\x06" + blob[5:-4]))
+
+
 def test_every_truncated_database_raises_value_error():
     blob = compile_rules(["ab.*cd", "xy[0-9]{3}zw"])[0].to_bytes()
     for size in range(len(blob)):
@@ -221,6 +229,16 @@ def test_every_truncated_database_raises_value_error():
             CompiledDatabase.from_bytes(blob[:size])
     with pytest.raises(ValueError):
         CompiledDatabase.from_bytes(blob + b"\x00")
+
+
+def test_last_gap_cut_short_is_not_read_from_the_checksum():
+    # the last gap is the trailing class gap of "abcd[^\n]{60,}"; with its
+    # mask's last byte gone, it must not take the checksum's first byte
+    db = compile_rules(["ab.*cd", r"abcd[^\n]{60,}"])[0]
+    assert isinstance(db.checks[-1].gaps[-1], ClassGap)
+    body = db.to_bytes()[:-4]
+    with pytest.raises(ValueError, match="truncated gap"):
+        CompiledDatabase.from_bytes(resealed(body[:-1]))
 
 
 def test_every_bit_flip_raises_value_error():
@@ -297,16 +315,18 @@ def forgeries(db):
         "split rule_idx 99": dict(splits=(replace(db.splits[0], rule_idx=99), *db.splits[1:])),
         "split frag_k past the rule": dict(splits=(db.splits[0], replace(db.splits[1], frag_k=2), db.splits[2])),
         "reverse label not a split": dict(reverse_stt=replace(db.reverse_stt, accepts=tuple(accepts))),
-        "continued split without entry": dict(forward_stt=replace(db.forward_stt, entries={})),
+        "forward entry past the last split": dict(
+            forward_stt=replace(db.forward_stt, entries={**db.forward_stt.entries, len(db.splits): db.forward_stt.start})
+        ),
         "gap count not fragments + 1": dict(checks=(replace(rc0, gaps=rc0.gaps[:-1]), *db.checks[1:])),
-        "split flag 4": dict(splits=(db.splits[0], replace(db.splits[1], has_back=4), db.splits[2])),
+        "split flag 4": dict(splits=(db.splits[0], replace(db.splits[1], trigger=4), db.splits[2])),
         "rule end flag 2": dict(checks=(replace(rc0, anchored_end=2), *db.checks[1:])),
     }
 
 
 FORGERIES = (
     "split rule_idx 99", "split frag_k past the rule",
-    "reverse label not a split", "continued split without entry", "gap count not fragments + 1",
+    "reverse label not a split", "forward entry past the last split", "gap count not fragments + 1",
     "split flag 4", "rule end flag 2",
 )
 
@@ -648,8 +668,8 @@ def test_trailing_gap_end_is_a_match_end(rule, packet, end):
 @pytest.mark.parametrize(
     "rules, size, sha_prefix",
     [
-        (mixed_rules(), 85_726, "c76fbdcbc67a48cf"),
-        (list(PAPER_RULES), 25_408, "bebc11a64ce05653"),
+        (mixed_rules(), 74_618, "4ce158533a7e87b2"),
+        (list(PAPER_RULES), 23_854, "2ff5d17779706d26"),
     ],
     ids=["mixed", "paper"],
 )

@@ -12,7 +12,6 @@ from anchorscan.parser import (
     Rep,
     Seq,
     UnsupportedConstructError,
-    min_length,
     normalize,
     parse,
     render,
@@ -195,16 +194,6 @@ class TestTreeProperties:
         reparsed = parse(rendered).tree
         for s in enumerate_strings(b"abc", 3):
             assert accepts(tree, s) == accepts(reparsed, s)
-
-    @given(_trees(2))
-    @settings(max_examples=200)
-    def test_min_length_is_reachable_lower_bound(self, tree):
-        m = min_length(tree)
-        shortest = next(
-            (len(s) for s in enumerate_strings(b"abc", 6) if accepts(tree, s)), None
-        )
-        if shortest is not None:
-            assert shortest == m
 
 
 class TestRulesetLoading:

@@ -836,41 +836,15 @@ class TestSerialization:
         assert back.scan(data) == bank.scan(data)
 
     def test_blob_holds_five_pair_sets_and_two_units(self):
-        # no fingerprint-width byte and no context gate: the version, the
-        # direct unit and the four gates, then per xor unit a 17-byte
-        # header and its one-byte slots
+        # no magic, version, width byte or context gate: the direct unit
+        # and the four gates, then per xor unit a 16-byte header (seed, key
+        # count, block length) and its one-byte slots
         bank = TestContextGate.db.bank
         assert bank.ctx2.key_count
         pair_sets = (bank.unit2, bank.head4, bank.tail4, bank.head8, bank.tail8)
         units = (bank.unit4, bank.unit8)
-        size = 6 + sum(len(p.to_bytes()) for p in pair_sets) + sum(17 + 3 * u.block_len for u in units)
+        size = sum(len(p.to_bytes()) for p in pair_sets) + sum(16 + 3 * u.block_len for u in units)
         assert len(bank.to_bytes()) == size
-
-    def test_version_3_blob_is_refused(self):
-        # version 3 took each slot by `%` and the fingerprint from a second
-        # hash round, so its slots would read as garbage under version 4
-        blob = bytearray(bank_of(b"ab", b"abcd", b"abcdefgh").to_bytes())
-        assert blob[4:6] == struct.pack("<H", 6)
-        blob[4:6] = struct.pack("<H", 3)
-        with pytest.raises(ValueError, match="unsupported filter bank version 3"):
-            FilterBank.from_bytes(bytes(blob))
-
-    def test_version_4_blob_is_refused(self):
-        # version 4 hashed as version 6 does, but stored a fingerprint-width
-        # byte after its version, which version 6 would read as a pair-set tag
-        blob = bytearray(TestContextGate.db.bank.to_bytes())
-        blob[4:6] = struct.pack("<H", 4)
-        with pytest.raises(ValueError, match="unsupported filter bank version 4"):
-            FilterBank.from_bytes(bytes(blob))
-
-    def test_version_5_blob_is_refused(self):
-        # version 5 stored a fingerprint-width byte and the context gate's
-        # two pair sets, so version 6 would read its `ctx2` as the head gate
-        # of the xor-4 unit
-        blob = TestContextGate.db.bank.to_bytes()
-        old = blob[:4] + struct.pack("<HB", 5, 8) + blob[6:]
-        with pytest.raises(ValueError, match="unsupported filter bank version 5"):
-            FilterBank.from_bytes(old)
 
     def test_gated_bank_round_trips(self):
         db = TestContextGate.db
@@ -885,7 +859,8 @@ class TestSerialization:
         assert FilterBank.from_bytes(blob) == gate_free(bank)
 
     def test_bad_magic(self):
-        with pytest.raises(ValueError):
+        # a bank has no magic: junk fails on its first pair-set tag, "N"
+        with pytest.raises(ValueError, match="unknown pair-set encoding 78"):
             FilterBank.from_bytes(b"NOPE" + b"\x00" * 100)
 
     def test_truncated_or_padded_blob_raises_value_error(self):

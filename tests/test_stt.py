@@ -300,8 +300,8 @@ class TestRunThread:
             run_thread(stt, b"ab", 0, "sideways")
 
 
-#: header bytes: magic, version, width, states, start, runs, entries, pairs
-_HEADER = 31
+#: header bytes: states, start, entries, pairs
+_HEADER = 16
 
 
 def _pairs_at(stt: CompressedStt) -> int:
@@ -372,8 +372,11 @@ class TestSerialization:
             CompressedStt.from_bytes(bytes(blob))
 
     def test_run_counts_must_sum_to_the_run_count(self):
-        with pytest.raises(ValueError, match="do not sum"):
-            CompressedStt.from_bytes(_with(_RUNS_TABLE, run_counts=[0, 3, 1, 1]).to_bytes())
+        # the run count is not stored: the counts say how many runs to read,
+        # so counts that miss the four stored runs misread them or the end
+        for counts in ([0, 3, 1, 1], [0, 2, 1, 0]):
+            with pytest.raises(ValueError):
+                CompressedStt.from_bytes(_with(_RUNS_TABLE, run_counts=counts).to_bytes())
 
     def test_run_ending_before_it_starts_raises_value_error(self):
         with pytest.raises(ValueError, match="ends before it starts"):
@@ -428,7 +431,9 @@ class TestSerialization:
         stt = _RUNS_TABLE
         wide = replace(stt, defaults=stt.defaults.astype(np.uint32), run_succ=stt.run_succ.astype(np.uint32))
         assert wide.succ_width == 4
-        with pytest.raises(ValueError, match="successor width 4 is not the one for 4 states"):
+        # the width is not stored: 4 states are read as u16 ids, and the
+        # u32 ones misread
+        with pytest.raises(ValueError):
             CompressedStt.from_bytes(wide.to_bytes())
 
     def test_narrow_ids_for_a_large_table_raise_value_error(self):
@@ -438,7 +443,8 @@ class TestSerialization:
             run_first=np.zeros(0, np.uint8), run_last=np.zeros(0, np.uint8), run_succ=np.zeros(0, np.uint16),
             accepts=(frozenset(),) * n,
         )
-        with pytest.raises(ValueError, match="successor width 2 is not the one for 65537 states"):
+        # 65537 states are read as u32 ids, and the u16 ones run short
+        with pytest.raises(ValueError, match="truncated transition table"):
             CompressedStt.from_bytes(narrow.to_bytes())
 
     @pytest.mark.parametrize("labels", [(7, 5), (5, 5)], ids=["decreasing", "repeated"])
@@ -469,29 +475,9 @@ class TestSerialization:
         assert stt.compressed_bytes == 4 * 2 + 4 + 4 * (1 + 1 + 2)
 
     def test_bad_magic(self):
+        # a table has no magic: junk reads as a header of 0x4b4e554a states
         with pytest.raises(ValueError):
             CompressedStt.from_bytes(b"JUNKJUNKJUNK" + b"\x00" * 64)
-
-    def test_version_1_header_raises_value_error(self):
-        # version 1 tables also stored per-word rank prefixes and per-state
-        # offsets after a bitmap; they are not read as version 4
-        blob = compress(build_forward_dfa([(3, tree_of("[a-f]{4}"))])).to_bytes()
-        assert blob[4:6] == (4).to_bytes(2, "little")
-        with pytest.raises(ValueError, match="unsupported transition table version 1"):
-            CompressedStt.from_bytes(blob[:4] + (1).to_bytes(2, "little") + blob[6:])
-
-    def test_version_2_header_raises_value_error(self):
-        # version 2 tables had no defaults: every unset bit meant the dead state
-        blob = compress(build_forward_dfa([(3, tree_of("[a-f]{4}"))])).to_bytes()
-        with pytest.raises(ValueError, match="unsupported transition table version 2"):
-            CompressedStt.from_bytes(blob[:4] + (2).to_bytes(2, "little") + blob[6:])
-
-    def test_version_3_header_raises_value_error(self):
-        # version 3 tables marked exceptions in a 256-bit bitmap per state
-        # and counted accept labels per state
-        blob = compress(build_forward_dfa([(3, tree_of("[a-f]{4}"))])).to_bytes()
-        with pytest.raises(ValueError, match="unsupported transition table version 3"):
-            CompressedStt.from_bytes(blob[:4] + (3).to_bytes(2, "little") + blob[6:])
 
     def test_truncated_defaults_raise_value_error(self):
         # one default short, with the run counts and runs intact
