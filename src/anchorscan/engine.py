@@ -581,14 +581,26 @@ def _windows(packets: list[bytes], limit: int):
         yield start, len(packets)
 
 
-def _serve(db: CompiledDatabase, next_chunk, conn, inherited: list) -> None:
-    """Worker loop: for each `(packets, base, size)` received on `conn`, scan
-    the chunks it claims and send back their `(ScanStats, matches)`, or the
-    traceback text if the scan raised. Returns, ending the process, once
-    the parent's end of `conn` is closed."""
+def _pin(cpus: set[int]) -> bool:
+    """Bind the calling thread to `cpus`; False, leaving it as it was, if
+    the host refuses (a CPU it does not have, say)."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        return False
+    return True
+
+
+def _serve(db: CompiledDatabase, next_chunk, conn, inherited: list, cpu: int) -> None:
+    """Worker loop: pinned to `cpu` where the host allows, for each
+    `(packets, base, size)` received on `conn`, scan the chunks it claims
+    and send back their `(ScanStats, matches)`, or the traceback text if
+    the scan raised. Returns, ending the process, once the parent's end of
+    `conn` is closed."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's to handle
     for other in inherited:  # the parent's ends, so that only the parent holds them open
         other.close()
+    _pin({cpu})
     while True:
         try:
             packets, base, size = conn.recv()
@@ -611,6 +623,15 @@ class _WorkerPool:
     children claim one at a time from a shared counter: a process that runs
     slower, because other work holds its CPU, claims fewer chunks.
 
+    Each process has a CPU of its own, taken in order from the calling
+    thread's affinity mask when the pool is made: the calling thread gets
+    the first for the span of `scan` only, and then has its mask back,
+    while each child pins itself to one of the next `n - 1` at start. Left
+    to the scheduler, the two processes of a 2-CPU pool were found sharing
+    one CPU, a time slice each, for whole rounds. Placement is best effort:
+    a process the host will not pin runs unpinned. A caller whose mask has
+    changed since is served by a new pool.
+
     The database reaches the children through the fork, never pickled.
     Pipes, read and written by the calling thread, rather than
     `multiprocessing.Pool`, whose helper threads would contend for the GIL
@@ -627,19 +648,21 @@ class _WorkerPool:
     def __init__(self, db: CompiledDatabase, n: int):
         self.db = weakref.ref(db)
         self.pid = os.getpid()
+        self.mask = os.sched_getaffinity(0)
+        self.cpus = sorted(self.mask)[:n]  # this process's first, then one per child
         self.conns: list = []
         self.procs: list = []
         ctx = mp.get_context("fork")
         self.next_chunk = ctx.Value("q", 0)
         try:
-            for _ in range(n - 1):
+            for cpu in self.cpus[1:]:
                 here, there = ctx.Pipe()
                 with socket.fromfd(here.fileno(), socket.AF_UNIX, socket.SOCK_STREAM) as sock:
                     # room for a whole round (as far as net.core.wmem_max allows),
                     # so that sending it does not wait for the child to wake and read
                     sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, self.WINDOW_BYTES)
                 proc = ctx.Process(
-                    target=_serve, args=(db, self.next_chunk, there, [*self.conns, here]), daemon=True
+                    target=_serve, args=(db, self.next_chunk, there, [*self.conns, here], cpu), daemon=True
                 )
                 # frozen at the fork, the inherited objects are never scanned by
                 # the child's collector, which keeps more of their pages shared
@@ -656,31 +679,42 @@ class _WorkerPool:
             raise
 
     def serves(self, db: CompiledDatabase, n: int) -> bool:
-        return self.db() is db and len(self.procs) == n - 1 and self.pid == os.getpid()
+        return (
+            self.db() is db
+            and len(self.procs) == n - 1
+            and self.pid == os.getpid()
+            and self.mask == os.sched_getaffinity(0)
+        )
 
     def scan(self, db: CompiledDatabase, packets: list[bytes]) -> tuple[ScanStats, list]:
-        total, matches = ScanStats(), []
-        for start, stop in _windows(packets, self.WINDOW_BYTES):
-            window = packets[start:stop]
-            size = -(-len(window) // (self.CHUNKS_PER_PROCESS * (len(self.procs) + 1)))
-            self.next_chunk.value = 0  # no child is claiming: each answered the last round
-            for k, conn in enumerate(self.conns):
-                try:
-                    conn.send((window, start, size))
-                except OSError as exc:
-                    raise self._exited(k) from exc
-            replies = [_scan_chunks(db, window, start, size, self.next_chunk)]
-            for k, conn in enumerate(self.conns):
-                try:
-                    replies.append(conn.recv())
-                except (EOFError, OSError) as exc:
-                    raise self._exited(k) from exc
-                if isinstance(replies[-1], str):
-                    raise RuntimeError(f"worker process {self.procs[k].pid} failed:\n{replies[-1]}")
-            for stats, found in replies:
-                total.merge(stats)
-                matches.extend(found)
-        return total, matches
+        before = os.sched_getaffinity(0)
+        pinned = _pin({self.cpus[0]})
+        try:
+            total, matches = ScanStats(), []
+            for start, stop in _windows(packets, self.WINDOW_BYTES):
+                window = packets[start:stop]
+                size = -(-len(window) // (self.CHUNKS_PER_PROCESS * (len(self.procs) + 1)))
+                self.next_chunk.value = 0  # no child is claiming: each answered the last round
+                for k, conn in enumerate(self.conns):
+                    try:
+                        conn.send((window, start, size))
+                    except OSError as exc:
+                        raise self._exited(k) from exc
+                replies = [_scan_chunks(db, window, start, size, self.next_chunk)]
+                for k, conn in enumerate(self.conns):
+                    try:
+                        replies.append(conn.recv())
+                    except (EOFError, OSError) as exc:
+                        raise self._exited(k) from exc
+                    if isinstance(replies[-1], str):
+                        raise RuntimeError(f"worker process {self.procs[k].pid} failed:\n{replies[-1]}")
+                for stats, found in replies:
+                    total.merge(stats)
+                    matches.extend(found)
+            return total, matches
+        finally:
+            if pinned:
+                os.sched_setaffinity(0, before)
 
     def _exited(self, k: int) -> RuntimeError:
         return RuntimeError(f"worker process {self.procs[k].pid} exited")
@@ -730,9 +764,10 @@ def scan_corpus(
     their counters and matches; the report does not depend on n.
 
     With n = 1 the corpus is scanned in this thread. Otherwise this process
-    and n - 1 forked worker processes share the packets out in chunks. The
-    workers are started on the first such call for a database and kept for
-    later calls with the same database object and n; another database or n
+    and n - 1 forked worker processes share the packets out in chunks, each
+    process on a CPU of its own (see `_WorkerPool`). The workers are started
+    on the first such call for a database and kept for later calls with the
+    same database object, n and affinity mask; a change in any of them
     starts new ones. A scan that raises in a worker, or a worker that dies,
     makes the call raise `RuntimeError`, and the next call starts new
     workers.

@@ -1002,17 +1002,26 @@ def test_workers_are_kept_for_a_database_and_renewed_for_another():
     assert all(process_gone(pid) for pid in pids)
 
 
-def test_a_scan_that_raises_in_a_worker_surfaces_as_runtime_error(monkeypatch):
+def fail_in_children(monkeypatch) -> list[set[int]]:
+    """Make `scan_packet` raise in every worker process; the list it returns
+    gathers this process's CPU set at each packet it scans."""
     parent = os.getpid()
     real = engine.scan_packet
+    masks: list[set[int]] = []
 
     def fails_in_children(db, data, stats):
         if os.getpid() != parent:
             raise KeyError("injected")
+        masks.append(os.sched_getaffinity(0))
         time.sleep(0.02)  # leaves chunks for the child to claim
         return real(db, data, stats)
 
     monkeypatch.setattr(engine, "scan_packet", fails_in_children)
+    return masks
+
+
+def test_a_scan_that_raises_in_a_worker_surfaces_as_runtime_error(monkeypatch):
+    fail_in_children(monkeypatch)
     db, _ = compile_rules(SMALL_RULES)  # a new database, so the workers fork with the patch
     with deadline(30), pytest.raises(RuntimeError, match=r"failed:(.|\n)*KeyError: 'injected'"):
         scan_corpus(db, SMALL_PACKETS, workers=2)
@@ -1031,6 +1040,68 @@ def test_a_killed_worker_fails_one_call_and_the_next_starts_afresh():
             scan_corpus(db, SMALL_PACKETS, workers=2)
         assert scan_corpus(db, SMALL_PACKETS, workers=2).to_json() == serial
     assert victim.pid not in worker_pids()
+
+
+def need_two_cpus() -> None:
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("placement needs at least 2 usable CPUs")
+
+
+def test_each_process_of_a_parallel_scan_has_a_cpu_of_its_own(monkeypatch):
+    need_two_cpus()
+    parent = os.getpid()
+    real = engine._scan_chunks
+    masks = []
+
+    def spy(*args):
+        if os.getpid() == parent:
+            masks.append(os.sched_getaffinity(0))
+        return real(*args)
+
+    monkeypatch.setattr(engine, "_scan_chunks", spy)
+    db, _ = compile_rules(SMALL_RULES)
+    before = os.sched_getaffinity(0)
+    scan_corpus(db, SMALL_PACKETS, workers=2)
+    (worker,) = worker_pids()
+    here, there = masks[0], os.sched_getaffinity(worker)
+    assert len(masks) == 1 and len(here) == len(there) == 1 and here != there
+    assert here | there <= before
+    assert os.sched_getaffinity(0) == before
+
+
+def test_the_callers_mask_is_put_back_after_a_round_that_raises(monkeypatch):
+    need_two_cpus()
+    masks = fail_in_children(monkeypatch)
+    db, _ = compile_rules(SMALL_RULES)
+    before = os.sched_getaffinity(0)
+    with deadline(30), pytest.raises(RuntimeError, match="injected"):
+        scan_corpus(db, SMALL_PACKETS, workers=2)
+    assert masks and all(len(mask) == 1 for mask in masks)  # pinned during the round
+    assert os.sched_getaffinity(0) == before
+
+
+def test_the_callers_mask_is_put_back_after_a_killed_worker():
+    need_two_cpus()
+    db, _ = compile_rules(SMALL_RULES)
+    scan_corpus(db, SMALL_PACKETS, workers=2)
+    (victim,) = multiprocessing.active_children()
+    os.kill(victim.pid, signal.SIGKILL)
+    victim.join(timeout=10)
+    before = os.sched_getaffinity(0)
+    with deadline(30), pytest.raises(RuntimeError, match="exited"):
+        scan_corpus(db, SMALL_PACKETS, workers=2)
+    assert os.sched_getaffinity(0) == before
+
+
+def test_a_caller_whose_mask_changed_gets_new_workers(monkeypatch):
+    need_two_cpus()
+    db, _ = compile_rules(SMALL_RULES)
+    first = scan_corpus(db, SMALL_PACKETS, workers=2).to_json()
+    pids = worker_pids()
+    cpus(monkeypatch, len(os.sched_getaffinity(0)) + 1)  # another mask, and still 2 processes
+    assert scan_corpus(db, SMALL_PACKETS, workers=2).to_json() == first
+    renewed = worker_pids()
+    assert len(renewed) == 1 and not renewed & pids
 
 
 @pytest.mark.parametrize("ending", ["exit", "sigkill"])
