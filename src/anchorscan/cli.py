@@ -137,12 +137,12 @@ def bench_filterfp(
     n_probes: int = 100_000,
     seed: int = 7,
 ) -> list[dict]:
-    """Measured false-positive rate of the eight-byte xor unit."""
+    """Measured false-positive rate of a xor unit over eight-byte keys."""
     rng = random.Random(seed)
     keys = set()
     while len(keys) < n_keys:
         keys.add(rng.randbytes(8))
-    unit = build_xor_unit(sorted(keys), 8, splitmix64(seed))
+    unit = build_xor_unit(sorted(keys), splitmix64(seed))
     false_positives = 0
     probes = 0
     while probes < n_probes:
@@ -348,19 +348,16 @@ def _cmd_gen(args) -> int:
             else:
                 sys.stdout.write(text)
             return 0
-        if args.traffic:
-            if not args.out:
-                print("--traffic requires --out", file=sys.stderr)
-                return 2
-            packets = random_packets(args.bytes, args.packet_len, args.seed)
-            write_corpus(args.out, packets)
-            print(f"wrote {len(packets)} packets ({args.bytes} bytes) -> {args.out}")
-            return 0
+        if not args.out:
+            print("--traffic requires --out", file=sys.stderr)
+            return 2
+        packets = random_packets(args.bytes, args.packet_len, args.seed)
+        write_corpus(args.out, packets)
+        print(f"wrote {len(packets)} packets ({args.bytes} bytes) -> {args.out}")
+        return 0
     except OSError as exc:  # an unwritable --out
         print(f"gen failed: {exc}", file=sys.stderr)
         return 1
-    print("gen needs --family or --traffic", file=sys.stderr)
-    return 2
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -401,9 +398,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("gen", help="generate synthetic rules or traffic")
-    p.add_argument("--family", choices=["dotstar"], help="rule family")
+    kind = p.add_mutually_exclusive_group(required=True)
+    kind.add_argument("--family", choices=["dotstar"], help="rule family")
+    kind.add_argument("--traffic", choices=["random"], help="traffic kind")
     p.add_argument("--k", type=_family_size, default=20, help="family size")
-    p.add_argument("--traffic", choices=["random"], help="traffic kind")
     p.add_argument("--bytes", type=_positive, default=1_000_000)
     p.add_argument("--seed", type=int, default=0x7AFF)
     p.add_argument("--packet-len", type=_positive, default=1500, dest="packet_len")

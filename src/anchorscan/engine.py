@@ -14,6 +14,10 @@ for one only once a rule it serves has recorded a trigger split there.
 `scan_packet` runs one loop over the bank's hit offsets and then the held
 pairs' occurrences, and every record goes straight on to its forward
 thread; only the verifier asks which rules are live.
+
+A database stores no context gate. `CompiledDatabase.__post_init__` reads
+both, the bank's and the held pairs', off the reverse table, at compile and
+at load alike, so neither the bank's build nor its load sees an automaton.
 """
 from __future__ import annotations
 
@@ -29,7 +33,7 @@ import time
 import traceback
 import weakref
 import zlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .automata import build_forward_dfa, build_reverse_dfa
@@ -51,7 +55,7 @@ from .verify import (
 )
 
 _MAGIC = b"ASDB"
-_VERSION = 7
+_VERSION = 8
 
 
 def _json(obj) -> bytes:
@@ -107,8 +111,8 @@ class CompiledDatabase:
     #: bit): everything a reverse-thread accept needs, in one index;
     #: derived, not serialized
     scan_table: tuple[tuple[int, int, int, bool], ...] = field(init=False, repr=False, compare=False)
-    #: the held pairs with their rules, behind their own context gate,
-    #: read off the reverse automaton as the bank's is; derived
+    #: the held pairs with their rules, behind their own context gate;
+    #: derived
     held_search: HeldPairs = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -116,7 +120,9 @@ class CompiledDatabase:
         trip over: a split outside the rule tables, a reverse accept or a
         forward entry that names no split, a rule with no trigger fragment
         or a fragment only partly one, and a held pair that is a key of the
-        bank or serves no rule in order."""
+        bank or serves no rule in order. Then read both context gates off
+        the reverse table, and replace the bank by the same bank with its
+        gate."""
         checks, entries = self.checks, self.forward_stt.entries
         for rule_idx, rc in enumerate(checks):
             if len(rc.gaps) != rc.n_fragments + 1:
@@ -148,9 +154,10 @@ class CompiledDatabase:
                 raise ValueError(f"held pair {value:#06x} serves {list(rules)}, not an increasing list of rules")
             last = value
         self.scan_table = tuple(table)
+        ctx2, pre2 = context_gate(self.bank.unit2, self.reverse_stt)
+        self.bank = replace(self.bank, ctx2=ctx2, pre2=pre2)
         held = DirectFilterUnit.of_values([value for value, _rules in self.held])
-        rs = self.reverse_stt
-        self.held_search = HeldPairs(self.held, *context_gate(held, rs.start, rs.accepts, rs.dense_rows))
+        self.held_search = HeldPairs(self.held, *context_gate(held, self.reverse_stt))
 
     # --- serialization ---------------------------------------------------
 
@@ -207,13 +214,9 @@ class CompiledDatabase:
         manifest = json.loads(raw)
         if _json(manifest) != raw:
             raise ValueError("rule database manifest is not in canonical form")
-        bank_blob = r.blob()
+        bank = FilterBank.from_bytes(r.blob())
         reverse_stt = CompressedStt.from_bytes(r.blob())
         forward_stt = CompressedStt.from_bytes(r.blob())
-        # the context gate is read off the reverse automaton, as at compile
-        bank = FilterBank.from_bytes(
-            bank_blob, lambda unit2: context_gate(unit2, reverse_stt.start, reverse_stt.accepts, reverse_stt.dense_rows)
-        )
 
         (n_splits,) = r.unpack("<I")
         splits = []
@@ -342,21 +345,16 @@ def compile_rules(
     # fragment's 2-byte key is a trigger's or a held pair
     bank_keys = [key for key, m in zip(keys, split_meta) if key.length != 2 or m.trigger]
 
-    # the reverse automaton comes first: the filter bank's context gate is
-    # read off its dense table, which `compress` then encodes
     t0 = time.perf_counter()
-    reverse = build_reverse_dfa(rev_in)
-    dfa_build = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    bank = build_filter_bank(bank_keys, reverse=reverse)
+    bank = build_filter_bank(bank_keys)
     timings["filter_build"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    reverse_stt = compress(reverse)
-    del reverse  # so that its dense table is not held through the forward build
+    # each dense automaton is freed once compressed, so that the reverse
+    # one's table is not held through the forward build
+    reverse_stt = compress(build_reverse_dfa(rev_in))
     forward_stt = compress(build_forward_dfa(fwd_in))
-    timings["dfa_build"] = dfa_build + time.perf_counter() - t0
+    timings["dfa_build"] = time.perf_counter() - t0
 
     db = CompiledDatabase(
         bank=bank,

@@ -404,7 +404,8 @@ def reverse_tree(node: Node) -> Node:
 
 
 def render(node: Node) -> str:
-    """Best-effort pattern text for a tree; used in reports and repr."""
+    """Best-effort pattern text for a tree. No report or repr uses it; the
+    tests state a decomposition's pieces with it."""
     if isinstance(node, Atom):
         return _render_class(node.cls)
     if isinstance(node, Seq):

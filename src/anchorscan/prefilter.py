@@ -1,35 +1,37 @@
 """The filter bank: membership structures gating the rest of the pipeline.
 
-Three units, one per supported key length. Length-2 keys live in an exact
-2^16-bit bitmap (no false positives). Length-4 and length-8 keys live in
-3-way xor filters: per key, three slots chosen by hash must xor to the key's
-fingerprint. Lookups cost three loads and never miss a member. A window is
-hashed with one `splitmix64` round; each slot maps a 21-bit chunk of that
-hash into its block by multiply-shift, and the one-byte fingerprint is the
-top 8 bits of the hash times the golden ratio (`XorFilterUnit._mix`), so a
-lookup needs no second round and no division. Non-members pass at about
-2^-8.
+Two units. Length-2 keys live in an exact 2^16-bit bitmap (no false
+positives). Length-4 and length-8 keys live together in one 3-way xor
+filter, each read as a big-endian integer: per key, three slots chosen by
+hash must xor to the key's fingerprint. Lookups cost three loads and never
+miss a member. The two widths share one key space, so a 4-byte key and an
+8-byte key of the same value are one member; such an alias can only add a
+false positive. A window is hashed with one `splitmix64` round; each slot
+maps a 21-bit chunk of that hash into its block by multiply-shift, and the
+one-byte fingerprint is the top 8 bits of the hash times the golden ratio
+(`XorFilterUnit._mix`), so a lookup needs no second round and no division.
+Non-members pass at about 2^-8.
 
-Each xor unit sits behind two more 2^16-bit bitmaps, its gates: the set of
+Each width sits behind two more 2^16-bit bitmaps, its gates: the set of
 first two bytes and the set of last two bytes of its concrete keys. Scanning
 maps every 2-byte window of a packet to one flag byte (the direct unit's
 bits, the four gate bits and a lead bit) with a single gather, reports the
 direct hits, and hashes a 4- or 8-byte window only when its head and tail
-pairs both pass their gates. Every key passes its own gates, so the gates
-cost no false negatives; on clean traffic most packets make no hash call at
-all.
+pairs both pass their width's gates. Every key passes its own gates, so the
+gates cost no false negatives; on clean traffic most packets make no hash
+call at all. A xor hit is reported with its window's width as its unit
+code, `UNIT_XOR4` or `UNIT_XOR8`.
 
-The direct unit has a context gate too, built from the reverse automaton
+The direct unit has a context gate too, read off the reverse automaton
 that runs from every hit. A 2-byte key (a, b) whose reverse run is still
 alive after reading b and a, with nothing accepted, is in `ctx2`: its run
 records nothing unless it survives the byte x before the key as well.
 `pre2` holds every pair (x, a) after which the run of some `ctx2` key
 (a, .) is alive. A `ctx2` hit at window k is reported only when k > 0 and
 window k - 1 is in `pre2`, so the gate drops only hits whose reverse thread
-would record nothing. The gate is derived, never stored: compile reads it
-off the dense reverse automaton, and a database load off the loaded
-reverse table (`FilterBank.from_bytes` takes it). A bank built from keys
-alone has no context gate.
+would record nothing. The gate is derived, never stored: a database reads
+it off its reverse table (`context_gate`) when it is compiled or loaded.
+A bank built or loaded from keys alone has no context gate.
 
 Only lead windows, those with a direct bit or a head-gate bit, can start a
 hit; their flags carry the top bit, so `flags >= 0x80` lists them, once per
@@ -38,12 +40,11 @@ is finished by one Python pass over its lead windows, or at once when it
 has none; one with many is tested with numpy over all windows. Windows are
 read in place through one-byte-stride views of the packet. Both paths hash
 their gated windows in one place: one by one with the scalar `contains`
-when a packet has few, and otherwise in one vectorized call over both
-units, against their fingerprints concatenated when the bank is built or
-loaded. `scan` returns its hits as lists of plain ints, new on every call;
-the Python pass collects its direct hits in order and sorts only when a
-xor hit joins them. Tests hold `scan` to a brute-force per-window query
-that applies the same gates.
+when a packet has few, and otherwise in one vectorized call over the
+windows of both widths. `scan` returns its hits as lists of plain ints, new
+on every call; the Python pass collects its direct hits in order and sorts
+only when a xor hit joins them. Tests hold `scan` to a brute-force
+per-window query that applies the same gates.
 
 The engine keeps the 2-byte keys that only non-trigger fragments need out
 of the bank, as `HeldPairs`: a packet is searched for those pairs only
@@ -52,22 +53,22 @@ when a rule they serve is live in it, behind a context gate of their own.
 from __future__ import annotations
 
 import struct
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import or_
 
 import numpy as np
 
-from .automata import DEAD, Dfa
+from .automata import DEAD
 from .blob import BlobReader
 from .decompose import FilterKey
+from .stt import CompressedStt
 
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _CHUNK_BITS = 21  # a slot comes from one 21-bit chunk of a window's hash
 _CHUNK = (1 << _CHUNK_BITS) - 1
-#: fingerprint width of the xor units: one byte per slot
+#: fingerprint width of the xor unit: one byte per slot
 FP_BITS = 8
 
 #: unit codes; also the tie-break order for hits at the same end offset
@@ -90,7 +91,7 @@ _PRE = 0x40  # a pair of `pre2`
 #: head-gate bit), as the top bit, so `flags >= _LEAD` lists the leads
 _LEAD = 0x80
 
-#: gated windows per packet, over both xor units, up to which `scan` hashes
+#: gated windows per packet, over both widths, up to which `scan` hashes
 #: each window in a scalar loop instead of one vectorized call over all of
 #: them. On a 2-core x86 host with numpy 2.4 the call costs a near-fixed
 #: 25-28 us (about 35 numpy dispatches) whatever its length, and a window
@@ -151,25 +152,6 @@ def _splitmix64_vec(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         x *= mul
     x ^= np.right_shift(x, _LAST_SHIFT, out=shifted)
     return x
-
-
-def _mix_vec(values: np.ndarray, seed, block_len, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`XorFilterUnit._mix` over a uint64 array: a `(3, n)` int64 array of
-    the three slots per value, each added to the start of its block in
-    `blocks`, and the uint64 fingerprints. `seed` and `block_len` are uint64
-    scalars and `blocks` has shape `(3, 1)`, or they hold one column per
-    value when the values belong to different units. Each step works in
-    place on one array per result, so a call makes few dispatches."""
-    h = np.bitwise_xor(values, seed, dtype=np.uint64)
-    _splitmix64_vec(h, out=h)
-    fp = np.multiply(h, _GOLDEN_U64)
-    fp >>= _FP_SHIFT
-    slots = np.right_shift(h, _CHUNK_SHIFTS)  # one 21-bit chunk per row
-    slots &= _CHUNK_U64
-    slots *= block_len
-    slots >>= _CHUNK_BITS_U64
-    slots += blocks
-    return slots.view(np.int64), fp  # every slot is below 2^63
 
 
 def _windows(data: bytes, w: int) -> np.ndarray:
@@ -248,19 +230,19 @@ class DirectFilterUnit:
         return DirectFilterUnit.of_values(values)
 
 
-# --- xor units for 4- and 8-byte keys --------------------------------------------
+# --- the xor unit for 4- and 8-byte keys ---------------------------------------
 
 
 @dataclass
 class XorFilterUnit:
-    """3-way xor filter over fixed-width byte windows.
+    """3-way xor filter over byte windows read as big-endian integers.
 
     `fingerprints` holds three consecutive blocks of `block_len` one-byte
     slots; a key hashes to one slot per block and is a member iff the three
-    slots xor to its fingerprint.
+    slots xor to its fingerprint. Windows of every width share the one key
+    space of their integer values.
     """
 
-    width: int
     seed: int = 0
     block_len: int = 0
     key_count: int = 0
@@ -295,13 +277,24 @@ class XorFilterUnit:
         return slots[i0] ^ slots[i1] ^ slots[i2] == fp
 
     def _mix_vec(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`_mix` over a uint64 array: a `(3, n)` int64 array of the three
+        slots per value and the uint64 fingerprints. Each step works in
+        place on one array per result, so a call makes few dispatches."""
         bl = np.uint64(self.block_len)
-        return _mix_vec(values, np.uint64(self.seed), bl, _THIRDS * bl)
+        h = np.bitwise_xor(values, np.uint64(self.seed), dtype=np.uint64)
+        _splitmix64_vec(h, out=h)
+        fp = np.multiply(h, _GOLDEN_U64)
+        fp >>= _FP_SHIFT
+        slots = np.right_shift(h, _CHUNK_SHIFTS)  # one 21-bit chunk per row
+        slots &= _CHUNK_U64
+        slots *= bl
+        slots >>= _CHUNK_BITS_U64
+        slots += _THIRDS * bl  # each row's block start
+        return slots.view(np.int64), fp  # every slot is below 2^63
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, XorFilterUnit)
-            and self.width == other.width
             and self.seed == other.seed
             and self.block_len == other.block_len
             and self.key_count == other.key_count
@@ -309,14 +302,15 @@ class XorFilterUnit:
         )
 
 
-def build_xor_unit(keys: list[bytes], width: int, base_seed: int, attempts: int = 100) -> XorFilterUnit:
-    """Peel-and-backfill construction; retries with fresh seeds on failure.
+def build_xor_unit(keys: list[bytes], base_seed: int, attempts: int = 100) -> XorFilterUnit:
+    """Peel-and-backfill construction over the keys' big-endian values, of
+    any width; retries with fresh seeds on failure.
 
     Each attempt hashes every key once with `_mix_vec`, as the vectorized
     scan does, and the peel and the backfill share the resulting slot
     triples.
     """
-    unit = XorFilterUnit(width=width)
+    unit = XorFilterUnit()
     values = np.array(sorted({int.from_bytes(k, "big") for k in keys}), dtype=np.uint64)
     n = len(values)
     if not n:
@@ -342,9 +336,7 @@ def build_xor_unit(keys: list[bytes], width: int, base_seed: int, attempts: int 
             slots[slot] = fps[idx] ^ slots[a] ^ slots[b] ^ slots[c]
         unit.fingerprints = np.array(slots, dtype=np.uint8)
         return unit
-    raise FilterBuildError(
-        f"xor unit (width {width}) failed to build after {attempts} seeds for {n} keys"
-    )
+    raise FilterBuildError(f"xor unit failed to build after {attempts} seeds for {n} keys")
 
 
 def _peel(triples: list[tuple[int, int, int]], m: int) -> list[tuple[int, int]] | None:
@@ -380,8 +372,8 @@ def _peel(triples: list[tuple[int, int, int]], m: int) -> list[tuple[int, int]] 
 @dataclass
 class FilterBank:
     unit2: DirectFilterUnit
-    unit4: XorFilterUnit
-    unit8: XorFilterUnit
+    #: the 4- and 8-byte keys, in one key space
+    xor: XorFilterUnit
     #: gates: first and last two bytes of every concrete 4- and 8-byte key
     head4: DirectFilterUnit
     tail4: DirectFilterUnit
@@ -389,16 +381,14 @@ class FilterBank:
     tail8: DirectFilterUnit
     #: the context gate: the 2-byte keys whose hits need their context byte
     #: (a subset of `unit2`), and the pairs (byte before, key's first byte)
-    #: that let such a hit through; derived from the reverse automaton, not
-    #: serialized, and both empty in a bank built or loaded without it
+    #: that let such a hit through; derived from the reverse table by the
+    #: database that holds the bank, not serialized, and both empty in a
+    #: bank built or loaded from keys alone
     ctx2: DirectFilterUnit = field(default_factory=lambda: DirectFilterUnit.of(()))
     pre2: DirectFilterUnit = field(default_factory=lambda: DirectFilterUnit.of(()))
     #: little-endian 2-byte window value -> direct, gate and lead bits;
     #: derived, not serialized
     flags: np.ndarray = field(init=False, repr=False, compare=False)
-    #: both xor units' fingerprints, xor-4's blocks first; derived, not
-    #: serialized
-    fingerprints: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ctx = self.ctx2.members()
@@ -415,17 +405,10 @@ class FilterBank:
             flags |= members * np.uint8(bit)
         flags[(flags & (_DIRECT | _DIRECTX | _HEAD4 | _HEAD8)) != 0] |= _LEAD
         self.flags = _little_endian(flags)
-        u4, u8 = self.unit4, self.unit8
-        self.fingerprints = np.concatenate((u4.fingerprints, u8.fingerprints))
-        # per unit, what `_hash_vector` repeats over that unit's windows
-        self._seeds = np.array([u4.seed, u8.seed], dtype=np.uint64)
-        self._block_lens = np.array([u4.block_len, u8.block_len], dtype=np.uint64)
-        # block starts in `fingerprints`: xor-4's three blocks, then xor-8's
-        self._blocks = _THIRDS * self._block_lens + np.array([0, 3 * u4.block_len], dtype=np.uint64)
 
     @property
     def key_count(self) -> int:
-        return self.unit2.key_count + self.unit4.key_count + self.unit8.key_count
+        return self.unit2.key_count + self.xor.key_count
 
     def scan(self, data: bytes) -> tuple[list[int], list[int]]:
         """All filter hits over a packet.
@@ -485,62 +468,54 @@ class FilterBank:
 
     def _hashed_hits(self, data: bytes, starts4, starts8) -> list[int]:
         """The packed hits of the gated 4- and 8-byte windows at `starts4`
-        and `starts8` (ints, ascending) that their xor units hold: tested
-        one by one with `contains` up to `_SCALAR_WINDOWS` windows, in one
+        and `starts8` (ints, ascending) that the xor unit holds: tested one
+        by one with `contains` up to `_SCALAR_WINDOWS` windows, in one
         vectorized call above."""
         if len(starts4) + len(starts8) > _SCALAR_WINDOWS:
             return self._hash_vector(data, starts4, starts8)
+        contains = self.xor.contains
         hits = []
-        for unit, starts, bias in ((self.unit4, starts4, _BIAS4), (self.unit8, starts8, _BIAS8)):
-            w = unit.width
+        for starts, w, bias in ((starts4, 4, _BIAS4), (starts8, 8, _BIAS8)):
             for k in map(int, starts):
-                if unit.contains(data[k : k + w]):
+                if contains(data[k : k + w]):
                     hits.append(4 * k + bias)
         return hits
 
     def _hash_vector(self, data: bytes, starts4, starts8) -> list[int]:
-        """`_hashed_hits` in one vectorized pass over both units' windows,
-        against the concatenated `fingerprints`."""
-        # an empty unit has no slots to index, and holds no window
-        starts4 = np.asarray(starts4 if self.unit4.key_count else (), dtype=np.int64)
-        starts8 = np.asarray(starts8 if self.unit8.key_count else (), dtype=np.int64)
-        counts = (len(starts4), len(starts8))
+        """`_hashed_hits` in one vectorized pass over the windows of both
+        widths."""
+        unit = self.xor
+        if not unit.key_count:  # an empty unit has no slots to index, and holds no window
+            return []
+        starts4 = np.asarray(starts4, dtype=np.int64)
+        starts8 = np.asarray(starts8, dtype=np.int64)
         values = np.concatenate((_windows(data, 4)[starts4], _windows(data, 8)[starts8]), dtype=np.uint64)
-        slots, fp = _mix_vec(
-            values,
-            self._seeds.repeat(counts),
-            self._block_lens.repeat(counts),
-            self._blocks.repeat(counts, axis=1),
-        )
-        held = np.bitwise_xor.reduce(self.fingerprints[slots], axis=0) == fp
+        slots, fp = unit._mix_vec(values)
+        held = np.bitwise_xor.reduce(unit.fingerprints[slots], axis=0) == fp
         hits = np.concatenate((starts4, starts8))
         hits *= 4
-        hits += _BIASES.repeat(counts)
+        hits += _BIASES.repeat((len(starts4), len(starts8)))
         return hits[held].tolist()
 
-    # --- serialization: pair sets, then per xor unit its seed, sizes and slots ---
+    # --- serialization: pair sets, then the xor unit's seed, sizes and slots ---
 
     def to_bytes(self) -> bytes:
         out = [pair_set.to_bytes() for pair_set in (self.unit2, self.head4, self.tail4, self.head8, self.tail8)]
-        for unit in (self.unit4, self.unit8):
-            out.append(struct.pack("<QII", unit.seed, unit.key_count, unit.block_len))
-            out.append(unit.fingerprints.tobytes())
+        out.append(struct.pack("<QII", self.xor.seed, self.xor.key_count, self.xor.block_len))
+        out.append(self.xor.fingerprints.tobytes())
         return b"".join(out)
 
     @staticmethod
-    def from_bytes(blob: bytes, gate: Callable[[DirectFilterUnit], tuple] | None = None) -> "FilterBank":
-        """The bank of a blob, with the context gate `(ctx2, pre2)` that
-        `gate(unit2)` gives (`context_gate`), or none without `gate`."""
+    def from_bytes(blob: bytes) -> "FilterBank":
+        """The bank of a blob, with no context gate."""
         r = BlobReader(blob, "filter bank")
         unit2, head4, tail4, head8, tail8 = [DirectFilterUnit.read(r) for _ in range(5)]
-        units = []
-        for width in (4, 8):  # the xor-4 unit, then the xor-8 one
-            seed, key_count, block_len = r.unpack("<QII")
-            if (key_count > 0) != (block_len > 0):
-                raise ValueError(f"corrupt xor-{width} unit header ({key_count} keys, block {block_len})")
-            units.append(XorFilterUnit(width, seed, block_len, key_count, r.array(np.uint8, 3 * block_len).copy()))
+        seed, key_count, block_len = r.unpack("<QII")
+        if (key_count > 0) != (block_len > 0):
+            raise ValueError(f"corrupt xor unit header ({key_count} keys, block {block_len})")
+        xor = XorFilterUnit(seed, block_len, key_count, r.array(np.uint8, 3 * block_len).copy())
         r.finish()
-        return FilterBank(unit2, *units, head4, tail4, head8, tail8, *(gate(unit2) if gate else ()))
+        return FilterBank(unit2, xor, head4, tail4, head8, tail8)
 
 
 def _little_endian(flags: np.ndarray) -> np.ndarray:
@@ -653,37 +628,30 @@ def _unpacked(hits: list[int]) -> tuple[list[int], list[int]]:
     return [h >> 2 for h in hits], [UNIT_DIRECT << (h & 3) for h in hits]
 
 
-def build_filter_bank(keys: list[FilterKey], reverse: Dfa | None = None) -> FilterBank:
-    """Expand every split's key, plant the strings in the right unit and
-    their first and last two bytes in that unit's gates. Given the dense
-    reverse automaton that runs from every hit, also build the direct
-    unit's context gate (`_context_gate`)."""
+def build_filter_bank(keys: list[FilterKey]) -> FilterBank:
+    """Expand every split's key, plant the 2-byte strings in the direct
+    unit and the longer ones in the xor unit, and the first and last two
+    bytes of each longer one in its width's gates. The bank has no context
+    gate: the database that holds it derives one (`context_gate`)."""
     by_len: dict[int, set[bytes]] = {2: set(), 4: set(), 8: set()}
     for key in keys:
         by_len[key.length].update(key.expand())
 
-    unit2 = DirectFilterUnit.of(by_len[2])
-    unit4 = build_xor_unit(sorted(by_len[4]), 4, splitmix64(0x5EED ^ 4))
-    unit8 = build_xor_unit(sorted(by_len[8]), 8, splitmix64(0x5EED ^ 8))
-    gate = () if reverse is None else context_gate(unit2, reverse.start, reverse.accepts, reverse.table.__getitem__)
     return FilterBank(
-        unit2,
-        unit4,
-        unit8,
+        DirectFilterUnit.of(by_len[2]),
+        build_xor_unit([*by_len[4], *by_len[8]], splitmix64(0x5EED)),
         DirectFilterUnit.of(k[:2] for k in by_len[4]),
         DirectFilterUnit.of(k[2:] for k in by_len[4]),
         DirectFilterUnit.of(k[:2] for k in by_len[8]),
         DirectFilterUnit.of(k[6:] for k in by_len[8]),
-        *gate,
     )
 
 
-def context_gate(unit2: DirectFilterUnit, start: int, accepts, rows) -> tuple[DirectFilterUnit, DirectFilterUnit]:
-    """`ctx2` and `pre2` of the 2-byte keys in `unit2`, from the reverse
-    automaton that runs from every hit: its start state, its accept labels
-    per state, and `rows`, which maps an array of states to their dense
-    `(len, 256)` successor rows. It asks only for the start row and the
-    rows of the states that the keys' runs reach in their first two steps.
+def context_gate(pairs: DirectFilterUnit, stt: CompressedStt) -> tuple[DirectFilterUnit, DirectFilterUnit]:
+    """`ctx2` and `pre2` of the 2-byte keys in `pairs`, from `stt`, the
+    reverse table that runs from every hit. It reads only the dense rows of
+    the start state and of the states that the keys' runs reach in their
+    first two steps (`CompressedStt.dense_rows`).
 
     A direct hit (a, b) at window k starts a reverse run that reads b, then
     a, then the byte x before them. `ctx2` holds the keys whose run is
@@ -692,12 +660,13 @@ def context_gate(unit2: DirectFilterUnit, start: int, accepts, rows) -> tuple[Di
     which the run of some `ctx2` key (a, .) is still alive. So a `ctx2` hit
     with no `pre2` pair before it, or at window 0, records nothing.
     """
-    accepting = np.array([bool(labels) for labels in accepts])
-    values = np.flatnonzero(unit2.members())
-    if accepting[start] or not len(values):
+    accepting = np.array([bool(labels) for labels in stt.accepts])
+    values = np.flatnonzero(pairs.members())
+    if accepting[stt.start] or not len(values):
         return DirectFilterUnit.of(()), DirectFilterUnit.of(())
+    rows = stt.dense_rows
     first = values >> 8
-    after_b = rows(np.array([start]))[0][values & 0xFF]
+    after_b = rows(np.array([stt.start]))[0][values & 0xFF]
     seen, back = np.unique(after_b, return_inverse=True)
     after_a = rows(seen)[back, first]
     # the dead state accepts nothing and only leads to itself

@@ -56,7 +56,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import length_hint
-from typing import NamedTuple
 
 import numpy as np
 
@@ -379,13 +378,6 @@ def gap_from_bytes(buf: bytes | memoryview, pos: int) -> tuple[Gap, int]:
 # --- per-packet verification state -------------------------------------------
 
 
-class MatchEvent(NamedTuple):
-    rule_idx: int
-    k: int       # fragment index within the rule, 0-based
-    pos_s: int   # first byte of the fragment match
-    pos_e: int   # last byte of the fragment match
-
-
 #: how an interior gap finds a matching record of the fragment before it
 _LOOKUP = 0  # the latest record that leaves `lo` bytes, by position (`bisect`)
 _RUNS = 1    # each kept record's automaton run, resumed where it stopped
@@ -501,8 +493,9 @@ class VerificationState:
         self.escalated = False
 
     def on_fragment_match(self, ev: tuple[int, int, int, int]) -> list[tuple[int, int]]:
-        """Take one fragment match, a `MatchEvent` or a plain tuple of the
-        same fields, and return the rule matches it completes."""
+        """Take one fragment match, a `(rule_idx, k, pos_s, pos_e)` tuple:
+        fragment k (0-based) of the rule matched bytes pos_s..pos_e. Return
+        the rule matches it completes."""
         rule_idx, k, pos_s, pos_e = ev
         rule = self.checks[rule_idx]
 

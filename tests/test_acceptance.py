@@ -17,7 +17,7 @@ from anchorscan.automata import (
     build_reverse_dfa,
     classic_state_count,
 )
-from anchorscan.cli import bench_compression, bench_overheads, bench_statecount
+from anchorscan.cli import bench_compression, bench_overheads, bench_statecount, read_rules_file
 from anchorscan.decompose import decompose_rule
 from anchorscan.engine import ScanStats, compile_rules, scan_corpus, scan_packet
 from anchorscan.oracle import oracle_match
@@ -106,7 +106,7 @@ def test_criterion_2_state_explosion(capsys):
     bro_note = "bro217 file not supplied, branch skipped"
     bro_ok = True
     if bro.exists():
-        patterns = [l for l in bro.read_text().splitlines() if l.strip()]
+        patterns = read_rules_file(bro)
         _, rep = compile_rules(patterns)
         anchored = rep.counters["reverse_states"] + rep.counters["forward_states"]
         classic = classic_state_count([parse(p, i).tree for i, p in enumerate(patterns)], cap=10**7)
@@ -181,7 +181,7 @@ def test_criterion_5_xor_fp_rate(capsys):
     keys = set()
     while len(keys) < 10_000:
         keys.add(rng.randbytes(8))
-    unit = build_xor_unit(sorted(keys), 8, splitmix64(99))
+    unit = build_xor_unit(sorted(keys), splitmix64(99))
 
     false_negatives = sum(0 if unit.contains(k) else 1 for k in keys)
     false_positives = 0

@@ -52,13 +52,32 @@ def test_gen_traffic_deterministic(tmp_path):
 
 
 def test_gen_usage_errors(capsys):
-    assert run(["gen"]) == 2
     assert run(["gen", "--traffic", "random", "--bytes", "10"]) == 2  # no --out
     for argv in (["gen", "--family", "nope"], ["gen", "--traffic", "nope", "--out", "x.pkts"]):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
         assert "invalid choice: 'nope'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen", "--k", "2"], "one of the arguments --family --traffic is required"),
+        (
+            ["gen", "--family", "dotstar", "--k", "2", "--traffic", "random", "--out", "x"],
+            "argument --traffic: not allowed with argument --family",
+        ),
+    ],
+)
+def test_gen_takes_exactly_one_of_family_and_traffic(argv, message, tmp_path, capsys, monkeypatch):
+    # neither is a usage error, and so is both: one would be ignored
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_compile_scan_roundtrip(tmp_path, capsys):

@@ -39,7 +39,7 @@ from anchorscan.engine import (
 )
 from anchorscan.oracle import oracle_match
 from anchorscan.parser import parse
-from anchorscan.prefilter import DirectFilterUnit, context_gate
+from anchorscan.prefilter import DirectFilterUnit
 from anchorscan.verify import EXACT, INTERIOR, SUFFIX, ClassGap, DfaGap, DotGap, EmptyGap, RuleChecks, classify_gap
 from test_stt import corruptions
 
@@ -169,26 +169,29 @@ def test_bad_database_blob():
         CompiledDatabase.from_bytes(b"NOPE" + b"\x00" * 64)
 
 
-def test_version_2_database_raises_value_error():
-    # version 2 databases also stored the config and a digest per rule in
-    # the manifest, and version 1 transition tables; a correct checksum
-    # does not make them loadable
+@pytest.mark.parametrize(
+    "version",
+    [
+        # version 2 also stored the config and a digest per rule in the
+        # manifest, and version 1 transition tables
+        2,
+        # version 3 had no trigger bits and no held pairs: its split flags
+        # would read as non-trigger splits and its rule count as a held count
+        3,
+        # version 6 gave the bank and each table a magic and a version of
+        # their own, stored a continue-forward bit per split, a flag per
+        # manifest rule, and a count and length prefixes for the gaps
+        6,
+        # version 7's bank held one xor unit per key width
+        7,
+    ],
+)
+def test_old_database_version_raises_value_error(version):
+    # a correct checksum does not make an old database loadable
     blob = compile_rules(["ab.*cd"])[0].to_bytes()
-    assert blob[4] == 7
-    old = blob[:4] + b"\x02" + blob[5:-4]
-    old += struct.pack("<I", zlib.crc32(old))
-    with pytest.raises(ValueError, match="unsupported database version 2"):
-        CompiledDatabase.from_bytes(old)
-
-
-def test_version_3_database_raises_value_error():
-    # version 3 had no trigger bits and no held pairs: its split flags
-    # would read as non-trigger splits and its rule count as a held count
-    blob = compile_rules(["ab.*cd"])[0].to_bytes()
-    old = blob[:4] + b"\x03" + blob[5:-4]
-    old += struct.pack("<I", zlib.crc32(old))
-    with pytest.raises(ValueError, match="unsupported database version 3"):
-        CompiledDatabase.from_bytes(old)
+    assert blob[4] == 8
+    with pytest.raises(ValueError, match=f"unsupported database version {version}"):
+        CompiledDatabase.from_bytes(resealed(blob[:4] + bytes([version]) + blob[5:-4]))
 
 
 def test_version_4_database_raises_value_error():
@@ -211,15 +214,6 @@ def test_version_5_database_raises_value_error():
         CompiledDatabase.from_bytes(resealed(body))
     with pytest.raises(ValueError, match="unsupported database version 5"):
         CompiledDatabase.from_bytes(resealed(body[:4] + b"\x05" + body[5:]))
-
-
-def test_version_6_database_raises_value_error():
-    # version 6 gave the bank and each table a magic and a version of their
-    # own, stored a continue-forward bit per split, a flag per manifest rule,
-    # and a count and length prefixes for the gaps
-    blob = compile_rules(["ab.*cd"])[0].to_bytes()
-    with pytest.raises(ValueError, match="unsupported database version 6"):
-        CompiledDatabase.from_bytes(resealed(blob[:4] + b"\x06" + blob[5:-4]))
 
 
 def test_every_truncated_database_raises_value_error():
@@ -383,6 +377,31 @@ def test_load_equals_compile(rules_seed, count):
     assert not any(keys[value] for value, _rules in db.held)
 
 
+def test_a_database_derives_both_context_gates_from_its_reverse_table(monkeypatch):
+    # the bank that compile builds has no gate; a compiled and a loaded
+    # database give the bank, and the held pairs, the gate their reverse
+    # table gives, each derived once, when the database is made
+    rules = ["[xy]ab.*[pq]cd", "ef.*gh"]  # "cd" and "gh" are held, "ab" and "cd" gated
+    db, _ = compile_rules(rules)
+    held = DirectFilterUnit.of_values([value for value, _rules in db.held])
+    built, calls = [], []
+    build, gate = prefilter.build_filter_bank, prefilter.context_gate
+    monkeypatch.setattr(engine, "build_filter_bank", lambda keys: built.append(build(keys)) or built[-1])
+    monkeypatch.setattr(engine, "context_gate", lambda pairs, stt: calls.append((pairs, stt)) or gate(pairs, stt))
+    for make in (lambda: compile_rules(rules)[0], lambda: CompiledDatabase.from_bytes(db.to_bytes())):
+        made = make()
+        assert calls == [(made.bank.unit2, made.reverse_stt), (held, made.reverse_stt)]
+        calls.clear()
+        assert made.bank.ctx2.key_count
+        assert (made.bank.ctx2, made.bank.pre2) == gate(made.bank.unit2, made.reverse_stt) == (db.bank.ctx2, db.bank.pre2)
+        want = prefilter.HeldPairs(made.held, *gate(held, made.reverse_stt))
+        assert made.held_search._kinds.tolist() == want._kinds.tolist() == [0, 1, 2]
+        assert made.held_search._table.tobytes() == want._table.tobytes()
+    (bank,) = built
+    assert bank.ctx2.key_count == bank.pre2.key_count == 0
+    assert bank.unit2 == db.bank.unit2
+
+
 @pytest.mark.parametrize("rules", [mixed_rules(), list(PAPER_RULES)], ids=["mixed", "paper"])
 def test_database_stores_manifest_first_and_no_context_gate(rules):
     # the body opens with the manifest, with no config section before it,
@@ -447,13 +466,10 @@ def trigger_fragments(db) -> set[tuple[int, int]]:
 
 
 def with_held_keys(db):
-    """`db.bank` with the held pairs back in its direct unit, and the context
-    gate of that unit."""
+    """`db.bank` with the held pairs back in its direct unit; a database
+    that holds it derives its context gate."""
     values = [*np.flatnonzero(db.bank.unit2.members()).tolist(), *(value for value, _rules in db.held)]
-    unit2 = DirectFilterUnit.of_values(values)
-    rs = db.reverse_stt
-    ctx2, pre2 = context_gate(unit2, rs.start, rs.accepts, rs.dense_rows)
-    return replace(db.bank, unit2=unit2, ctx2=ctx2, pre2=pre2)
+    return replace(db.bank, unit2=DirectFilterUnit.of_values(values))
 
 
 def all_triggers(db):
@@ -668,8 +684,8 @@ def test_trailing_gap_end_is_a_match_end(rule, packet, end):
 @pytest.mark.parametrize(
     "rules, size, sha_prefix",
     [
-        (mixed_rules(), 74_618, "4ce158533a7e87b2"),
-        (list(PAPER_RULES), 23_854, "2ff5d17779706d26"),
+        (mixed_rules(), 74_569, "c24a473883f2e2ff"),
+        (list(PAPER_RULES), 23_805, "bf1e44e68e89a592"),
     ],
     ids=["mixed", "paper"],
 )

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import random
 import struct
@@ -74,12 +75,12 @@ def reference_query(bank: FilterBank, window: bytes, before: bytes = b"") -> boo
             return bool(before) and bank.pre2.contains(before + window[:1])
         return bank.unit2.contains(window)
     if len(window) == 4:
-        head, tail, unit = bank.head4, bank.tail4, bank.unit4
+        head, tail = bank.head4, bank.tail4
     elif len(window) == 8:
-        head, tail, unit = bank.head8, bank.tail8, bank.unit8
+        head, tail = bank.head8, bank.tail8
     else:
         raise ValueError("window must be 2, 4 or 8 bytes")
-    return head.contains(window[:2]) and tail.contains(window[-2:]) and unit.contains(window)
+    return head.contains(window[:2]) and tail.contains(window[-2:]) and bank.xor.contains(window)
 
 
 def brute_hits(bank: FilterBank, packet: bytes) -> list[tuple[int, int]]:
@@ -164,11 +165,11 @@ class TestPairSetEncoding:
             self.decode(blob)
 
 
-def reference_build_xor_unit(keys, width, base_seed, attempts=100) -> XorFilterUnit:
+def reference_build_xor_unit(keys, base_seed, attempts=100) -> XorFilterUnit:
     """The scalar build that `build_xor_unit` replaced: every key hashed
     through `_mix` in the peel and again in the backfill, slots written as
     numpy scalars. Kept as the reference its units must equal exactly."""
-    unit = XorFilterUnit(width=width)
+    unit = XorFilterUnit()
     values = sorted({int.from_bytes(k, "big") for k in keys})
     if not values:
         return unit
@@ -213,36 +214,34 @@ def reference_build_xor_unit(keys, width, base_seed, attempts=100) -> XorFilterU
 
 class TestXorUnit:
     @given(
-        st.sampled_from([4, 8]).flatmap(
-            lambda w: st.sets(st.binary(min_size=w, max_size=w), max_size=300).map(lambda ks: (w, sorted(ks)))
-        ),
+        st.sets(st.sampled_from([4, 8]).flatmap(lambda w: st.binary(min_size=w, max_size=w)), max_size=300).map(sorted),
         st.integers(0, 2**32),
         st.integers(1, 3),
     )
     @settings(max_examples=150, deadline=None)
-    def test_build_equals_reference(self, width_keys, seed, attempts):
-        width, keys = width_keys
+    def test_build_equals_reference(self, keys, seed, attempts):
+        # keys of both widths, as the bank's one unit holds them
         try:
-            want = reference_build_xor_unit(keys, width, seed, attempts)
+            want = reference_build_xor_unit(keys, seed, attempts)
         except FilterBuildError:
             with pytest.raises(FilterBuildError):
-                build_xor_unit(keys, width, seed, attempts)
+                build_xor_unit(keys, seed, attempts)
             return
-        got = build_xor_unit(keys, width, seed, attempts)
+        got = build_xor_unit(keys, seed, attempts)
         assert got == want
         assert got.fingerprints.dtype == want.fingerprints.dtype
 
     def test_zero_false_negatives_exhaustive(self):
         rng = random.Random(11)
         keys = list({rng.randbytes(8) for _ in range(5000)})
-        unit = build_xor_unit(keys, 8, base_seed=123)
+        unit = build_xor_unit(keys, base_seed=123)
         for k in keys:
             assert unit.contains(k)
 
     def test_false_positive_rate_in_band(self):
         rng = random.Random(12)
         keys = list({rng.randbytes(8) for _ in range(10_000)})
-        unit = build_xor_unit(keys, 8, base_seed=99)
+        unit = build_xor_unit(keys, base_seed=99)
         member = set(keys)
         probes = np.frombuffer(rng.randbytes(8 * 100_000), dtype=">u8").astype(np.uint64)
         mask = hit_mask(unit, probes)
@@ -257,7 +256,7 @@ class TestXorUnit:
     def test_vector_matches_scalar(self):
         rng = random.Random(13)
         keys = [rng.randbytes(4) for _ in range(500)]
-        unit = build_xor_unit(keys, 4, base_seed=5)
+        unit = build_xor_unit(keys, base_seed=5)
         probes = np.frombuffer(rng.randbytes(4 * 2000), dtype=">u4").astype(np.uint64)
         mask = hit_mask(unit, probes)
         for v, hit in zip(probes.tolist(), mask.tolist()):
@@ -265,12 +264,12 @@ class TestXorUnit:
 
     def test_deterministic_build(self):
         keys = [bytes([i, i + 1, 3, 7]) for i in range(0, 200, 2)]
-        a = build_xor_unit(keys, 4, base_seed=42)
-        b = build_xor_unit(list(reversed(keys)), 4, base_seed=42)
+        a = build_xor_unit(keys, base_seed=42)
+        b = build_xor_unit(list(reversed(keys)), base_seed=42)
         assert a == b
 
     def test_empty_unit_rejects_everything(self):
-        unit = build_xor_unit([], 4, base_seed=1)
+        unit = build_xor_unit([], base_seed=1)
         assert unit.key_count == 0
         assert not unit.contains(b"abcd")
         assert not hit_mask(unit, np.arange(10, dtype=np.uint64)).any()
@@ -278,20 +277,20 @@ class TestXorUnit:
     @given(st.sets(st.binary(min_size=4, max_size=4), min_size=1, max_size=200), st.integers(0, 2**32))
     @settings(max_examples=50, deadline=None)
     def test_members_always_found(self, keys, seed):
-        unit = build_xor_unit(sorted(keys), 4, base_seed=seed)
+        unit = build_xor_unit(sorted(keys), base_seed=seed)
         assert all(unit.contains(k) for k in keys)
 
     def test_fingerprints_are_one_byte(self):
         rng = random.Random(8)
         keys = [rng.randbytes(8) for _ in range(200)]
         bank = bank_of(*keys)
-        assert bank.unit8.fingerprints.dtype == np.uint8
-        # the blob ends with the xor-8 unit's slots, one byte each
+        assert bank.xor.fingerprints.dtype == np.uint8
+        # the blob ends with the xor unit's slots, one byte each
         blob = bank.to_bytes()
-        slots = bank.unit8.fingerprints
-        assert len(slots) == 3 * bank.unit8.block_len and blob.endswith(slots.tobytes())
+        slots = bank.xor.fingerprints
+        assert len(slots) == 3 * bank.xor.block_len and blob.endswith(slots.tobytes())
         back = FilterBank.from_bytes(blob)
-        assert back.unit8.fingerprints.dtype == np.uint8
+        assert back.xor.fingerprints.dtype == np.uint8
         assert back == bank
         assert all(reference_query(back, k) for k in keys)
 
@@ -300,7 +299,7 @@ class TestOneRoundHash:
     @given(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1), st.integers(1, 2**32 - 1))
     @settings(max_examples=300, deadline=None)
     def test_slots_fall_in_their_blocks(self, value, seed, block_len):
-        unit = XorFilterUnit(width=8, seed=seed, block_len=block_len, key_count=1)
+        unit = XorFilterUnit(seed=seed, block_len=block_len, key_count=1)
         i0, i1, i2, fp = unit._mix(value)
         assert 0 <= i0 < block_len <= i1 < 2 * block_len <= i2 < 3 * block_len
         assert 0 <= fp < 2**FP_BITS
@@ -315,16 +314,16 @@ class TestOneRoundHash:
     )
     @settings(max_examples=150, deadline=None)
     def test_vector_path_equals_scalar_path(self, keys4, keys8, filler, data):
-        """The one vectorized call over both units, and the scalar loop,
-        give for every window of both widths what `contains` gives; either
-        unit may be empty."""
+        """The one vectorized call over the windows of both widths, and the
+        scalar loop, give for every window what `contains` gives; either
+        width may have no keys."""
         bank = bank_of(*keys4, *keys8)
         planted = data.draw(st.lists(st.sampled_from(keys4 + keys8), max_size=4)) if keys4 + keys8 else []
         packet = filler + b"".join(planted)
         starts4, starts8 = range(len(packet) - 3), range(len(packet) - 7)
         want = sorted(
-            [(k + 3, UNIT_XOR4) for k in starts4 if bank.unit4.contains(packet[k : k + 4])]
-            + [(k + 7, UNIT_XOR8) for k in starts8 if bank.unit8.contains(packet[k : k + 8])]
+            [(k + 3, UNIT_XOR4) for k in starts4 if bank.xor.contains(packet[k : k + 4])]
+            + [(k + 7, UNIT_XOR8) for k in starts8 if bank.xor.contains(packet[k : k + 8])]
         )
         for s4, s8 in ((list(starts4), list(starts8)), (np.array(starts4), np.array(starts8))):
             with mock.patch.object(prefilter, "_SCALAR_WINDOWS", len(packet)):
@@ -366,6 +365,24 @@ class TestBankScan:
         assert (103, UNIT_XOR4) in hits
         assert (161, UNIT_XOR8) in hits
         assert (163, UNIT_DIRECT) in hits
+
+    @pytest.mark.parametrize("path", ["scalar", "vector", "dense"])
+    def test_keys_of_equal_value_across_widths(self, path, monkeypatch):
+        # one integer, so one member of the one xor unit; each key is still
+        # found at its own width, on every scan path
+        if path == "vector":  # every gated window is hashed in the vectorized call
+            monkeypatch.setattr(prefilter, "_SCALAR_WINDOWS", -1)
+        if path == "dense":
+            monkeypatch.setattr(prefilter, "_SPARSE_LEADS", -1)
+        k4, k8 = b"abcd", b"\0\0\0\0abcd"
+        assert int.from_bytes(k4, "big") == int.from_bytes(k8, "big")
+        bank = bank_of(k4, k8)
+        assert bank.xor.key_count == 1 and bank.key_count == 1
+        assert list(zip(*bank.scan(k4))) == [(3, UNIT_XOR4)]
+        # the 8-byte key ends in the 4-byte one
+        assert list(zip(*bank.scan(k8))) == [(7, UNIT_XOR4), (7, UNIT_XOR8)]
+        for packet in (k4, k8, b"zz" + k4 + b"zz", b"z" + k8 + b"z" + k4, k4 + k8, b"\0" * 12 + k4):
+            assert list(zip(*bank.scan(packet))) == brute_hits(bank, packet)
 
     def test_unit_order_at_equal_offset(self):
         # plant a 2-key and a 4-key ending at the same offset
@@ -472,12 +489,11 @@ class TestBankScan:
         data = bytes(data)
         ends, units = bank.scan(data)
         u = np.frombuffer(data, dtype=np.uint8).astype(np.uint64)
-        for unit, code in ((bank.unit4, UNIT_XOR4), (bank.unit8, UNIT_XOR8)):
-            w = unit.width
+        for w, code in ((4, UNIT_XOR4), (8, UNIT_XOR8)):
             values = np.zeros(len(data) - w + 1, dtype=np.uint64)
             for col in range(w):
                 values = (values << np.uint64(8)) | u[col : len(u) - w + 1 + col]
-            ungated = set((np.flatnonzero(hit_mask(unit, values)) + w - 1).tolist())
+            ungated = set((np.flatnonzero(hit_mask(bank.xor, values)) + w - 1).tolist())
             gated = {int(e) for e, c in zip(ends, units) if c == code}
             assert gated <= ungated
             assert gated == {e for e in ungated if reference_query(bank, data[e - w + 1 : e + 1])}
@@ -628,6 +644,14 @@ def gate_free(bank: FilterBank) -> FilterBank:
     return dataclasses.replace(bank, ctx2=DirectFilterUnit.of(()), pre2=DirectFilterUnit.of(()))
 
 
+def gate_free_db(db):
+    """The same database with its bank's context gate emptied; a copy, as a
+    new database would derive the gate again."""
+    free = copy.copy(db)
+    free.bank = gate_free(db.bank)
+    return free
+
+
 def pairs(unit: DirectFilterUnit) -> set[bytes]:
     return {bytes([v >> 8, v & 0xFF]) for v in np.flatnonzero(unit.members()).tolist()}
 
@@ -717,7 +741,7 @@ class TestContextGate:
         database with its gate emptied."""
         rules = synth.diff_ruleset(count, seed=rules_seed)
         db = compile_rules(rules)[0]
-        free = dataclasses.replace(db, bank=gate_free(db.bank))
+        free = gate_free_db(db)
         packets = synth.diff_packets(rules, 30, seed=packets_seed)
         for packet in packets:
             self.assert_gate_is_exact(db, free, packet)
@@ -835,28 +859,29 @@ class TestSerialization:
         data = rng.randbytes(3000)
         assert back.scan(data) == bank.scan(data)
 
-    def test_blob_holds_five_pair_sets_and_two_units(self):
+    def test_blob_holds_five_pair_sets_and_one_unit(self):
         # no magic, version, width byte or context gate: the direct unit
-        # and the four gates, then per xor unit a 16-byte header (seed, key
+        # and the four gates, then the xor unit's 16-byte header (seed, key
         # count, block length) and its one-byte slots
-        bank = TestContextGate.db.bank
-        assert bank.ctx2.key_count
+        bank = bank_of(b"ab", b"abcd", b"wxyz", b"efghijkl")
         pair_sets = (bank.unit2, bank.head4, bank.tail4, bank.head8, bank.tail8)
-        units = (bank.unit4, bank.unit8)
-        size = sum(len(p.to_bytes()) for p in pair_sets) + sum(16 + 3 * u.block_len for u in units)
-        assert len(bank.to_bytes()) == size
+        size = sum(len(p.to_bytes()) for p in pair_sets) + 16 + 3 * bank.xor.block_len
+        assert bank.xor.key_count == 3 and len(bank.to_bytes()) == size
 
     def test_gated_bank_round_trips(self):
         db = TestContextGate.db
         bank, rev = db.bank, db.reverse_stt
+        assert bank.ctx2.key_count
         blob = bank.to_bytes()
-        # the gate is not stored: it is derived again from the reverse table
+        # the gate is not stored: a load has none, and the reverse table
+        # gives it again
         assert blob == gate_free(bank).to_bytes()
-        back = FilterBank.from_bytes(blob, lambda unit2: context_gate(unit2, rev.start, rev.accepts, rev.dense_rows))
-        assert back == bank and back != gate_free(bank)
+        back = FilterBank.from_bytes(blob)
+        assert back == gate_free(bank) != bank
+        back = dataclasses.replace(back, **dict(zip(("ctx2", "pre2"), context_gate(back.unit2, rev))))
+        assert back == bank
         assert back.to_bytes() == blob
         assert back.scan(b"abxabzab") == bank.scan(b"abxabzab") == ([4], [UNIT_DIRECT])
-        assert FilterBank.from_bytes(blob) == gate_free(bank)
 
     def test_bad_magic(self):
         # a bank has no magic: junk fails on its first pair-set tag, "N"

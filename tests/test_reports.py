@@ -23,9 +23,9 @@ from workloads import WORKLOADS, mixed_rules  # noqa: E402
 
 #: sha-256 of `ScanReport.to_json()` per workload, seed 1
 REPORTS = {
-    "clean": "7c9b5bd64fe1792735d020bc693802d1c786431908833337a8e3111e4c846b8b",
-    "planted": "1957a43243b1daac5f7c523906d6b21c2d44d3c5f648b83ccf3edb2870d5a6f6",
-    "hitdense": "70dcdf03313446072864eef9d2e090b93701c9f2cd3995d270609dd093d42c77",
+    "clean": "e8d37ec9858e9b43d0891c67bb589bf64081347752dfa4e40c63b384da64bf61",
+    "planted": "c6c9e30dae223f3ea06e230a614685e9221f2d504c7d600d96ba6451f2e788e5",
+    "hitdense": "e9cda2ad68ca7404a54a9c047da2bc7fffd4bec5a066a054d617cb94ac369eb0",
 }
 
 #: sha-256 of the JSON of `ScanReport.to_dict()["matches"]` per workload, seed 1

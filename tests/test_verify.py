@@ -25,7 +25,6 @@ from anchorscan.verify import (
     DfaGap,
     DotGap,
     EmptyGap,
-    MatchEvent,
     RuleChecks,
     VerificationState,
     classify_gap,
@@ -46,7 +45,7 @@ def state_for(gaps, data, *, n=2, anchored_end=False, rule_id=7):
 
 
 def ev(k, s, e):
-    return MatchEvent(0, k, s, e)
+    return (0, k, s, e)
 
 
 # --- classification ----------------------------------------------------------
@@ -474,15 +473,15 @@ def test_three_fragment_chain():
     rc = RuleChecks(rule_id=3, n_fragments=3, gaps=tuple(gaps), anchored_end=False)
     data = b"ab--cd45ef"
     st = VerificationState([rc], data)
-    assert st.on_fragment_match(MatchEvent(0, 0, 0, 1)) == []
-    assert st.on_fragment_match(MatchEvent(0, 1, 4, 5)) == []
-    assert st.on_fragment_match(MatchEvent(0, 2, 8, 9)) == [(3, 9)]
+    assert st.on_fragment_match((0, 0, 0, 1)) == []
+    assert st.on_fragment_match((0, 1, 4, 5)) == []
+    assert st.on_fragment_match((0, 2, 8, 9)) == [(3, 9)]
 
     # digits gap wrong length: no match
     st = VerificationState([rc], b"ab--cd4ef_")
-    st.on_fragment_match(MatchEvent(0, 0, 0, 1))
-    st.on_fragment_match(MatchEvent(0, 1, 4, 5))
-    assert st.on_fragment_match(MatchEvent(0, 2, 7, 8)) == []
+    st.on_fragment_match((0, 0, 0, 1))
+    st.on_fragment_match((0, 1, 4, 5))
+    assert st.on_fragment_match((0, 2, 7, 8)) == []
 
 
 # --- records, caps, counters -------------------------------------------------
@@ -581,10 +580,10 @@ def test_multiple_rules_independent():
         anchored_end=False,
     )
     st = VerificationState([mk(10), mk(11)], b"ab_cd")
-    st.on_fragment_match(MatchEvent(0, 0, 0, 1))
-    st.on_fragment_match(MatchEvent(1, 0, 0, 1))
-    assert st.on_fragment_match(MatchEvent(1, 1, 3, 4)) == [(11, 4)]
-    assert st.on_fragment_match(MatchEvent(0, 1, 3, 4)) == [(10, 4)]
+    st.on_fragment_match((0, 0, 0, 1))
+    st.on_fragment_match((1, 0, 0, 1))
+    assert st.on_fragment_match((1, 1, 3, 4)) == [(11, 4)]
+    assert st.on_fragment_match((0, 1, 3, 4)) == [(10, 4)]
 
 
 # --- serialization -----------------------------------------------------------
