@@ -107,10 +107,13 @@ class CompiledDatabase:
     #: indices of the rules with a non-trigger fragment keyed on it); none
     #: is a key of `bank`
     held: tuple[tuple[int, tuple[int, ...]], ...]
-    #: split id -> (rule_idx, frag_k, forward entry state or -1, trigger
-    #: bit): everything a reverse-thread accept needs, in one index;
-    #: derived, not serialized
-    scan_table: tuple[tuple[int, int, int, bool], ...] = field(init=False, repr=False, compare=False)
+    #: reverse state -> one (split id, rule_idx, frag_k, forward entry
+    #: state or -1, trigger bit) per label it accepts, by split id:
+    #: everything a reverse-thread accept needs, in one index; derived,
+    #: not serialized
+    state_splits: tuple[tuple[tuple[int, int, int, int, bool], ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
     #: the held pairs with their rules, behind their own context gate;
     #: derived
     held_search: HeldPairs = field(init=False, repr=False, compare=False)
@@ -134,7 +137,7 @@ class CompiledDatabase:
                 raise ValueError(f"split {sid} names fragment {m.frag_k} of rule {m.rule_idx}, which does not exist")
             if triggers.setdefault((m.rule_idx, m.frag_k), m.trigger) != m.trigger:
                 raise ValueError(f"fragment {m.frag_k} of rule {m.rule_idx} is a trigger in only some splits")
-            table.append((m.rule_idx, m.frag_k, entries.get(sid, -1), m.trigger))
+            table.append((sid, m.rule_idx, m.frag_k, entries.get(sid, -1), m.trigger))
         if max(set().union(*self.reverse_stt.accepts), default=-1) >= len(table):
             raise ValueError("reverse automaton accepts a label that is not a split id")
         if max(entries, default=-1) >= len(table):
@@ -153,7 +156,7 @@ class CompiledDatabase:
             if not rules or not all(a < b for a, b in zip((-1, *rules), (*rules, len(checks)))):
                 raise ValueError(f"held pair {value:#06x} serves {list(rules)}, not an increasing list of rules")
             last = value
-        self.scan_table = tuple(table)
+        self.state_splits = tuple(tuple(table[sid] for sid in sorted(labels)) for labels in self.reverse_stt.accepts)
         ctx2, pre2 = context_gate(self.bank.unit2, self.reverse_stt)
         self.bank = replace(self.bank, ctx2=ctx2, pre2=pre2)
         held = DirectFilterUnit.of_values([value for value, _rules in self.held])
@@ -437,10 +440,11 @@ def scan_packet(db: CompiledDatabase, data: bytes, stats: ScanStats) -> list[tup
         return []
     reverse_stt = db.reverse_stt
     forward_stt = db.forward_stt
-    scan_table = db.scan_table
+    forward_accepts = forward_stt.accepts
+    state_splits = db.state_splits
     live: set[int] = set()  # rules whose trigger split recorded
     events: set[tuple[int, int, int, int]] = set()  # (pos_e, rule_idx, k, pos_s)
-    fwd_runs: dict[int, list[tuple[int, int, int]]] = {}  # entry -> records at this trigger
+    fwd_runs: dict[int, list[tuple[int, int]]] = {}  # entry -> its thread's hits at this trigger
     triggers = fwd_threads = steps = held_runs = 0
     last_pos = -1
     ends.append(-1)  # marks where the bank's offsets run out; `scan` returns a fresh list
@@ -457,28 +461,29 @@ def scan_packet(db: CompiledDatabase, data: bytes, stats: ScanStats) -> list[tup
             continue
         last_pos = pos
         triggers += 1
-        records, depth = run(reverse_stt, data, pos, REVERSE)
+        hits, depth = run(reverse_stt, data, pos, REVERSE)
         steps += depth
-        if not records:
+        if not hits:
             continue
         if fwd_runs:
             fwd_runs.clear()
-        for split_id, s, _e in records:
-            rule_idx, k, entry, trigger = scan_table[split_id]
-            if trigger:
-                live.add(rule_idx)
-            if entry < 0:
-                events.add((pos, rule_idx, k, s))
-                continue
-            frecords = fwd_runs.get(entry)
-            if frecords is None:
-                fwd_threads += 1
-                frecords, fdepth = run(forward_stt, data, pos + 1, FORWARD, entry)
-                steps += fdepth
-                fwd_runs[entry] = frecords
-            for label, _fs, fe in frecords:
-                if label == split_id:
-                    events.add((fe, rule_idx, k, s))
+        # a hit is (accepting state, pos_s); each of the state's splits records
+        for state, s in hits:
+            for split_id, rule_idx, k, entry, trigger in state_splits[state]:
+                if trigger:
+                    live.add(rule_idx)
+                if entry < 0:
+                    events.add((pos, rule_idx, k, s))
+                    continue
+                fhits = fwd_runs.get(entry)
+                if fhits is None:
+                    fwd_threads += 1
+                    fhits, fdepth = run(forward_stt, data, pos + 1, FORWARD, entry)
+                    steps += fdepth
+                    fwd_runs[entry] = fhits
+                for fstate, fe in fhits:
+                    if split_id in forward_accepts[fstate]:
+                        events.add((fe, rule_idx, k, s))
     stats.filter_hits += triggers
     stats.held_runs += held_runs
     stats.forward_threads += fwd_threads

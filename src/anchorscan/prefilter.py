@@ -307,8 +307,8 @@ def build_xor_unit(keys: list[bytes], base_seed: int, attempts: int = 100) -> Xo
     any width; retries with fresh seeds on failure.
 
     Each attempt hashes every key once with `_mix_vec`, as the vectorized
-    scan does, and the peel and the backfill share the resulting slot
-    triples.
+    scan does, and the peel and the backfill share the resulting `(3, n)`
+    slot array.
     """
     unit = XorFilterUnit()
     values = np.array(sorted({int.from_bytes(k, "big") for k in keys}), dtype=np.uint64)
@@ -323,47 +323,56 @@ def build_xor_unit(keys: list[bytes], base_seed: int, attempts: int = 100) -> Xo
     for attempt in range(attempts):
         unit.seed = splitmix64(base_seed ^ (attempt * 0x9E3779B97F4A7C15 & _M64))
         slots, fp = unit._mix_vec(values)
-        triples = list(zip(*slots.tolist()))
-        order = _peel(triples, 3 * unit.block_len)
+        order = _peel(slots, 3 * unit.block_len)
         if order is None:
             continue
         # a key's own slot is still 0 when it is filled, so xor-ing all
         # three slots into its fingerprint leaves the other two's xor
-        fps = fp.tolist()
-        slots = [0] * (3 * unit.block_len)
-        for idx, slot in reversed(order):
-            a, b, c = triples[idx]
-            slots[slot] = fps[idx] ^ slots[a] ^ slots[b] ^ slots[c]
-        unit.fingerprints = np.array(slots, dtype=np.uint8)
+        fps = memoryview(fp)
+        a, b, c = map(memoryview, slots)
+        cells = [0] * (3 * unit.block_len)
+        peeled, filled = order
+        for i in reversed(range(n)):
+            idx = peeled[i]
+            cells[filled[i]] = fps[idx] ^ cells[a[idx]] ^ cells[b[idx]] ^ cells[c[idx]]
+        unit.fingerprints = np.array(cells, dtype=np.uint8)
         return unit
     raise FilterBuildError(f"xor unit failed to build after {attempts} seeds for {n} keys")
 
 
-def _peel(triples: list[tuple[int, int, int]], m: int) -> list[tuple[int, int]] | None:
+def _peel(slots: np.ndarray, m: int) -> tuple[memoryview, memoryview] | None:
     """Order keys (by index) so each has a slot no later key touches, as
-    (key index, slot) pairs; None if stuck."""
-    count = [0] * m
-    key_xor = [0] * m  # xor of key indices per slot; identifies the lone key
-    for idx, triple in enumerate(triples):
-        for j in triple:
-            count[j] += 1
-            key_xor[j] ^= idx
-    stack: list[tuple[int, int]] = []
-    queue = [j for j in range(m) if count[j] == 1]
+    two parallel int64 arrays, read through memoryviews: the key indices
+    and their slots. None if stuck. `slots` is the `(3, n)` array of every
+    key's three slots; memoryviews read and write the arrays as plain ints,
+    so the peel holds no int object per key or slot."""
+    n = slots.shape[1]
+    flat = slots.ravel()
+    counts = np.bincount(flat, minlength=m)
+    queue = np.flatnonzero(counts == 1).tolist()
+    # xor of key indices per slot; identifies the lone key
+    key_xors = np.zeros(m, dtype=np.int64)
+    np.bitwise_xor.at(key_xors, flat, np.tile(np.arange(n, dtype=np.int64), 3))
+    count, key_xor = memoryview(counts), memoryview(key_xors)
+    a, b, c = map(memoryview, slots)
+    keys, filled = (memoryview(np.empty(n, dtype=np.int64)) for _ in range(2))
+    top = 0
     while queue:
         slot = queue.pop()
         if count[slot] != 1:
             continue
         idx = key_xor[slot]
-        stack.append((idx, slot))
-        for j in triples[idx]:
+        keys[top] = idx
+        filled[top] = slot
+        top += 1
+        for j in (a[idx], b[idx], c[idx]):
             count[j] -= 1
             key_xor[j] ^= idx
             if count[j] == 1:
                 queue.append(j)
-    if len(stack) != len(triples):
+    if top != n:
         return None
-    return stack
+    return keys, filled
 
 
 # --- the bank ---------------------------------------------------------------------
@@ -386,11 +395,12 @@ class FilterBank:
     #: bank built or loaded from keys alone
     ctx2: DirectFilterUnit = field(default_factory=lambda: DirectFilterUnit.of(()))
     pre2: DirectFilterUnit = field(default_factory=lambda: DirectFilterUnit.of(()))
-    #: little-endian 2-byte window value -> direct, gate and lead bits;
-    #: derived, not serialized
-    flags: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+    @cached_property
+    def flags(self) -> np.ndarray:
+        """Little-endian 2-byte window value -> direct, gate and lead bits.
+        Derived on first scan and never serialized, so a database that
+        gives its bank a context gate builds them once."""
         ctx = self.ctx2.members()
         flags = np.zeros(65536, dtype=np.uint8)
         for bit, members in (
@@ -404,7 +414,7 @@ class FilterBank:
         ):
             flags |= members * np.uint8(bit)
         flags[(flags & (_DIRECT | _DIRECTX | _HEAD4 | _HEAD8)) != 0] |= _LEAD
-        self.flags = _little_endian(flags)
+        return _little_endian(flags)
 
     @property
     def key_count(self) -> int:
@@ -649,9 +659,9 @@ def build_filter_bank(keys: list[FilterKey]) -> FilterBank:
 
 def context_gate(pairs: DirectFilterUnit, stt: CompressedStt) -> tuple[DirectFilterUnit, DirectFilterUnit]:
     """`ctx2` and `pre2` of the 2-byte keys in `pairs`, from `stt`, the
-    reverse table that runs from every hit. It reads only the dense rows of
-    the start state and of the states that the keys' runs reach in their
-    first two steps (`CompressedStt.dense_rows`).
+    reverse table that runs from every hit. It reads the keys' two-step
+    runs off `CompressedStt.start_pairs` and only the dense rows of the
+    states those runs reach (`CompressedStt.dense_rows`).
 
     A direct hit (a, b) at window k starts a reverse run that reads b, then
     a, then the byte x before them. `ctx2` holds the keys whose run is
@@ -660,17 +670,15 @@ def context_gate(pairs: DirectFilterUnit, stt: CompressedStt) -> tuple[DirectFil
     which the run of some `ctx2` key (a, .) is still alive. So a `ctx2` hit
     with no `pre2` pair before it, or at window 0, records nothing.
     """
-    accepting = np.array([bool(labels) for labels in stt.accepts])
     values = np.flatnonzero(pairs.members())
-    if accepting[stt.start] or not len(values):
-        return DirectFilterUnit.of(()), DirectFilterUnit.of(())
-    rows = stt.dense_rows
     first = values >> 8
-    after_b = rows(np.array([stt.start]))[0][values & 0xFF]
-    seen, back = np.unique(after_b, return_inverse=True)
-    after_a = rows(seen)[back, first]
+    # -1 where the start or b accepts or b kills the run; `start_pairs`
+    # is indexed little-endian, a | b << 8
+    after_a = np.asarray(stt.start_pairs)[first | (values & 0xFF) << 8]
+    accepting = np.array([bool(labels) for labels in stt.accepts])
     # the dead state accepts nothing and only leads to itself
-    gated = (after_a != DEAD) & ~accepting[after_b] & ~accepting[after_a]
+    gated = (after_a >= 0) & (after_a != DEAD)
+    gated[gated] = ~accepting[after_a[gated]]
     seen, back = np.unique(after_a[gated], return_inverse=True)
-    keys, x = (rows(seen)[back] != DEAD).nonzero()
+    keys, x = (stt.dense_rows(seen)[back] != DEAD).nonzero()
     return DirectFilterUnit.of_values(values[gated]), DirectFilterUnit.of_values((x << 8) | first[gated][keys])

@@ -16,6 +16,14 @@ Scanning steps through dense rows instead: one flat array indexed by
 `(state << 8) | byte`, derived from the stored arrays on first use and
 never serialized. The rows cost `n_states * 256 * succ_width` bytes, no
 more than the dense `(S, 256)` uint32 table compile already held.
+
+A reverse thread starts in `start` at a filter hit and reads the hit's
+two bytes first. `start_pairs`, also derived on first use and never
+serialized, maps each such pair to the state those two steps reach, so
+such a thread makes one lookup in place of two; it is -1 wherever either
+step accepts, or the first one dies, and there the thread steps as any
+other. A thread returns its accepting visits as `(state, far end)` pairs;
+the caller reads the labels off `accepts`.
 """
 from __future__ import annotations
 
@@ -52,6 +60,26 @@ class CompressedStt:
         never holds them.
         """
         return memoryview(self.dense_rows(np.arange(self.n_states)).ravel())
+
+    @cached_property
+    def start_pairs(self) -> memoryview:
+        """int32 per little-endian pair `data[pos - 1] | data[pos] << 8`: the
+        state after a run from `start` reads `data[pos]` and then
+        `data[pos - 1]`, or -1 where `start` accepts, or the first step dies
+        or accepts, so that a run taking it can have recorded nothing
+        before it. The second step may die (`DEAD`) or accept.
+
+        256 KB, built from the dense rows of `start` and of its successors
+        alone on first use, and never serialized.
+        """
+        pairs = np.full((256, 256), -1, dtype=np.int32)  # [byte at pos, byte before it]
+        accepting = np.array([bool(labels) for labels in self.accepts])
+        if not accepting[self.start]:
+            first = self.dense_rows(np.array([self.start]))[0]
+            on = (first != DEAD) & ~accepting[first]
+            seen, back = np.unique(first[on], return_inverse=True)
+            pairs[on] = self.dense_rows(seen)[back]
+        return memoryview(pairs.ravel())
 
     def dense_rows(self, states: np.ndarray) -> np.ndarray:
         """The dense rows of `states` alone, shape `(len(states), 256)`:
@@ -257,54 +285,58 @@ def run_thread(
     start_offset: int,
     direction: str,
     state: int | None = None,
-) -> tuple[list[tuple[int, int, int]], int]:
+) -> tuple[list[tuple[int, int]], int]:
     """One bounded automaton run over the packet.
 
     Steps byte-by-byte from start_offset (reverse decrements), recording
-    (label, span start, span end) for every accepting state visited, the
-    span being the bytes consumed so far. Stops on the dead state or the
-    packet edge; the step into dead is included in the returned depth.
+    (accepting state, far end of the span) for every accepting state
+    visited, the span being the bytes consumed so far and its near end
+    start_offset; its labels are `stt.accepts[state]`. Stops on the dead
+    state or the packet edge; the step into dead is included in the
+    returned depth. A reverse run from `start` at an offset past the first
+    byte takes its first two steps in one `start_pairs` lookup when it can.
     """
-    if direction == FORWARD:
-        forward = True
-    elif direction == REVERSE:
+    if direction == REVERSE:
         forward = False
+    elif direction == FORWARD:
+        forward = True
     else:
         raise ValueError(f"direction must be {FORWARD!r} or {REVERSE!r}")
-    s = stt.start if state is None else state
     accepts = stt.accepts
-    records: list[tuple[int, int, int]] = []
-    labels = accepts[s]
-    if labels:
-        # accepting before any byte: an empty span just off the start edge
-        for label in labels:
-            records.append((label, start_offset, start_offset - 1) if forward else (label, start_offset + 1, start_offset))
     n = len(data)
-    if not 0 <= start_offset < n:
-        return records, 0
+    pos = start_offset
+    s = -1
+    if state is None and not forward and 0 < pos < n:
+        s = stt.start_pairs[data[pos - 1] | data[pos] << 8]
+        if s == DEAD:
+            return [], 2
+    if s >= 0:  # neither `start` nor the first step accepted, and the run is alive
+        pos -= 2
+        hits = [(s, pos + 1)] if accepts[s] else []
+    else:
+        s = stt.start if state is None else state
+        # accepting before any byte: an empty span just off the start edge
+        hits = [(s, start_offset - 1 if forward else start_offset + 1)] if accepts[s] else []
+        if not 0 <= start_offset < n:
+            return hits, 0
     # one loop per direction over plain indices: threads average about five
     # steps, so setting up an iterator (a range, a memoryview slice) costs
     # more than it saves per step
     rows = stt.rows
-    pos = start_offset
     if forward:
         while pos < n:
             s = rows[(s << 8) | data[pos]]
             if s == DEAD:
-                return records, pos - start_offset + 1
-            labels = accepts[s]
-            if labels:
-                for label in labels:
-                    records.append((label, start_offset, pos))
+                return hits, pos - start_offset + 1
+            if accepts[s]:
+                hits.append((s, pos))
             pos += 1
-        return records, n - start_offset
+        return hits, n - start_offset
     while pos >= 0:
         s = rows[(s << 8) | data[pos]]
         if s == DEAD:
-            return records, start_offset - pos + 1
-        labels = accepts[s]
-        if labels:
-            for label in labels:
-                records.append((label, pos, start_offset))
+            return hits, start_offset - pos + 1
+        if accepts[s]:
+            hits.append((s, pos))
         pos -= 1
-    return records, start_offset + 1
+    return hits, start_offset + 1

@@ -325,10 +325,23 @@ FORGERIES = (
 )
 
 
+def split_records(db) -> dict[int, tuple[int, int, int, bool]]:
+    """Split id -> (rule_idx, frag_k, forward entry or -1, trigger bit), read
+    off `state_splits`: each reverse state lists one record per label it
+    accepts, by split id, and every state that accepts a split lists the
+    same record for it."""
+    records: dict[int, tuple[int, int, int, bool]] = {}
+    for labels, row in zip(db.reverse_stt.accepts, db.state_splits):
+        assert [sid for sid, *_rest in row] == sorted(labels)
+        for sid, *rest in row:
+            assert records.setdefault(sid, tuple(rest)) == tuple(rest)
+    return records
+
+
 def test_forged_blob_is_faithful():
     db, _ = compile_rules(XREF_RULES)
     assert forged_blob(db) == db.to_bytes()
-    assert db.scan_table == ((0, 0, -1, True), (0, 1, -1, False), (1, 0, db.forward_stt.entries[2], True))
+    assert split_records(db) == {0: (0, 0, -1, True), 1: (0, 1, -1, False), 2: (1, 0, db.forward_stt.entries[2], True)}
 
 
 def test_forgeries_are_all_tested():
@@ -647,8 +660,9 @@ def test_every_record_runs_its_forward_thread_at_once(rules, packet, matches, wo
     verify_bytes)."""
     db, _ = compile_rules(rules)
     if len(rules) == 2:
-        assert [db.scan_table[sid][2] for sid in (0, 1)] == [1, 1]
-        assert db.scan_table[0][3] and not db.scan_table[1][3]
+        records = split_records(db)
+        assert [records[sid][2] for sid in (0, 1)] == [1, 1]
+        assert records[0][3] and not records[1][3]
     stats = ScanStats()
     assert scan_packet(db, packet, stats) == matches
     assert (stats.forward_threads, stats.adfa_transitions, stats.escalated_packets, stats.verify_bytes) == work
@@ -662,6 +676,44 @@ def test_compile_leaves_dense_rows_unbuilt():
     assert not any("rows" in vars(t) for t in tables)
     scan_once(db, b"user=abc.cgi")
     assert "rows" in vars(db.reverse_stt)
+
+
+def test_a_forward_hit_serves_only_the_splits_its_state_accepts():
+    # a forward thread's hit is an accepting state; a record's split ends
+    # there only when the state accepts that split's id. Swapping the two
+    # splits' accepting states (a forged table) leaves neither rule a match
+    db, _ = compile_rules(["abcdefghij", "zyxwvutsrq"])
+    packet = b"--abcdefghij--zyxwvutsrq"
+    assert scan_once(db, packet) == [(0, 11), (1, 23)]
+    accepts = db.forward_stt.accepts
+    at = {label: state for state, labels in enumerate(accepts) for label in labels}
+    assert sorted(at) == [0, 1] and at[0] != at[1]
+
+    def with_accepts(labels_at: dict[int, frozenset]):
+        forged = tuple(labels_at.get(state, labels) for state, labels in enumerate(accepts))
+        return replace(db, forward_stt=replace(db.forward_stt, accepts=forged))
+
+    assert scan_once(with_accepts({at[0]: frozenset({1}), at[1]: frozenset({0})}), packet) == []
+    both = frozenset({0, 1})
+    assert scan_once(with_accepts({at[0]: both, at[1]: both}), packet) == [(0, 11), (1, 23)]
+
+
+def test_a_database_builds_its_bank_flags_once_on_first_scan(monkeypatch):
+    # neither the compile's bank, nor the gated one that replaces it in the
+    # database, nor a load builds the flag table; the first scan does, once
+    rules = ["[xy]ab.*[pq]cd", "ef.*gh"]
+    built = []
+    little_endian = prefilter._little_endian
+    monkeypatch.setattr(prefilter, "_little_endian", lambda table: built.append(table.dtype) or little_endian(table))
+    for make in (lambda: compile_rules(rules)[0], lambda: CompiledDatabase.from_bytes(compile_rules(rules)[0].to_bytes())):
+        db = make()
+        assert "flags" not in vars(db.bank)
+        built.clear()  # the held pairs' table, built with the database
+        assert scan_once(db, b"xab--pcd") == [(0, 7)]
+        flags = db.bank.flags
+        assert scan_once(db, b"ef--gh") == [(1, 5)]
+        assert db.bank.flags is flags
+        assert built == [np.uint8]
 
 
 @pytest.mark.parametrize(

@@ -108,6 +108,17 @@ def reference_run_thread(stt, data, start_offset, direction, state=None):
     return records, depth
 
 
+def run_records(stt, data, start_offset, direction, state=None):
+    """`run_thread`'s `(hits, depth)` with every `(state, far end)` hit
+    expanded through `stt.accepts` into reference records: one
+    `(label, span start, span end)` per label, the span's near end being
+    `start_offset`."""
+    hits, depth = run_thread(stt, data, start_offset, direction, state)
+    if direction == FORWARD:
+        return [(label, start_offset, far) for s, far in hits for label in stt.accepts[s]], depth
+    return [(label, far, start_offset) for s, far in hits for label in stt.accepts[s]], depth
+
+
 class TestCompress:
     def test_exhaustive_equality_on_builders(self):
         rev = build_reverse_dfa([(0, tree_of("user=")), (1, tree_of("[0-9]{2}ab"))])
@@ -249,19 +260,19 @@ class TestRunThread:
     def test_reverse_depth_with_context(self):
         stt = compress(build_reverse_dfa([(0, tree_of("user="))]))
         packet = b"xuser=y"
-        records, depth = run_thread(stt, packet, 5, REVERSE)
+        records, depth = run_records(stt, packet, 5, REVERSE)
         assert records == [(0, 1, 5)]
         assert depth == 6  # five fragment bytes plus the step into dead
 
     def test_reverse_depth_at_packet_edge(self):
         stt = compress(build_reverse_dfa([(0, tree_of("user="))]))
-        records, depth = run_thread(stt, b"user=", 4, REVERSE)
+        records, depth = run_records(stt, b"user=", 4, REVERSE)
         assert records == [(0, 0, 4)]
         assert depth == 5
 
     def test_dead_leading_byte(self):
         stt = compress(build_reverse_dfa([(0, tree_of("ab"))]))
-        records, depth = run_thread(stt, b"zz", 1, REVERSE)
+        records, depth = run_records(stt, b"zz", 1, REVERSE)
         assert records == []
         assert depth == 1
 
@@ -276,14 +287,14 @@ class TestRunThread:
     def test_forward_from_entry(self):
         dfa = build_forward_dfa([(7, tree_of("[0-9]{3}"))])
         stt = compress(dfa)
-        records, depth = run_thread(stt, b"xx123y", 2, FORWARD, state=stt.entries[7])
+        records, depth = run_records(stt, b"xx123y", 2, FORWARD, stt.entries[7])
         assert records == [(7, 2, 4)]
         assert depth == 4  # three digits plus the dead step onto 'y'
 
     def test_forward_empty_match_at_entry(self):
         dfa = build_forward_dfa([(5, tree_of("a{0,2}"))])
         stt = compress(dfa)
-        records, _ = run_thread(stt, b"xxaab", 2, FORWARD, state=stt.entries[5])
+        records, _ = run_records(stt, b"xxaab", 2, FORWARD, stt.entries[5])
         assert (5, 2, 1) in records  # zero-length match at the entry edge
         assert (5, 2, 2) in records
         assert (5, 2, 3) in records
@@ -291,13 +302,111 @@ class TestRunThread:
 
     def test_every_accept_visit_recorded(self):
         stt = compress(build_reverse_dfa([(0, tree_of("a{2,4}"))]))
-        records, _ = run_thread(stt, b"aaaaaa", 4, REVERSE)
+        records, _ = run_records(stt, b"aaaaaa", 4, REVERSE)
         assert records == [(0, 3, 4), (0, 2, 4), (0, 1, 4)]
 
     def test_bad_direction(self):
         stt = compress(build_reverse_dfa([(0, tree_of("ab"))]))
         with pytest.raises(ValueError):
             run_thread(stt, b"ab", 0, "sideways")
+
+
+def reference_start_pairs(dfa: Dfa) -> list[int]:
+    """`start_pairs` by brute force over the dense table: for every pair
+    `before | at << 8`, the state after two reverse steps from `start`, or
+    -1 where `start` or the first step accepts or the first step dies."""
+    table = dfa.table.tolist()
+    accepting = [bool(labels) for labels in dfa.accepts]
+    out = []
+    for pair in range(65536):
+        before, at = pair & 0xFF, pair >> 8
+        first = table[dfa.start][at]
+        if accepting[dfa.start] or first == DEAD or accepting[first]:
+            out.append(-1)
+        else:
+            out.append(table[first][before])
+    return out
+
+
+#: reverse tables for the start-pair cases: one whose start accepts, one
+#: whose first step accepts on `b`, and one that dies on a second step
+_START_ACCEPTS = [(0, "a{0,2}")]
+_FIRST_ACCEPTS = [(0, "b"), (1, "ab")]
+_TWO_BYTES = [(0, "ab"), (1, "cd")]
+_MIXED = [(0, "user="), (1, "[0-9]{2}ab"), (2, "a{2,4}"), (3, "(ab|b)c?")]
+
+
+def reverse_table(fronts) -> tuple[Dfa, CompressedStt]:
+    dfa = build_reverse_dfa([(label, tree_of(pattern)) for label, pattern in fronts])
+    return dfa, compress(dfa)
+
+
+class TestStartPairs:
+    @pytest.mark.parametrize("fronts", [_START_ACCEPTS, _FIRST_ACCEPTS, _TWO_BYTES, _MIXED], ids=["start-accepts", "first-accepts", "two-bytes", "mixed"])
+    def test_equals_a_brute_force_two_step_run(self, fronts):
+        dfa, stt = reverse_table(fronts)
+        pairs = stt.start_pairs
+        assert (pairs.format, pairs.nbytes) == ("i", 256 * 1024)
+        assert pairs.tolist() == reference_start_pairs(dfa)
+
+    def test_built_on_first_use_only(self):
+        _dfa, stt = reverse_table(_MIXED)
+        assert "start_pairs" not in vars(stt)
+        pairs = stt.start_pairs
+        assert stt.start_pairs is pairs
+        assert CompressedStt.from_bytes(stt.to_bytes()) == stt  # never serialized
+
+    def test_start_that_accepts_takes_no_pair(self):
+        _dfa, stt = reverse_table(_START_ACCEPTS)
+        assert set(stt.start_pairs.tolist()) == {-1}
+        for offset in range(3):
+            got = run_records(stt, b"xaa", offset, REVERSE)
+            assert got == reference_run_thread(stt, b"xaa", offset, REVERSE)
+            assert (0, offset + 1, offset) in got[0]  # the empty span off the hit's edge
+
+    def test_first_step_that_accepts_takes_no_pair(self):
+        _dfa, stt = reverse_table(_FIRST_ACCEPTS)
+        assert stt.start_pairs[ord("a") | ord("b") << 8] == -1
+        assert run_records(stt, b"ab", 1, REVERSE) == ([(0, 1, 1), (1, 0, 1)], 2)
+        assert run_records(stt, b"zab", 2, REVERSE) == reference_run_thread(stt, b"zab", 2, REVERSE) == ([(0, 2, 2), (1, 1, 2)], 3)
+
+    def test_death_on_the_second_step(self):
+        _dfa, stt = reverse_table(_TWO_BYTES)
+        assert stt.start_pairs[ord("z") | ord("b") << 8] == DEAD
+        assert run_thread(stt, b"zb", 1, REVERSE) == ([], 2) == reference_run_thread(stt, b"zb", 1, REVERSE)
+        assert run_thread(stt, b"xzb", 2, REVERSE) == ([], 2)
+
+    def test_offsets_0_and_1(self):
+        _dfa, stt = reverse_table(_TWO_BYTES)
+        # offset 0 has no byte before it, so no pair: one step, then the edge
+        assert run_records(stt, b"b", 0, REVERSE) == ([], 1) == reference_run_thread(stt, b"b", 0, REVERSE)
+        assert run_records(stt, b"bx", 0, REVERSE) == ([], 1)
+        # offset 1: the pair is the whole run, which then meets the edge
+        assert run_records(stt, b"ab", 1, REVERSE) == ([(0, 0, 1)], 2) == reference_run_thread(stt, b"ab", 1, REVERSE)
+        assert run_records(stt, b"cdx", 1, REVERSE) == ([(1, 0, 1)], 2)
+
+    def test_threads_take_the_pair_only_past_the_first_byte_from_start(self):
+        # a forged entry shows which threads read the table: a reverse
+        # thread from `start` at offset 1 or more does, in place of its
+        # first two steps; one at offset 0, one from a given state and a
+        # forward one do not
+        _dfa, stt = reverse_table(_TWO_BYTES)
+        forged = np.asarray(stt.start_pairs).copy()
+        forged[ord("z") | ord("b") << 8] = stt.rows[(stt.rows[(stt.start << 8) | ord("b")] << 8) | ord("a")]
+        vars(stt)["start_pairs"] = memoryview(forged)
+        assert run_records(stt, b"zb", 1, REVERSE) == ([(0, 0, 1)], 2)
+        assert run_records(stt, b"xzb", 2, REVERSE) == ([(0, 1, 2)], 3)
+        assert run_thread(stt, b"zb", 1, REVERSE, stt.start) == ([], 2) == reference_run_thread(stt, b"zb", 1, REVERSE)
+        assert run_thread(stt, b"b", 0, REVERSE) == ([], 1)
+        assert run_thread(stt, b"zb", 0, FORWARD) == ([], 1)
+
+    @given(st.lists(st.sampled_from(b"abcdz"), max_size=24).map(bytes))
+    @settings(max_examples=100, deadline=None)
+    def test_every_table_agrees_with_the_reference_at_every_offset(self, packet):
+        for fronts in (_START_ACCEPTS, _FIRST_ACCEPTS, _TWO_BYTES):
+            _dfa, stt = reverse_table(fronts)
+            for offset in range(len(packet)):
+                assert run_records(stt, packet, offset, REVERSE) == reference_run_thread(stt, packet, offset, REVERSE)
 
 
 #: header bytes: states, start, entries, pairs
@@ -525,7 +634,7 @@ class TestRunThreadAgainstRankReference:
     @settings(max_examples=300, deadline=None)
     def test_reverse(self, packet_offset):
         packet, offset = packet_offset
-        got = run_thread(_REVERSE, packet, offset, REVERSE)
+        got = run_records(_REVERSE, packet, offset, REVERSE)
         assert got == reference_run_thread(_REVERSE, packet, offset, REVERSE)
 
     @given(_packet_and_offset(), st.sampled_from([None, 5, 6, 7]))
@@ -533,7 +642,7 @@ class TestRunThreadAgainstRankReference:
     def test_forward(self, packet_offset, split):
         packet, offset = packet_offset
         state = None if split is None else _FORWARD.entries[split]
-        got = run_thread(_FORWARD, packet, offset, FORWARD, state)
+        got = run_records(_FORWARD, packet, offset, FORWARD, state)
         assert got == reference_run_thread(_FORWARD, packet, offset, FORWARD, state)
 
     @given(st.binary(min_size=1, max_size=48) | st.lists(st.sampled_from(b"user=abc09"), min_size=1, max_size=48).map(bytes))
@@ -542,18 +651,18 @@ class TestRunThreadAgainstRankReference:
         # threads that start at the first and the last byte run to the
         # opposite edge or stop at once, where an off-by-one shows
         for offset in (0, len(packet) - 1):
-            assert run_thread(_REVERSE, packet, offset, REVERSE) == reference_run_thread(_REVERSE, packet, offset, REVERSE)
+            assert run_records(_REVERSE, packet, offset, REVERSE) == reference_run_thread(_REVERSE, packet, offset, REVERSE)
             for state in (None, *_FORWARD.entries.values()):
-                got = run_thread(_FORWARD, packet, offset, FORWARD, state)
+                got = run_records(_FORWARD, packet, offset, FORWARD, state)
                 assert got == reference_run_thread(_FORWARD, packet, offset, FORWARD, state)
 
     def test_reference_agrees_on_a_match_dense_packet(self):
         packet = b"xuser=12abaaaabcuser=" * 5
         for offset in range(len(packet)):
-            assert run_thread(_REVERSE, packet, offset, REVERSE) == reference_run_thread(_REVERSE, packet, offset, REVERSE)
+            assert run_records(_REVERSE, packet, offset, REVERSE) == reference_run_thread(_REVERSE, packet, offset, REVERSE)
             for split in (5, 6, 7):
                 state = _FORWARD.entries[split]
-                assert run_thread(_FORWARD, packet, offset, FORWARD, state) == reference_run_thread(
+                assert run_records(_FORWARD, packet, offset, FORWARD, state) == reference_run_thread(
                     _FORWARD, packet, offset, FORWARD, state
                 )
 
